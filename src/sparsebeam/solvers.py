@@ -3,19 +3,21 @@
 Five related designs over a loaded covariance R:
 
 - ``mvdr``: minimize w^H R w subject to w^H a0 = 1, in closed form.
-- ``solve_sc``: adds a p-norm penalty gamma*||w^H A||_p^p over a grid of
-  candidate interference directions, solved by iteratively reweighted
-  least squares (IRLS) where every reweighted subproblem is again an
-  MVDR-form closed solve.
-- ``solve_wsc``: same penalty with per-direction weights q applied to
-  the columns of A.
+- ``solve_wsc``: adds a weighted p-norm penalty gamma*||w^H A Q||_p^p
+  over a grid of candidate interference directions, Q = diag(q), solved
+  by iteratively reweighted least squares (IRLS) where every reweighted
+  subproblem is again an MVDR-form closed solve.
+- ``solve_sc``: the same with unit weights, q = 1.
 - ``solve_rmvb``: replaces the equality constraint by a worst-case gain
   floor over an uncertainty ellipsoid of steering vectors, a second-order
-  cone program solved by a log-barrier interior-point method on the
-  real-composite embedding of the complex variables, then polished on
-  the active-constraint KKT system to machine precision.
+  cone program solved exactly (Lorenz & Boyd, 2005): the optimum is
+  (R + nu E E^H)^-1 c scaled onto the constraint, and nu >= 0 is the
+  root of one increasing scalar equation, found by bisection after a
+  Cholesky whitening and one thin SVD. When that equation has no root
+  the optimum is the cone apex, where E^H w = 0; a point ellipsoid is
+  the rank-0 case of the same formula.
 - ``solve_rwsc``: the weighted penalty and the ellipsoid constraint
-  together; IRLS outer loop, cone-program inner step.
+  together; IRLS outer loop, exact cone-program inner step.
 
 All solvers symmetrize the covariance on entry and apply diagonal
 loading before factorization. Covariance inputs may also be raw M x K
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .arrays import ArrayGeometry, steering_matrix, steering_vector
 from .covariance import diagonal_load, ensure_covariance
@@ -47,8 +49,6 @@ __all__ = [
 ]
 
 _IRLS_EPS_FLOOR = 1e-12
-_BARRIER_GAP = 1e-9
-_NEWTON_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -130,16 +130,16 @@ def _loaded(covariance, opts: SolverOptions) -> np.ndarray:
     return diagonal_load(r, opts.diagonal_loading)
 
 
-def _chol_solve(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _cholesky(r: np.ndarray):
+    """Lower Cholesky factor of r, as ``cho_factor`` returns it."""
     try:
-        factor = cho_factor(r, lower=True, check_finite=False)
+        return cho_factor(r, lower=True, check_finite=False)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise SolverError(f"covariance factorization failed: {exc}") from exc
-    return cho_solve(factor, b, check_finite=False)
 
 
 def _mvdr_direction(r: np.ndarray, a0: np.ndarray) -> np.ndarray:
-    x = _chol_solve(r, a0)
+    x = cho_solve(_cholesky(r), a0, check_finite=False)
     denom = a0.conj() @ x
     if abs(denom) < 1e-300:
         raise SolverError("steering vector annihilated by the covariance inverse")
@@ -174,9 +174,13 @@ def _run_irls(r, aq, opts: SolverOptions, inner):
     Returns (w, iterations, final_objective, converged, history). The
     recorded objective is the epsilon-smoothed one, which the
     majorize-minimize update never increases; annealing epsilon only
-    lowers it further.
+    lowers it further. With gamma = 0 or an all-zero penalty matrix the
+    unpenalized solve is the answer: one iteration, objective w^H R w
+    and an empty history.
     """
     w = inner(r)
+    if opts.gamma == 0 or not np.any(aq):
+        return w, 1, float((w.conj() @ r @ w).real), True, ()
     gamma, p = opts.gamma, opts.p
     eps = opts.irls_epsilon
     history: list[float] = []
@@ -224,6 +228,19 @@ def _validate_penalty_inputs(a, a0=None, q=None):
     return a, a0, q
 
 
+def _solve_penalized(covariance, a, q, a0, opts, method) -> BeamformerWeights:
+    opts = opts or SolverOptions()
+    a, a0, q = _validate_penalty_inputs(a, a0, q)
+    r = _loaded(covariance, opts)
+    w, iters, objective, converged, history = _run_irls(
+        r, a * q[None, :], opts, lambda r_eff: _mvdr_direction(r_eff, a0)
+    )
+    residual = float(abs(w.conj() @ a0 - 1.0))
+    return BeamformerWeights(
+        w, method, Diagnostics(iters, objective, residual, converged, history)
+    )
+
+
 def solve_sc(covariance, a, a0, opts: SolverOptions | None = None) -> BeamformerWeights:
     """Sparse-constraint beamformer.
 
@@ -231,23 +248,10 @@ def solve_sc(covariance, a, a0, opts: SolverOptions | None = None) -> Beamformer
     w^H a0 = 1. Each IRLS iteration folds the reweighted penalty into an
     effective covariance R + gamma*A D A^H and reuses the closed-form
     distortionless solve. The grid behind A must exclude the steering
-    direction.
+    direction. This is :func:`solve_wsc` with unit weights.
     """
-    opts = opts or SolverOptions()
-    a, a0, _ = _validate_penalty_inputs(a, a0)
-    r = _loaded(covariance, opts)
-    if opts.gamma == 0:
-        base = _mvdr_direction(r, a0)
-        objective = float((base.conj() @ r @ base).real)
-        residual = float(abs(base.conj() @ a0 - 1.0))
-        return BeamformerWeights(base, "sc", Diagnostics(1, objective, residual))
-    w, iters, objective, converged, history = _run_irls(
-        r, a, opts, lambda r_eff: _mvdr_direction(r_eff, a0)
-    )
-    residual = float(abs(w.conj() @ a0 - 1.0))
-    return BeamformerWeights(
-        w, "sc", Diagnostics(iters, objective, residual, converged, history)
-    )
+    # Unit weights; a * 1.0 is exact. Any a that is not 2-D fails validation.
+    return _solve_penalized(covariance, a, np.ones(np.shape(a)[1:]), a0, opts, "sc")
 
 
 def solve_wsc(covariance, a, q, a0, opts: SolverOptions | None = None) -> BeamformerWeights:
@@ -256,22 +260,7 @@ def solve_wsc(covariance, a, q, a0, opts: SolverOptions | None = None) -> Beamfo
     Identical to :func:`solve_sc` with A replaced by A Q in the penalty,
     Q = diag(q). q = 1 reproduces solve_sc; q = 0 reproduces mvdr.
     """
-    opts = opts or SolverOptions()
-    a, a0, q = _validate_penalty_inputs(a, a0, q)
-    r = _loaded(covariance, opts)
-    aq = a * q[None, :]
-    if opts.gamma == 0 or not np.any(q):
-        base = _mvdr_direction(r, a0)
-        objective = float((base.conj() @ r @ base).real)
-        residual = float(abs(base.conj() @ a0 - 1.0))
-        return BeamformerWeights(base, "wsc", Diagnostics(1, objective, residual))
-    w, iters, objective, converged, history = _run_irls(
-        r, aq, opts, lambda r_eff: _mvdr_direction(r_eff, a0)
-    )
-    residual = float(abs(w.conj() @ a0 - 1.0))
-    return BeamformerWeights(
-        w, "wsc", Diagnostics(iters, objective, residual, converged, history)
-    )
+    return _solve_penalized(covariance, a, q, a0, opts, "wsc")
 
 
 def build_ellipsoid(
@@ -313,196 +302,69 @@ def build_ellipsoid(
     return Ellipsoid(center, u * (alpha * sigma)[None, :])
 
 
-def _real_embed_matrix(r: np.ndarray) -> np.ndarray:
-    t = np.block([[r.real, -r.imag], [r.imag, r.real]])
-    return 0.5 * (t + t.T)
-
-
-def _real_embed_cone(center: np.ndarray, shape: np.ndarray):
-    ct = np.concatenate([center.real, center.imag])
-    if shape.shape[1] == 0:
-        g = np.zeros((0, 2 * center.size))
-    else:
-        g = np.block(
-            [[shape.real.T, shape.imag.T], [-shape.imag.T, shape.real.T]]
-        )
-    return ct, g
-
-
 def _margin(w: np.ndarray, center: np.ndarray, shape: np.ndarray) -> float:
     return float((w.conj() @ center).real - np.linalg.norm(shape.conj().T @ w))
 
 
-def _feasible_start(r, center, shape, extra=None):
-    candidates = []
-    if extra is not None:
-        candidates.append(extra)
-    try:
-        candidates.append(_chol_solve(r, center))
-    except SolverError:
-        pass
-    candidates.append(center.astype(complex))
-    if shape.shape[1]:
-        u = np.linalg.svd(shape, full_matrices=False)[0]
-        perp = center - u @ (u.conj().T @ center)
-        # perp is orthogonal to every ellipsoid axis, so its cone term
-        # vanishes and its margin is exactly ||perp||^2 > 0.
-        if np.linalg.norm(perp) > 1e-10 * np.linalg.norm(center):
-            candidates.append(perp)
-        ee = shape @ shape.conj().T
-        scale = float(np.trace(ee).real)
-        eye = np.eye(center.size)
-        # Damped directions (E E^H + mu I)^-1 c; as mu -> 0 the margin
-        # tends to b(b - 1) with b = ||E^+ c||, which is positive exactly
-        # when the problem is feasible in the full-column-space case.
-        for mu in (1e-12, 1e-8, 1e-4, 1e-1):
-            try:
-                candidates.append(np.linalg.solve(ee + mu * scale * eye, center))
-            except np.linalg.LinAlgError:
-                continue
-    for w in candidates:
-        m = _margin(w, center, shape)
-        # The margin is 1-homogeneous, so any candidate with positive
-        # margin rescales to a strictly feasible interior point.
-        if m > 1e-14 * max(1.0, float(np.linalg.norm(w))):
-            return w * (1.5 / m)
-    raise SolverError(
-        "ellipsoid constraint is infeasible: no weight vector attains a "
-        "positive worst-case gain (the uncertainty set contains the origin)"
-    )
+def _cone_multiplier(sigma: np.ndarray, cbar: np.ndarray) -> float:
+    """Root of h(nu) = nu^2 sum sigma^2 |cbar|^2 / (1 + nu sigma^2)^2 = 1.
 
-
-def _kkt_polish(t, ct, g, gtg, v, obj_scale):
-    """Newton iteration on the active-constraint KKT system.
-
-    At the optimum of min v^T T v s.t. ct.v - ||G v|| >= 1 with positive
-    definite T the constraint is active; stationarity reads
-    2 T v = lam * (ct - G^T Gv/||Gv||). Quadratic local convergence
-    recovers machine-precision weights from the barrier estimate.
+    h rises strictly from 0 towards sum |cbar|^2 / sigma^2; when that
+    limit is at most 1 there is no root and the optimum is the cone
+    apex, returned as nu = inf. Otherwise the root is bracketed by
+    doubling from a point where h <= 1 and bisected to adjacent floats.
     """
-    dim = v.size
-    lam = None
-    for _ in range(60):
-        gv = g @ v
-        s = float(np.linalg.norm(gv))
-        if s < 1e-14:
-            gradient = ct
-            curvature = np.zeros((dim, dim))
+    cbar2 = np.abs(cbar) ** 2
+    if np.sum(cbar2 / sigma**2) <= 1.0:
+        return np.inf
+    weight = sigma**2 * cbar2
+
+    def below(nu):
+        return nu * nu * np.sum(weight / (1.0 + nu * sigma**2) ** 2) < 1.0
+
+    # Every denominator is >= 1, so h(lo) <= lo^2 sum(weight) = 1.
+    lo = 1.0 / np.sqrt(np.sum(weight))
+    hi = 2.0 * lo
+    while below(hi):
+        lo, hi = hi, 2.0 * hi
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
         else:
-            ghat = gv / s
-            gt_ghat = g.T @ ghat
-            gradient = ct - gt_ghat
-            curvature = (gtg - np.outer(gt_ghat, gt_ghat)) / s
-        tv2 = 2.0 * t @ v
-        if lam is None:
-            denom = float(gradient @ gradient)
-            lam = max(float(gradient @ tv2) / denom, 1e-300) if denom > 0 else 1.0
-        residual = np.concatenate([tv2 - lam * gradient, [1.0 + s - float(ct @ v)]])
-        norm_res = float(np.linalg.norm(residual))
-        if norm_res <= 1e-12 * max(1.0, obj_scale * float(np.linalg.norm(tv2))):
-            break
-        kkt = np.zeros((dim + 1, dim + 1))
-        kkt[:dim, :dim] = 2.0 * t + lam * curvature
-        kkt[:dim, dim] = -gradient
-        kkt[dim, :dim] = -gradient
-        try:
-            delta = np.linalg.solve(kkt, -residual)
-        except np.linalg.LinAlgError:
-            delta = np.linalg.lstsq(kkt, -residual, rcond=None)[0]
-        step = 1.0
-        for _ in range(40):
-            v_new = v + step * delta[:dim]
-            lam_new = lam + step * delta[dim]
-            gv_new = g @ v_new
-            s_new = float(np.linalg.norm(gv_new))
-            if s_new < 1e-14:
-                grad_new = ct
-            else:
-                grad_new = ct - g.T @ (gv_new / s_new)
-            res_new = np.concatenate(
-                [2.0 * t @ v_new - lam_new * grad_new, [1.0 + s_new - float(ct @ v_new)]]
-            )
-            if float(np.linalg.norm(res_new)) < (1.0 - 0.25 * step) * norm_res:
-                break
-            step *= 0.5
-        v = v + step * delta[:dim]
-        lam = lam + step * delta[dim]
-    return v
+            hi = mid
+    return hi
 
 
-def _socp_min_quadratic(r, center, shape, warm=None):
-    """Minimize w^H R w subject to real(w^H c) - ||E^H w|| >= 1.
+def _cone_solve(r, center, shape):
+    """Minimize w^H R w subject to real(w^H c) - ||E^H w|| >= 1, exactly.
 
-    Log-barrier interior-point method over the real-composite embedding
-    (complex M-vector as a real 2M-vector; the Hermitian form becomes a
-    symmetric one), followed by a KKT polish. The rank-0 ellipsoid
-    reduces to a closed-form linear-constraint solve.
+    Under the real inner product Re(x^H y), stationarity reads
+    2 R w = lam (c - E E^H w / ||E^H w||) with real lam >= 0, so at the
+    optimum (R + nu E E^H) w is parallel to c for one real nu >= 0
+    (Lorenz & Boyd, IEEE TSP 53(5), 2005). With R = L L^H, the
+    thin SVD L^-1 E = U diag(sigma) V^H, cbar = U^H L^-1 c and
+    c_perp = L^-1 c - U cbar, the direction is
+    L^-H (c_perp + U cbar / (1 + nu sigma^2)); the margin is
+    1-homogeneous, so dividing by it makes the constraint active. At the
+    apex (nu = inf, E^H w = 0) only c_perp is left, and a rank-0 point
+    ellipsoid gives R^-1 c / (c^H R^-1 c).
     """
-    m = center.size
-    if shape.shape[1] == 0:
-        x = _chol_solve(r, center)
-        denom = (center.conj() @ x).real
-        if denom <= 0:
-            raise SolverError("center direction has nonpositive quadratic-form inverse power")
-        return x / denom
-    # Objective scaling does not move the minimizer; normalize for conditioning.
-    scale = float(np.trace(r).real) / m
-    if not scale > 0:
-        raise SolverError("covariance has nonpositive trace")
-    t = _real_embed_matrix(np.asarray(r) / scale)
-    ct, g = _real_embed_cone(center, shape)
-    gtg = g.T @ g
-    ct_outer = np.outer(ct, ct)
-
-    w0 = _feasible_start(r, center, shape, extra=warm)
-    v = np.concatenate([w0.real, w0.imag])
-
-    barrier_t = 1.0
-    while True:
-        for _ in range(60):
-            s = float(ct @ v) - 1.0
-            gv = g @ v
-            d = s * s - float(gv @ gv)
-            grad_d = 2.0 * s * ct - 2.0 * (g.T @ gv)
-            grad = 2.0 * barrier_t * (t @ v) - grad_d / d
-            hess = (
-                2.0 * barrier_t * t
-                - (2.0 * ct_outer - 2.0 * gtg) / d
-                + np.outer(grad_d, grad_d) / (d * d)
-            )
-            try:
-                dv = np.linalg.solve(hess, -grad)
-            except np.linalg.LinAlgError:
-                dv = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-            decrement = float(-grad @ dv)
-            if decrement <= 2.0 * _NEWTON_TOL:
-                break
-            phi = barrier_t * float(v @ t @ v) - np.log(d)
-            step = 1.0
-            for _ in range(60):
-                v_try = v + step * dv
-                s_try = float(ct @ v_try) - 1.0
-                if s_try > 0:
-                    gv_try = g @ v_try
-                    d_try = s_try * s_try - float(gv_try @ gv_try)
-                    if d_try > 0:
-                        phi_try = barrier_t * float(v_try @ t @ v_try) - np.log(d_try)
-                        if phi_try <= phi - 0.25 * step * decrement:
-                            break
-                step *= 0.5
-            else:
-                break
-            v = v + step * dv
-        # Self-concordant barrier with parameter 2: duality gap <= 2/t.
-        if 2.0 / barrier_t <= _BARRIER_GAP:
-            break
-        barrier_t *= 10.0
-
-    v = _kkt_polish(t, ct, g, gtg, v, obj_scale=1.0)
-    w = v[:m] + 1j * v[m:]
-    if not np.all(np.isfinite(w)):
-        raise SolverError("cone solve produced non-finite weights")
-    return w
+    chol = _cholesky(r)[0]
+    white_c = solve_triangular(chol, center, lower=True, check_finite=False)
+    white_e = solve_triangular(chol, shape, lower=True, check_finite=False)
+    u, sigma, _ = np.linalg.svd(white_e, full_matrices=False)
+    cbar = u.conj().T @ white_c
+    nu = _cone_multiplier(sigma, cbar)
+    x = white_c - u @ cbar + u @ (cbar / (1.0 + nu * sigma**2))
+    w = solve_triangular(chol, x, lower=True, trans="C", check_finite=False)
+    margin = _margin(w, center, shape)
+    if not margin > 0:
+        raise SolverError(
+            "ellipsoid constraint is infeasible: no weight vector attains a "
+            "positive worst-case gain (the uncertainty set contains the origin)"
+        )
+    return w / margin
 
 
 def solve_rmvb(covariance, ellipsoid: Ellipsoid, opts: SolverOptions | None = None) -> BeamformerWeights:
@@ -514,7 +376,7 @@ def solve_rmvb(covariance, ellipsoid: Ellipsoid, opts: SolverOptions | None = No
     """
     opts = opts or SolverOptions()
     r = _loaded(covariance, opts)
-    w = _socp_min_quadratic(r, ellipsoid.center, ellipsoid.shape)
+    w = _cone_solve(r, ellipsoid.center, ellipsoid.shape)
     objective = float((w.conj() @ r @ w).real)
     residual = _margin(w, ellipsoid.center, ellipsoid.shape) - 1.0
     return BeamformerWeights(w, "rmvb", Diagnostics(1, objective, residual))
@@ -534,20 +396,9 @@ def solve_rwsc(
     a, _, q = _validate_penalty_inputs(a, q=q)
     r = _loaded(covariance, opts)
     center, shape = ellipsoid.center, ellipsoid.shape
-    if opts.gamma == 0 or not np.any(q):
-        w = _socp_min_quadratic(r, center, shape)
-        objective = float((w.conj() @ r @ w).real)
-        residual = _margin(w, center, shape) - 1.0
-        return BeamformerWeights(w, "rwsc", Diagnostics(1, objective, residual))
-    aq = a * q[None, :]
-    state = {"last": None}
-
-    def inner(r_eff):
-        w_inner = _socp_min_quadratic(r_eff, center, shape, warm=state["last"])
-        state["last"] = w_inner
-        return w_inner
-
-    w, iters, objective, converged, history = _run_irls(r, aq, opts, inner)
+    w, iters, objective, converged, history = _run_irls(
+        r, a * q[None, :], opts, lambda r_eff: _cone_solve(r_eff, center, shape)
+    )
     residual = _margin(w, center, shape) - 1.0
     return BeamformerWeights(
         w, "rwsc", Diagnostics(iters, objective, residual, converged, history)

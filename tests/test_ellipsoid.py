@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparsebeam as sb
 from sparsebeam import DomainError, Ellipsoid, SolverError, SolverOptions
@@ -14,6 +16,12 @@ def _containment(ellipsoid, vectors):
     coords = pinv @ deltas
     off_space = deltas - ellipsoid.shape @ coords
     return np.linalg.norm(coords, axis=0).max(), np.abs(off_space).max()
+
+
+def _sample_gains(w, geometry, theta0, half_width, samples):
+    """real(w^H a) at the angles build_ellipsoid fits its ellipsoid to."""
+    angles = np.linspace(theta0 - half_width, theta0 + half_width, samples)
+    return (w.conj() @ sb.steering_matrix(geometry, angles)).real
 
 
 @pytest.fixture(scope="module")
@@ -116,10 +124,36 @@ class TestSolveRmvb:
         with pytest.raises(SolverError):
             sb.solve_rmvb(sample_r, fat)
 
-    def test_wide_but_feasible_ellipsoid(self, sample_r, geometry):
-        ell = sb.build_ellipsoid(geometry, 0.0, 10.0, 41)
+    # (30, 40, 61) puts the optimum at the cone apex, E^H w = 0.
+    @pytest.mark.parametrize("theta0, half_width, samples", [(0, 10, 41), (30, 40, 61)])
+    def test_wide_but_feasible_ellipsoid(self, sample_r, geometry, theta0, half_width, samples):
+        ell = sb.build_ellipsoid(geometry, theta0, half_width, samples)
         result = sb.solve_rmvb(sample_r, ell)
         assert result.diagnostics.constraint_residual >= -1e-6
+        assert _sample_gains(result.w, geometry, theta0, half_width, samples).min() >= 1.0 - 1e-6
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(
+    m=st.sampled_from([4, 8, 16, 32]),
+    half_width=st.sampled_from([3.0, 10.0, 20.0, 40.0]),
+    offset=st.floats(-1.0, 1.0),
+    samples=st.sampled_from([13, 61]),
+    snapshots=st.sampled_from(["M", "2M", "100"]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_rmvb_holds_gain_floor_or_raises(m, half_width, offset, samples, snapshots, seed):
+    geometry = sb.ArrayGeometry(m, 0.5)
+    theta0 = offset * (88.0 - half_width)
+    k = {"M": m, "2M": 2 * m, "100": 100}[snapshots]
+    scenario = sb.Scenario(0.0, 10.0, ((-30.0, 20.0), (30.0, 20.0), (70.0, 40.0)), k, 1.0, seed)
+    r = sb.sample_covariance(sb.generate_snapshots(scenario, geometry))
+    try:
+        result = sb.solve_rmvb(r, sb.build_ellipsoid(geometry, theta0, half_width, samples))
+    except SolverError:
+        return
+    assert result.diagnostics.constraint_residual >= -1e-9
+    assert _sample_gains(result.w, geometry, theta0, half_width, samples).min() >= 1.0 - 1e-6
 
 
 class TestSolveRwsc:
