@@ -7,6 +7,7 @@ clamped at -200 dB so that exact nulls serialize to a finite floor.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -52,6 +53,18 @@ class SidelobeLevel(NamedTuple):
     no_sidelobes: bool
 
 
+def _pattern_angles(resolution_deg: float) -> np.ndarray:
+    return np.linspace(-90.0, 90.0, int(round(180.0 / resolution_deg)) + 1)
+
+
+@lru_cache(maxsize=16)
+def _pattern_steering(geometry: ArrayGeometry, resolution_deg: float) -> np.ndarray:
+    """Steering matrix of the pattern grid, built once per key and read-only."""
+    matrix = steering_matrix(geometry, _pattern_angles(resolution_deg))
+    matrix.flags.writeable = False
+    return matrix
+
+
 def beam_pattern(weights, geometry: ArrayGeometry, resolution_deg: float = 0.1) -> BeamPattern:
     """Evaluate |w^H a(theta)|^2 over [-90, 90] at the given resolution.
 
@@ -68,9 +81,9 @@ def beam_pattern(weights, geometry: ArrayGeometry, resolution_deg: float = 0.1) 
         raise DomainError("weight vector must be nonzero")
     if not 0 < resolution_deg <= 1.0:
         raise DomainError(f"resolution_deg must lie in (0, 1], got {resolution_deg}")
-    count = int(round(180.0 / resolution_deg)) + 1
-    angles = np.linspace(-90.0, 90.0, count)
-    response = w.conj() @ steering_matrix(geometry, angles)
+    # A fresh angle grid per call keeps the returned arrays writable.
+    angles = _pattern_angles(resolution_deg)
+    response = w.conj() @ _pattern_steering(geometry, float(resolution_deg))
     raw = np.abs(response) ** 2
     peak = float(raw.max())
     if peak <= 0:
@@ -110,27 +123,25 @@ def sidelobe_level(pattern: BeamPattern, mainlobe_center_deg: float) -> Sidelobe
     flagged boundary gain is returned in that case.
     """
     gains = pattern.gain_db
-    n = gains.size
-    near = np.abs(pattern.angles_deg - mainlobe_center_deg) <= 2.0 + 1e-12
-    candidates = [
-        i
-        for i in np.nonzero(near)[0]
-        if (i == 0 or gains[i] >= gains[i - 1]) and (i == n - 1 or gains[i] >= gains[i + 1])
-    ]
-    if not candidates:
+    angles = pattern.angles_deg
+    # rises[j]: gains[j + 1] >= gains[j]; falls[j]: gains[j] >= gains[j + 1].
+    rises = gains[1:] >= gains[:-1]
+    falls = gains[:-1] >= gains[1:]
+    local_max = np.concatenate(([True], rises)) & np.concatenate((falls, [True]))
+    near = np.abs(angles - mainlobe_center_deg) <= 2.0 + 1e-12
+    candidates = np.flatnonzero(near & local_max)
+    if candidates.size == 0:
         raise DomainError(
             f"no local maximum within 2 deg of {mainlobe_center_deg} deg; "
             "not a mainlobe center"
         )
-    peak = min(
-        candidates, key=lambda i: abs(float(pattern.angles_deg[i]) - mainlobe_center_deg)
-    )
-    left = peak
-    while left > 0 and gains[left - 1] <= gains[left]:
-        left -= 1
-    right = peak
-    while right < n - 1 and gains[right + 1] <= gains[right]:
-        right += 1
+    # Nearest candidate; argmin keeps the lowest index among ties.
+    peak = int(candidates[np.argmin(np.abs(angles[candidates] - mainlobe_center_deg))])
+    # The mainlobe descends from the peak to the first turn on each side.
+    left_turns = np.flatnonzero(~rises[:peak])
+    left = int(left_turns[-1]) + 1 if left_turns.size else 0
+    right_turns = np.flatnonzero(~falls[peak:])
+    right = peak + int(right_turns[0]) if right_turns.size else gains.size - 1
     outside = np.concatenate([gains[:left], gains[right + 1 :]])
     if outside.size == 0:
         edge = float(min(gains[0], gains[-1]))

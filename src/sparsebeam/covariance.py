@@ -67,11 +67,15 @@ def ensure_covariance(data) -> np.ndarray:
     symmetrized and returned as-is; anything else is treated as an M x K
     snapshot matrix and passed through :func:`sample_covariance`. This
     lets solvers accept either raw snapshots or a prebuilt covariance
-    (for example an analytic one).
+    (for example an analytic one). Input holding NaN or inf raises
+    DomainError: the solvers factor what this returns without checking
+    it again.
     """
     arr = np.asarray(data, dtype=complex)
     if arr.ndim != 2:
         raise DomainError("covariance input must be a 2-D array")
+    if not np.isfinite(arr).all():
+        raise DomainError("covariance input must be finite (no NaN or inf entries)")
     if arr.shape[0] == arr.shape[1] and np.allclose(
         arr, arr.conj().T, rtol=1e-8, atol=1e-12 * max(1.0, float(np.abs(arr).max()))
     ):

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import BeamPattern, beam_pattern, null_depth, output_sinr, pointing_error, sidelobe_level
+from .analysis import BeamPattern, _to_db, beam_pattern, null_depth, output_sinr, pointing_error, sidelobe_level
 from .arrays import ArrayGeometry, Scenario, generate_snapshots, interference_grid, steering_matrix, steering_vector
 from .covariance import sample_covariance
 from .errors import ConfigError, DomainError, SolverError
@@ -331,10 +331,7 @@ def _median_pattern(raw_rows: list[np.ndarray], angles: np.ndarray) -> BeamPatte
     peak = float(median_raw.max())
     if peak <= 0:
         raise SolverError("median pattern collapsed to zero")
-    normalized = median_raw / peak
-    with np.errstate(divide="ignore"):
-        gain_db = np.maximum(10.0 * np.log10(normalized), -200.0)
-    return BeamPattern(angles, gain_db, normalized)
+    return BeamPattern(angles, _to_db(median_raw, peak), median_raw / peak)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:

@@ -29,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import zpotrf, zpotrs
 
 from .arrays import ArrayGeometry, steering_matrix, steering_vector
 from .covariance import diagonal_load, ensure_covariance
@@ -130,16 +131,22 @@ def _loaded(covariance, opts: SolverOptions) -> np.ndarray:
     return diagonal_load(r, opts.diagonal_loading)
 
 
-def _cholesky(r: np.ndarray):
-    """Lower Cholesky factor of r, as ``cho_factor`` returns it."""
-    try:
-        return cho_factor(r, lower=True, check_finite=False)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise SolverError(f"covariance factorization failed: {exc}") from exc
+def _cholesky(r: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of r; the strict upper triangle is left as is.
+
+    Calls LAPACK's zpotrf directly: this is the routine ``cho_factor``
+    wraps, without its per-call argument handling. Inputs are finite
+    (checked once per solve by ensure_covariance).
+    """
+    chol, info = zpotrf(r, lower=1, clean=0)
+    if info != 0:
+        reason = "not positive definite" if info > 0 else "illegal argument"
+        raise SolverError(f"covariance factorization failed: zpotrf info={info} ({reason})")
+    return chol
 
 
 def _mvdr_direction(r: np.ndarray, a0: np.ndarray) -> np.ndarray:
-    x = cho_solve(_cholesky(r), a0, check_finite=False)
+    x, _ = zpotrs(_cholesky(r), a0, lower=1)
     denom = a0.conj() @ x
     if abs(denom) < 1e-300:
         raise SolverError("steering vector annihilated by the covariance inverse")
@@ -188,16 +195,21 @@ def _run_irls(r, aq, opts: SolverOptions, inner):
     best_w, best_obj = w, np.inf
     converged = False
     iterations = 0
+    # A view, not a copy: a contiguous copy changes the matvec's last bits.
+    aq_h = aq.conj().T
+    u = aq_h @ w
     for step in range(opts.max_iterations):
         if step > 0 and step % 10 == 0:
             eps = max(eps * 0.1, _IRLS_EPS_FLOOR)
-        u = aq.conj().T @ w
         d = (np.abs(u) ** 2 + eps) ** ((p - 2.0) / 2.0) * (p / 2.0)
-        r_eff = r + gamma * (aq * d[None, :]) @ aq.conj().T
+        r_eff = r + gamma * (aq * d[None, :]) @ aq_h
         r_eff = 0.5 * (r_eff + r_eff.conj().T)
         w = inner(r_eff)
+        # The response of this step's w drives both its penalty and the
+        # next step's reweighting.
+        u = aq_h @ w
         quad = float((w.conj() @ r @ w).real)
-        objective = quad + _smoothed_penalty(aq.conj().T @ w, gamma, p, eps)
+        objective = quad + _smoothed_penalty(u, gamma, p, eps)
         history.append(objective)
         iterations = step + 1
         if objective < best_obj:
@@ -350,7 +362,7 @@ def _cone_solve(r, center, shape):
     apex (nu = inf, E^H w = 0) only c_perp is left, and a rank-0 point
     ellipsoid gives R^-1 c / (c^H R^-1 c).
     """
-    chol = _cholesky(r)[0]
+    chol = _cholesky(r)
     white_c = solve_triangular(chol, center, lower=True, check_finite=False)
     white_e = solve_triangular(chol, shape, lower=True, check_finite=False)
     u, sigma, _ = np.linalg.svd(white_e, full_matrices=False)

@@ -1,4 +1,4 @@
-"""Brute-force reference optimizers, independent of the library's solvers.
+"""Brute-force reference implementations, independent of the library's.
 
 The distortionless constraint w^H a0 = 1 defines an affine set
 w = a0/||a0||^2 + B z with B an orthonormal null-space basis of a0^H and
@@ -9,6 +9,8 @@ an oracle that shares no code with the closed-form or IRLS solvers.
 
 import numpy as np
 from scipy.linalg import null_space
+
+from sparsebeam import DomainError, SidelobeLevel
 
 
 def constraint_parameterization(a0):
@@ -62,3 +64,35 @@ def penalized_objective(r, a, gamma, p):
         return quad(w) + gamma * np.sum(u**p, axis=0)
 
     return value
+
+
+def sidelobe_level_walk(pattern, mainlobe_center_deg):
+    """Sample-by-sample reference for :func:`sparsebeam.sidelobe_level`.
+
+    Tests each sample near the center for a local maximum, takes the
+    nearest one (lowest index among ties), then walks down the mainlobe
+    one sample at a time on each side until the gain turns up.
+    """
+    gains = pattern.gain_db
+    n = gains.size
+    near = np.abs(pattern.angles_deg - mainlobe_center_deg) <= 2.0 + 1e-12
+    candidates = [
+        i
+        for i in np.nonzero(near)[0]
+        if (i == 0 or gains[i] >= gains[i - 1]) and (i == n - 1 or gains[i] >= gains[i + 1])
+    ]
+    if not candidates:
+        raise DomainError("no local maximum near the center")
+    peak = min(
+        candidates, key=lambda i: abs(float(pattern.angles_deg[i]) - mainlobe_center_deg)
+    )
+    left = peak
+    while left > 0 and gains[left - 1] <= gains[left]:
+        left -= 1
+    right = peak
+    while right < n - 1 and gains[right + 1] <= gains[right]:
+        right += 1
+    outside = np.concatenate([gains[:left], gains[right + 1 :]])
+    if outside.size == 0:
+        return SidelobeLevel(float(min(gains[0], gains[-1])), True)
+    return SidelobeLevel(float(outside.max()), False)

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparsebeam as sb
 from sparsebeam import BeamPattern, DomainError
+from sparsebeam.analysis import _pattern_steering
+
+from _oracles import sidelobe_level_walk
 
 NULL_ANGLE = float(np.degrees(np.arcsin(0.25)))  # first uniform-taper null, M=8
 
@@ -52,6 +57,23 @@ class TestBeamPattern:
             sb.beam_pattern(a0, geometry, 1.5)
         with pytest.raises(DomainError):
             sb.beam_pattern(np.ones(5, dtype=complex), geometry)
+
+    def test_cached_steering_matrix_matches_a_fresh_one(self):
+        # Interleaved keys: every call must read the matrix of its own
+        # geometry and resolution, bit for bit.
+        rng = np.random.default_rng(3)
+        keys = [(m, d, res) for m in (8, 32) for d in (0.5, 0.4) for res in (0.1, 0.5)]
+        for m, spacing, res in keys + keys[::-1]:
+            geom = sb.ArrayGeometry(m, spacing)
+            w = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            pattern = sb.beam_pattern(w, geom, res)
+            fresh = sb.steering_matrix(geom, pattern.angles_deg)
+            np.testing.assert_array_equal(pattern.raw_gain, np.abs(w.conj() @ fresh) ** 2)
+            assert pattern.angles_deg.flags.writeable
+            assert pattern.raw_gain.flags.writeable
+            cached = _pattern_steering(geom, res)
+            assert not cached.flags.writeable
+            np.testing.assert_array_equal(cached, fresh)
 
 
 def _pattern_on(geometry, w, angles):
@@ -136,6 +158,44 @@ class TestSidelobeLevel:
         crest_deg = taper_pattern.angles_deg[flank][np.argmax(taper_pattern.gain_db[flank])]
         crest = sb.sidelobe_level(taper_pattern, crest_deg)
         assert crest.level_db == 0.0
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    m=st.integers(2, 16),
+    resolution=st.sampled_from([0.1, 0.5, 1.0]),
+    center=st.one_of(st.none(), st.floats(-90.0, 90.0)),
+    seed=st.integers(0, 2**32 - 1),
+    gains=st.sampled_from(["exact", "whole_db", "noise", "ramp"]),
+)
+def test_sidelobe_level_matches_sample_walk(m, resolution, center, seed, gains):
+    # center None stands for the pattern peak, which is always a
+    # mainlobe; a uniform center often has no local maximum within 2 deg.
+    # Gains rounded to whole dB make runs of equal samples, where the
+    # >= / <= tie rules decide the mainlobe's extent; integer noise puts
+    # crests and troughs next to each other. A noisy ramp down from the
+    # peak puts the highest sidelobe sample right beside a mainlobe edge;
+    # a clean one has no sidelobes at all.
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    pattern = sb.beam_pattern(w, sb.ArrayGeometry(m, 0.5), resolution)
+    if gains == "whole_db":
+        pattern = pattern._replace(gain_db=np.round(pattern.gain_db))
+    elif gains == "noise":
+        pattern = pattern._replace(gain_db=rng.integers(-4, 1, pattern.gain_db.size) * 1.0)
+    elif gains == "ramp":
+        offsets = np.abs(np.arange(pattern.gain_db.size) - np.argmax(pattern.raw_gain))
+        noise = rng.standard_normal(offsets.size) * rng.choice([0.0, 1.0])
+        pattern = pattern._replace(gain_db=noise - 0.5 * offsets)
+    if center is None:
+        center = pattern.peak_angle_deg
+    try:
+        expected = sidelobe_level_walk(pattern, center)
+    except DomainError:
+        with pytest.raises(DomainError):
+            sb.sidelobe_level(pattern, center)
+        return
+    assert sb.sidelobe_level(pattern, center) == expected
 
 
 class TestPointingError:

@@ -83,3 +83,11 @@ class TestEnsureCovariance:
     def test_rejects_non_2d(self):
         with pytest.raises(DomainError):
             sb.ensure_covariance(np.ones(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite(self, sample_r, snapshots, bad):
+        for data in (sample_r, snapshots):
+            data = data.copy()
+            data[1, 1] = bad
+            with pytest.raises(DomainError, match="finite"):
+                sb.ensure_covariance(data)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sparsebeam as sb
-from sparsebeam import DomainError, SolverOptions
+from sparsebeam import DomainError, SolverError, SolverOptions
 
 from _oracles import constraint_parameterization, penalized_objective, quadratic_objective, zoom_minimize
 
@@ -157,6 +157,38 @@ class TestSolveWsc:
             nd_wsc = _null_depth_at(sb.solve_wsc(r, a_grid, q, a0).w, geometry, 70.0)
             deltas.append(nd_wsc - nd_sc)
         assert np.median(deltas) <= -5.0
+
+
+def _every_solver(geometry, a_grid, a0):
+    ones = np.ones(a_grid.shape[1])
+    ellipsoid = sb.build_ellipsoid(geometry, 0.0, 3.0, 13)
+    return {
+        "mvdr": lambda r: sb.mvdr(r, a0),
+        "sc": lambda r: sb.solve_sc(r, a_grid, a0),
+        "wsc": lambda r: sb.solve_wsc(r, a_grid, ones, a0),
+        "rmvb": lambda r: sb.solve_rmvb(r, ellipsoid),
+        "rwsc": lambda r: sb.solve_rwsc(r, a_grid, ones, ellipsoid),
+    }
+
+
+@pytest.mark.parametrize("method", ["mvdr", "sc", "wsc", "rmvb", "rwsc"])
+@pytest.mark.parametrize("bad", ["nan_entry", "inf_entry", "all_inf"])
+def test_non_finite_covariance_rejected(geometry, a_grid, a0, method, bad):
+    # One NaN on the diagonal once gave mvdr NaN weights marked
+    # converged; an all-inf matrix failed as "steering vector annihilated".
+    r = np.eye(8, dtype=complex)
+    if bad == "all_inf":
+        r[:] = np.inf
+    else:
+        r[2, 2] = np.nan if bad == "nan_entry" else np.inf
+    with pytest.raises(DomainError, match="finite"):
+        _every_solver(geometry, a_grid, a0)[method](r)
+
+
+@pytest.mark.parametrize("method", ["mvdr", "wsc", "rmvb", "rwsc"])
+def test_indefinite_covariance_fails_factorization(geometry, a_grid, a0, method):
+    with pytest.raises(SolverError, match="covariance factorization failed"):
+        _every_solver(geometry, a_grid, a0)[method](-np.eye(8))
 
 
 def test_solver_options_validation():
