@@ -77,6 +77,8 @@ def beam_pattern(weights, geometry: ArrayGeometry, resolution_deg: float = 0.1) 
     w = np.asarray(weights, dtype=complex)
     if w.ndim != 1 or w.size != geometry.num_elements:
         raise DomainError("weight vector length must match the array size")
+    if not np.isfinite(w).all():
+        raise DomainError("weight vector must be finite")
     if not np.any(w):
         raise DomainError("weight vector must be nonzero")
     if not 0 < resolution_deg <= 1.0:

@@ -8,6 +8,7 @@ always 1 and every element has unit modulus.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,10 @@ class Scenario:
         object.__setattr__(
             self, "interferers", tuple((float(d), float(p)) for d, p in self.interferers)
         )
+        values = [self.soi_doa_deg, self.soi_snr_db, self.noise_power]
+        values += [v for pair in self.interferers for v in pair]
+        if not all(map(math.isfinite, values)):
+            raise DomainError("scenario DOAs, SNR, INRs and noise power must be finite")
         if self.num_snapshots < 1:
             raise DomainError(f"num_snapshots must be >= 1, got {self.num_snapshots}")
         if not self.noise_power > 0:

@@ -12,10 +12,10 @@ Five related designs over a loaded covariance R:
   floor over an uncertainty ellipsoid of steering vectors, a second-order
   cone program solved exactly (Lorenz & Boyd, 2005): the optimum is
   (R + nu E E^H)^-1 c scaled onto the constraint, and nu >= 0 is the
-  root of one increasing scalar equation, found by bisection after a
-  Cholesky whitening and one thin SVD. When that equation has no root
-  the optimum is the cone apex, where E^H w = 0; a point ellipsoid is
-  the rank-0 case of the same formula.
+  root of one increasing scalar equation, found by a safeguarded Newton
+  iteration after a Cholesky whitening and one thin SVD. When that
+  equation has no root the optimum is the cone apex, where E^H w = 0; a
+  point ellipsoid is the rank-0 case of the same formula.
 - ``solve_rwsc``: the weighted penalty and the ellipsoid constraint
   together; IRLS outer loop, exact cone-program inner step.
 
@@ -26,11 +26,11 @@ snapshot matrices (see :func:`sparsebeam.covariance.ensure_covariance`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import zpotrf, zpotrs
+from scipy.linalg.lapack import zpotrf, zpotrs, ztrtrs
 
 from .arrays import ArrayGeometry, steering_matrix, steering_vector
 from .covariance import diagonal_load, ensure_covariance
@@ -126,6 +126,17 @@ class Ellipsoid:
         return self.shape.shape[1]
 
 
+def _weights(w: np.ndarray, method: str, diagnostics: Diagnostics) -> BeamformerWeights:
+    """Package a solve's result; every solver returns through here.
+
+    Finite input can still overflow, for example a covariance so small
+    that its inverse is infinite, so the weights are checked once more.
+    """
+    if not np.isfinite(w).all():
+        raise SolverError(f"{method} produced non-finite weights")
+    return BeamformerWeights(w, method, diagnostics)
+
+
 def _loaded(covariance, opts: SolverOptions) -> np.ndarray:
     r = ensure_covariance(covariance)
     return diagonal_load(r, opts.diagonal_loading)
@@ -168,7 +179,7 @@ def mvdr(covariance, a0, opts: SolverOptions | None = None) -> BeamformerWeights
     w = _mvdr_direction(r, a0)
     objective = float((w.conj() @ r @ w).real)
     residual = float(abs(w.conj() @ a0 - 1.0))
-    return BeamformerWeights(w, "mvdr", Diagnostics(1, objective, residual))
+    return _weights(w, "mvdr", Diagnostics(1, objective, residual))
 
 
 def _smoothed_penalty(u: np.ndarray, gamma: float, p: float, eps: float) -> float:
@@ -248,9 +259,7 @@ def _solve_penalized(covariance, a, q, a0, opts, method) -> BeamformerWeights:
         r, a * q[None, :], opts, lambda r_eff: _mvdr_direction(r_eff, a0)
     )
     residual = float(abs(w.conj() @ a0 - 1.0))
-    return BeamformerWeights(
-        w, method, Diagnostics(iters, objective, residual, converged, history)
-    )
+    return _weights(w, method, Diagnostics(iters, objective, residual, converged, history))
 
 
 def solve_sc(covariance, a, a0, opts: SolverOptions | None = None) -> BeamformerWeights:
@@ -323,29 +332,52 @@ def _cone_multiplier(sigma: np.ndarray, cbar: np.ndarray) -> float:
 
     h rises strictly from 0 towards sum |cbar|^2 / sigma^2; when that
     limit is at most 1 there is no root and the optimum is the cone
-    apex, returned as nu = inf. Otherwise the root is bracketed by
-    doubling from a point where h <= 1 and bisected to adjacent floats.
+    apex, returned as nu = inf. Otherwise Newton's method runs on the
+    decreasing secular equation h^(-1/2) = 1 (Moré & Sorensen, SIAM J.
+    Sci. Stat. Comput. 4(3), 1983) in Python floats, safeguarded by a
+    bracket [lo, hi] with h(lo) < 1 <= h(hi). A step that stalls at lo
+    moves one float up; any other step that leaves the bracket is
+    replaced by its midpoint, or by doubling lo while hi is unbounded.
+    Every accepted point shrinks the bracket, so the loop ends: when a
+    step from hi stalls or leaves through hi, or no float is left
+    inside, it returns hi, the h >= 1 side.
     """
     cbar2 = np.abs(cbar) ** 2
-    if np.sum(cbar2 / sigma**2) <= 1.0:
+    s2 = sigma**2
+    if np.sum(cbar2 / s2) <= 1.0:
         return np.inf
-    weight = sigma**2 * cbar2
-
-    def below(nu):
-        return nu * nu * np.sum(weight / (1.0 + nu * sigma**2) ** 2) < 1.0
-
-    # Every denominator is >= 1, so h(lo) <= lo^2 sum(weight) = 1.
-    lo = 1.0 / np.sqrt(np.sum(weight))
-    hi = 2.0 * lo
-    while below(hi):
-        lo, hi = hi, 2.0 * hi
-    while lo < 0.5 * (lo + hi) < hi:
-        mid = 0.5 * (lo + hi)
-        if below(mid):
-            lo = mid
+    weight = s2 * cbar2
+    terms = list(zip(s2.tolist(), weight.tolist()))
+    lo, hi = 0.0, math.inf
+    # Every denominator is >= 1, so h(nu) <= nu^2 sum(weight) = 1 here.
+    nu = float(1.0 / np.sqrt(np.sum(weight)))
+    while True:
+        total = slope = 0.0
+        for s, wt in terms:
+            d = 1.0 + nu * s
+            q = wt / (d * d)
+            total += q
+            slope += q / d
+        if nu * nu * total < 1.0:
+            lo = nu
         else:
-            hi = mid
-    return hi
+            hi = nu
+        # h = nu^2 total and h' = 2 nu slope, so the Newton step on
+        # h^(-1/2) - 1 is 2 h (1 - sqrt(h)) / h'. When every term has
+        # underflowed there is no step, and the bracket takes over.
+        if slope:
+            trial = nu + nu * total * (1.0 - nu * math.sqrt(total)) / slope
+        else:
+            trial = math.nan
+        if nu == hi and trial >= hi:
+            return hi
+        if nu == lo and trial <= lo:
+            trial = math.nextafter(lo, math.inf)
+        if not lo < trial < hi:
+            trial = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+            if not lo < trial < hi:
+                return hi
+        nu = trial
 
 
 def _cone_solve(r, center, shape):
@@ -363,13 +395,15 @@ def _cone_solve(r, center, shape):
     ellipsoid gives R^-1 c / (c^H R^-1 c).
     """
     chol = _cholesky(r)
-    white_c = solve_triangular(chol, center, lower=True, check_finite=False)
-    white_e = solve_triangular(chol, shape, lower=True, check_finite=False)
+    # LAPACK's ztrtrs, the routine solve_triangular wraps, called
+    # directly. The factor's diagonal is positive, so it cannot fail.
+    white_c, _ = ztrtrs(chol, center, lower=1)
+    white_e, _ = ztrtrs(chol, shape, lower=1)
     u, sigma, _ = np.linalg.svd(white_e, full_matrices=False)
     cbar = u.conj().T @ white_c
     nu = _cone_multiplier(sigma, cbar)
     x = white_c - u @ cbar + u @ (cbar / (1.0 + nu * sigma**2))
-    w = solve_triangular(chol, x, lower=True, trans="C", check_finite=False)
+    w, _ = ztrtrs(chol, x, lower=1, trans=2)
     margin = _margin(w, center, shape)
     if not margin > 0:
         raise SolverError(
@@ -391,7 +425,7 @@ def solve_rmvb(covariance, ellipsoid: Ellipsoid, opts: SolverOptions | None = No
     w = _cone_solve(r, ellipsoid.center, ellipsoid.shape)
     objective = float((w.conj() @ r @ w).real)
     residual = _margin(w, ellipsoid.center, ellipsoid.shape) - 1.0
-    return BeamformerWeights(w, "rmvb", Diagnostics(1, objective, residual))
+    return _weights(w, "rmvb", Diagnostics(1, objective, residual))
 
 
 def solve_rwsc(
@@ -412,6 +446,4 @@ def solve_rwsc(
         r, a * q[None, :], opts, lambda r_eff: _cone_solve(r_eff, center, shape)
     )
     residual = _margin(w, center, shape) - 1.0
-    return BeamformerWeights(
-        w, "rwsc", Diagnostics(iters, objective, residual, converged, history)
-    )
+    return _weights(w, "rwsc", Diagnostics(iters, objective, residual, converged, history))

@@ -96,3 +96,33 @@ def sidelobe_level_walk(pattern, mainlobe_center_deg):
     if outside.size == 0:
         return SidelobeLevel(float(min(gains[0], gains[-1])), True)
     return SidelobeLevel(float(outside.max()), False)
+
+
+def cone_multiplier_bisect(sigma, cbar):
+    """Doubling-plus-bisection reference for the Lorenz–Boyd multiplier.
+
+    Root of h(nu) = nu^2 sum sigma^2 |cbar|^2 / (1 + nu sigma^2)^2 = 1,
+    or nu = inf (the cone apex) when sum |cbar|^2 / sigma^2 <= 1. The
+    root is bracketed by doubling from a point where h <= 1 and bisected
+    to adjacent floats.
+    """
+    cbar2 = np.abs(cbar) ** 2
+    if np.sum(cbar2 / sigma**2) <= 1.0:
+        return np.inf
+    weight = sigma**2 * cbar2
+
+    def below(nu):
+        return nu * nu * np.sum(weight / (1.0 + nu * sigma**2) ** 2) < 1.0
+
+    # Every denominator is >= 1, so h(lo) <= lo^2 sum(weight) = 1.
+    lo = 1.0 / np.sqrt(np.sum(weight))
+    hi = 2.0 * lo
+    while below(hi):
+        lo, hi = hi, 2.0 * hi
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi

@@ -58,6 +58,13 @@ class TestBeamPattern:
         with pytest.raises(DomainError):
             sb.beam_pattern(np.ones(5, dtype=complex), geometry)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite_weights(self, bad):
+        # A NaN entry once gave an all-NaN pattern, and pointing_error on
+        # it failed with a bare ValueError.
+        with pytest.raises(DomainError, match="finite"):
+            sb.beam_pattern(np.array([bad, 1, 1, 1]), sb.ArrayGeometry(4), 1.0)
+
     def test_cached_steering_matrix_matches_a_fresh_one(self):
         # Interleaved keys: every call must read the matrix of its own
         # geometry and resolution, bit for bit.

@@ -93,6 +93,23 @@ class TestScenario:
         with pytest.raises(DomainError):
             sb.Scenario(0.0, 0.0, (), noise_power=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("soi_doa_deg", np.nan),
+            ("soi_snr_db", np.inf),
+            ("soi_snr_db", -np.inf),
+            ("noise_power", np.inf),
+            ("interferers", ((np.nan, 20.0),)),
+            ("interferers", ((30.0, np.inf),)),
+        ],
+        ids=["doa-nan", "snr-inf", "snr-minus-inf", "noise-inf", "jammer-doa-nan", "jammer-inr-inf"],
+    )
+    def test_non_finite_values_rejected(self, field, value):
+        kwargs = {"soi_doa_deg": 0.0, "soi_snr_db": 10.0, field: value}
+        with pytest.raises(DomainError, match="finite"):
+            sb.Scenario(**kwargs)
+
     def test_interferers_canonicalized_to_float_tuples(self):
         scen = sb.Scenario(0.0, 10.0, ((30, 20),))
         assert scen.interferers == ((30.0, 20.0),)

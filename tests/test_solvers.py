@@ -185,6 +185,27 @@ def test_non_finite_covariance_rejected(geometry, a_grid, a0, method, bad):
         _every_solver(geometry, a_grid, a0)[method](r)
 
 
+@pytest.mark.parametrize("method", ["mvdr", "sc", "wsc"])
+def test_overflowing_solve_raises_instead_of_returning_nan(geometry, a_grid, a0, method):
+    # A finite but subnormal covariance: R^-1 a0 overflows to inf, and
+    # mvdr once returned the resulting NaN weights marked converged.
+    with np.errstate(all="ignore"), pytest.raises(SolverError, match="non-finite weights"):
+        _every_solver(geometry, a_grid, a0)[method](1e-310 * np.eye(8))
+
+
+@pytest.mark.parametrize("method", ["mvdr", "sc", "wsc", "rmvb", "rwsc"])
+@pytest.mark.parametrize("scale", [1e-310, 1e-300, 1e300])
+def test_extreme_covariance_scale_gives_finite_weights_or_solver_error(
+    geometry, a_grid, a0, method, scale
+):
+    with np.errstate(all="ignore"):
+        try:
+            result = _every_solver(geometry, a_grid, a0)[method](scale * np.eye(8))
+        except SolverError:
+            return
+    assert np.isfinite(result.w).all()
+
+
 @pytest.mark.parametrize("method", ["mvdr", "wsc", "rmvb", "rwsc"])
 def test_indefinite_covariance_fails_factorization(geometry, a_grid, a0, method):
     with pytest.raises(SolverError, match="covariance factorization failed"):
