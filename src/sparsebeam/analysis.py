@@ -53,8 +53,12 @@ class SidelobeLevel(NamedTuple):
     no_sidelobes: bool
 
 
+@lru_cache(maxsize=16)
 def _pattern_angles(resolution_deg: float) -> np.ndarray:
-    return np.linspace(-90.0, 90.0, int(round(180.0 / resolution_deg)) + 1)
+    """Angle grid of the pattern, built once per resolution and read-only."""
+    angles = np.linspace(-90.0, 90.0, int(round(180.0 / resolution_deg)) + 1)
+    angles.flags.writeable = False
+    return angles
 
 
 @lru_cache(maxsize=16)
@@ -63,6 +67,14 @@ def _pattern_steering(geometry: ArrayGeometry, resolution_deg: float) -> np.ndar
     matrix = steering_matrix(geometry, _pattern_angles(resolution_deg))
     matrix.flags.writeable = False
     return matrix
+
+
+@lru_cache(maxsize=64)
+def _source_steering(geometry: ArrayGeometry, theta_deg: float) -> np.ndarray:
+    """Steering vector of one source direction, built once per key and read-only."""
+    vector = steering_vector(geometry, theta_deg)
+    vector.flags.writeable = False
+    return vector
 
 
 def beam_pattern(weights, geometry: ArrayGeometry, resolution_deg: float = 0.1) -> BeamPattern:
@@ -79,13 +91,14 @@ def beam_pattern(weights, geometry: ArrayGeometry, resolution_deg: float = 0.1) 
         raise DomainError("weight vector length must match the array size")
     if not np.isfinite(w).all():
         raise DomainError("weight vector must be finite")
-    if not np.any(w):
+    if not w.any():
         raise DomainError("weight vector must be nonzero")
     if not 0 < resolution_deg <= 1.0:
         raise DomainError(f"resolution_deg must lie in (0, 1], got {resolution_deg}")
-    # A fresh angle grid per call keeps the returned arrays writable.
-    angles = _pattern_angles(resolution_deg)
-    response = w.conj() @ _pattern_steering(geometry, float(resolution_deg))
+    resolution_deg = float(resolution_deg)
+    # A copy per call keeps the returned arrays writable.
+    angles = _pattern_angles(resolution_deg).copy()
+    response = w.conj() @ _pattern_steering(geometry, resolution_deg)
     raw = np.abs(response) ** 2
     peak = float(raw.max())
     if peak <= 0:
@@ -95,7 +108,7 @@ def beam_pattern(weights, geometry: ArrayGeometry, resolution_deg: float = 0.1) 
 
 def _window_indices(pattern: BeamPattern, theta_deg: float, window_deg: float) -> np.ndarray:
     mask = np.abs(pattern.angles_deg - theta_deg) <= window_deg + 1e-12
-    if not np.any(mask):
+    if not mask.any():
         raise DomainError(
             f"window [{theta_deg - window_deg}, {theta_deg + window_deg}] deg "
             "contains no grid points"
@@ -179,12 +192,12 @@ def output_sinr(weights, scenario: Scenario, geometry: ArrayGeometry) -> float:
         raise DomainError("weight vector length must match the array size")
     noise = scenario.noise_power
     soi_power = noise * 10.0 ** (scenario.soi_snr_db / 10.0)
-    a0 = steering_vector(geometry, scenario.soi_doa_deg)
-    signal = soi_power * abs(w.conj() @ a0) ** 2
+    w_h = w.conj()
+    signal = soi_power * abs(w_h @ _source_steering(geometry, scenario.soi_doa_deg)) ** 2
     denom = noise * float(np.linalg.norm(w) ** 2)
     for doa, inr_db in scenario.interferers:
-        ai = steering_vector(geometry, doa)
-        denom += noise * 10.0 ** (inr_db / 10.0) * abs(w.conj() @ ai) ** 2
+        ai = _source_steering(geometry, doa)
+        denom += noise * 10.0 ** (inr_db / 10.0) * abs(w_h @ ai) ** 2
     if signal <= 0:
         return DB_FLOOR
     return max(10.0 * float(np.log10(signal / denom)), DB_FLOOR)

@@ -63,21 +63,26 @@ def diagonal_load(covariance, epsilon: float) -> np.ndarray:
 def ensure_covariance(data) -> np.ndarray:
     """Coerce solver input to a Hermitian covariance matrix.
 
-    A square matrix that is Hermitian within 1e-8 relative tolerance is
-    symmetrized and returned as-is; anything else is treated as an M x K
-    snapshot matrix and passed through :func:`sample_covariance`. This
-    lets solvers accept either raw snapshots or a prebuilt covariance
-    (for example an analytic one). Input holding NaN or inf raises
-    DomainError: the solvers factor what this returns without checking
-    it again.
+    A square matrix R with |R - R^H| <= atol + 1e-8 |R^H| entrywise,
+    where atol = 1e-12 max(1, max |R|), is symmetrized to (R + R^H)/2 and
+    returned; this is ``np.allclose(R, R^H, rtol=1e-8, atol=atol)``
+    written out for finite input, with R^H and |R| computed once.
+    Anything else is treated as an M x K snapshot matrix and passed
+    through :func:`sample_covariance`. This lets solvers accept either
+    raw snapshots or a prebuilt covariance (for example an analytic
+    one). Input holding NaN or inf raises DomainError: the solvers
+    factor what this returns without checking it again.
     """
     arr = np.asarray(data, dtype=complex)
     if arr.ndim != 2:
         raise DomainError("covariance input must be a 2-D array")
     if not np.isfinite(arr).all():
         raise DomainError("covariance input must be finite (no NaN or inf entries)")
-    if arr.shape[0] == arr.shape[1] and np.allclose(
-        arr, arr.conj().T, rtol=1e-8, atol=1e-12 * max(1.0, float(np.abs(arr).max()))
-    ):
-        return 0.5 * (arr + arr.conj().T)
+    if arr.shape[0] == arr.shape[1]:
+        arr_h = arr.conj().T
+        magnitude = np.abs(arr)
+        atol = 1e-12 * max(1.0, float(magnitude.max()))
+        # |R^H| is |R| transposed, exactly.
+        if (np.abs(arr - arr_h) <= atol + 1e-8 * magnitude.T).all():
+            return 0.5 * (arr + arr_h)
     return sample_covariance(arr)

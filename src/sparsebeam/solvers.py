@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zpotrf, zpotrs, ztrtrs
+from scipy.linalg.lapack import zposv, zpotrf, ztrtrs
 
 from .arrays import ArrayGeometry, steering_matrix, steering_vector
 from .covariance import diagonal_load, ensure_covariance
@@ -142,6 +142,12 @@ def _loaded(covariance, opts: SolverOptions) -> np.ndarray:
     return diagonal_load(r, opts.diagonal_loading)
 
 
+def _check_factorization(info: int) -> None:
+    if info != 0:
+        reason = "not positive definite" if info > 0 else "illegal argument"
+        raise SolverError(f"covariance factorization failed: zpotrf info={info} ({reason})")
+
+
 def _cholesky(r: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of r; the strict upper triangle is left as is.
 
@@ -150,15 +156,19 @@ def _cholesky(r: np.ndarray) -> np.ndarray:
     (checked once per solve by ensure_covariance).
     """
     chol, info = zpotrf(r, lower=1, clean=0)
-    if info != 0:
-        reason = "not positive definite" if info > 0 else "illegal argument"
-        raise SolverError(f"covariance factorization failed: zpotrf info={info} ({reason})")
+    _check_factorization(info)
     return chol
 
 
-def _mvdr_direction(r: np.ndarray, a0: np.ndarray) -> np.ndarray:
-    x, _ = zpotrs(_cholesky(r), a0, lower=1)
-    denom = a0.conj() @ x
+def _mvdr_direction(r: np.ndarray, a0: np.ndarray, a0_h: np.ndarray) -> np.ndarray:
+    """R^-1 a0 / (a0_h R^-1 a0), where a0_h is a0.conj().
+
+    One LAPACK zposv call, which is zpotrf followed by zpotrs; a failed
+    factorization reports zpotrf's info.
+    """
+    _, x, info = zposv(r, a0, lower=1)
+    _check_factorization(info)
+    denom = a0_h @ x
     if abs(denom) < 1e-300:
         raise SolverError("steering vector annihilated by the covariance inverse")
     # Dividing by the complex scalar makes w^H a0 = 1 exact in floating point.
@@ -176,14 +186,10 @@ def mvdr(covariance, a0, opts: SolverOptions | None = None) -> BeamformerWeights
     if not np.any(a0):
         raise DomainError("steering vector a0 must be nonzero")
     r = _loaded(covariance, opts)
-    w = _mvdr_direction(r, a0)
+    w = _mvdr_direction(r, a0, a0.conj())
     objective = float((w.conj() @ r @ w).real)
     residual = float(abs(w.conj() @ a0 - 1.0))
     return _weights(w, "mvdr", Diagnostics(1, objective, residual))
-
-
-def _smoothed_penalty(u: np.ndarray, gamma: float, p: float, eps: float) -> float:
-    return gamma * float(np.sum((np.abs(u) ** 2 + eps) ** (p / 2.0)))
 
 
 def _run_irls(r, aq, opts: SolverOptions, inner):
@@ -194,12 +200,24 @@ def _run_irls(r, aq, opts: SolverOptions, inner):
     majorize-minimize update never increases; annealing epsilon only
     lowers it further. With gamma = 0 or an all-zero penalty matrix the
     unpenalized solve is the answer: one iteration, objective w^H R w
-    and an empty history.
+    and an empty history. A step whose weights are not finite ends the
+    loop, since every later step would be NaN too; the best weights
+    so far are returned, and iterations counts the finite steps.
+
+    Each step is R_eff = (R + gamma A Q D Q A^H + its conjugate
+    transpose) / 2, assembled in place, and |u|^2 of the step's response
+    u = (A Q)^H w serves both its penalty and the next reweighting. The
+    floating-point operations and their order are those of the plain
+    expressions, so the results are the same to the bit
+    (tests/_oracles.py keeps the plain loop as the reference).
     """
     w = inner(r)
-    if opts.gamma == 0 or not np.any(aq):
+    if opts.gamma == 0 or not aq.any():
         return w, 1, float((w.conj() @ r @ w).real), True, ()
-    gamma, p = opts.gamma, opts.p
+    gamma = opts.gamma
+    # Powers stay ``**``: numpy computes a scalar exponent of 2 or 0.5 as
+    # square or sqrt, which np.power does not.
+    power, half_p = (opts.p - 2.0) / 2.0, opts.p / 2.0
     eps = opts.irls_epsilon
     history: list[float] = []
     previous = None
@@ -208,19 +226,25 @@ def _run_irls(r, aq, opts: SolverOptions, inner):
     iterations = 0
     # A view, not a copy: a contiguous copy changes the matvec's last bits.
     aq_h = aq.conj().T
-    u = aq_h @ w
+    u2 = np.abs(aq_h @ w) ** 2
     for step in range(opts.max_iterations):
         if step > 0 and step % 10 == 0:
             eps = max(eps * 0.1, _IRLS_EPS_FLOOR)
-        d = (np.abs(u) ** 2 + eps) ** ((p - 2.0) / 2.0) * (p / 2.0)
-        r_eff = r + gamma * (aq * d[None, :]) @ aq_h
-        r_eff = 0.5 * (r_eff + r_eff.conj().T)
+        d = (u2 + eps) ** power * half_p
+        weighted = aq * d
+        weighted *= gamma
+        r_eff = weighted @ aq_h
+        r_eff += r
+        r_eff += r_eff.conj().T
+        r_eff *= 0.5
         w = inner(r_eff)
-        # The response of this step's w drives both its penalty and the
-        # next step's reweighting.
-        u = aq_h @ w
+        u2 = np.abs(aq_h @ w) ** 2
         quad = float((w.conj() @ r @ w).real)
-        objective = quad + _smoothed_penalty(u, gamma, p, eps)
+        objective = quad + gamma * float(((u2 + eps) ** half_p).sum())
+        # Non-finite weights make every entry of u, and so the objective,
+        # non-finite: the array test runs only when the scalar one fails.
+        if not math.isfinite(objective) and not np.isfinite(w).all():
+            break
         history.append(objective)
         iterations = step + 1
         if objective < best_obj:
@@ -255,8 +279,9 @@ def _solve_penalized(covariance, a, q, a0, opts, method) -> BeamformerWeights:
     opts = opts or SolverOptions()
     a, a0, q = _validate_penalty_inputs(a, a0, q)
     r = _loaded(covariance, opts)
+    a0_h = a0.conj()
     w, iters, objective, converged, history = _run_irls(
-        r, a * q[None, :], opts, lambda r_eff: _mvdr_direction(r_eff, a0)
+        r, a * q[None, :], opts, lambda r_eff: _mvdr_direction(r_eff, a0, a0_h)
     )
     residual = float(abs(w.conj() @ a0 - 1.0))
     return _weights(w, method, Diagnostics(iters, objective, residual, converged, history))

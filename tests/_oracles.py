@@ -9,8 +9,9 @@ an oracle that shares no code with the closed-form or IRLS solvers.
 
 import numpy as np
 from scipy.linalg import null_space
+from scipy.linalg.lapack import zpotrf, zpotrs
 
-from sparsebeam import DomainError, SidelobeLevel
+from sparsebeam import DomainError, SidelobeLevel, SolverError
 
 
 def constraint_parameterization(a0):
@@ -126,3 +127,77 @@ def cone_multiplier_bisect(sigma, cbar):
         else:
             hi = mid
     return hi
+
+
+# --- Reference copies of the IRLS loop and the Hermitian test ------------
+#
+# Verbatim copies of the library code these were lifted from, before its
+# per-step overhead was trimmed. The trimmed code must perform the same
+# floating-point operations in the same order, so tests compare it to
+# these bit for bit.
+
+_IRLS_EPS_FLOOR = 1e-12
+
+
+def mvdr_direction_reference(r, a0):
+    """R^-1 a0 / (a0^H R^-1 a0) by zpotrf then zpotrs."""
+    chol, info = zpotrf(r, lower=1, clean=0)
+    if info != 0:
+        reason = "not positive definite" if info > 0 else "illegal argument"
+        raise SolverError(f"covariance factorization failed: zpotrf info={info} ({reason})")
+    x, _ = zpotrs(chol, a0, lower=1)
+    denom = a0.conj() @ x
+    if abs(denom) < 1e-300:
+        raise SolverError("steering vector annihilated by the covariance inverse")
+    return x / denom
+
+
+def _smoothed_penalty(u, gamma, p, eps):
+    return gamma * float(np.sum((np.abs(u) ** 2 + eps) ** (p / 2.0)))
+
+
+def run_irls_reference(r, aq, opts, inner):
+    """IRLS loop; returns (w, iterations, final_objective, converged, history)."""
+    w = inner(r)
+    if opts.gamma == 0 or not np.any(aq):
+        return w, 1, float((w.conj() @ r @ w).real), True, ()
+    gamma, p = opts.gamma, opts.p
+    eps = opts.irls_epsilon
+    history: list[float] = []
+    previous = None
+    best_w, best_obj = w, np.inf
+    converged = False
+    iterations = 0
+    # A view, not a copy: a contiguous copy changes the matvec's last bits.
+    aq_h = aq.conj().T
+    u = aq_h @ w
+    for step in range(opts.max_iterations):
+        if step > 0 and step % 10 == 0:
+            eps = max(eps * 0.1, _IRLS_EPS_FLOOR)
+        d = (np.abs(u) ** 2 + eps) ** ((p - 2.0) / 2.0) * (p / 2.0)
+        r_eff = r + gamma * (aq * d[None, :]) @ aq_h
+        r_eff = 0.5 * (r_eff + r_eff.conj().T)
+        w = inner(r_eff)
+        # The response of this step's w drives both its penalty and the
+        # next step's reweighting.
+        u = aq_h @ w
+        quad = float((w.conj() @ r @ w).real)
+        objective = quad + _smoothed_penalty(u, gamma, p, eps)
+        history.append(objective)
+        iterations = step + 1
+        if objective < best_obj:
+            best_w, best_obj = w, objective
+        if previous is not None and abs(objective - previous) <= (
+            opts.objective_tolerance * max(1.0, abs(previous))
+        ):
+            converged = True
+            break
+        previous = objective
+    return best_w, iterations, best_obj, converged, tuple(history)
+
+
+def is_hermitian_allclose(arr):
+    """The Hermitian test ensure_covariance applies to square finite input."""
+    return np.allclose(
+        arr, arr.conj().T, rtol=1e-8, atol=1e-12 * max(1.0, float(np.abs(arr).max()))
+    )

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparsebeam as sb
 from sparsebeam import DomainError
+
+from _oracles import is_hermitian_allclose
 
 
 def test_sample_covariance_matches_definition(snapshots):
@@ -91,3 +95,26 @@ class TestEnsureCovariance:
             data[1, 1] = bad
             with pytest.raises(DomainError, match="finite"):
                 sb.ensure_covariance(data)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    log_scale=st.floats(-300.0, 300.0),
+    log_perturbation=st.floats(-10.0, -6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hermitian_test_matches_allclose_bit_for_bit(m, log_scale, log_perturbation, seed):
+    # Relative perturbations from 1e-10 to 1e-6 straddle the 1e-8
+    # tolerance, so both decisions occur; the two outputs differ, so equal
+    # bits mean an equal decision.
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    e = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    h = (z + z.conj().T) * 10.0**log_scale
+    arr = h + h * e * 10.0**log_perturbation
+    with np.errstate(all="ignore"):
+        expected = (
+            0.5 * (arr + arr.conj().T) if is_hermitian_allclose(arr) else sb.sample_covariance(arr)
+        )
+        assert np.array_equal(sb.ensure_covariance(arr), expected, equal_nan=True)

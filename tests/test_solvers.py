@@ -2,11 +2,21 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparsebeam as sb
+import sparsebeam.solvers as solvers
 from sparsebeam import DomainError, SolverError, SolverOptions
 
-from _oracles import constraint_parameterization, penalized_objective, quadratic_objective, zoom_minimize
+from _oracles import (
+    constraint_parameterization,
+    mvdr_direction_reference,
+    penalized_objective,
+    quadratic_objective,
+    run_irls_reference,
+    zoom_minimize,
+)
 
 
 def _null_depth_at(w, geometry, doa):
@@ -191,6 +201,61 @@ def test_overflowing_solve_raises_instead_of_returning_nan(geometry, a_grid, a0,
     # mvdr once returned the resulting NaN weights marked converged.
     with np.errstate(all="ignore"), pytest.raises(SolverError, match="non-finite weights"):
         _every_solver(geometry, a_grid, a0)[method](1e-310 * np.eye(8))
+
+
+@pytest.mark.parametrize("method", ["sc", "wsc"])
+def test_irls_stops_at_the_first_non_finite_step(geometry, a_grid, a0, method, monkeypatch):
+    # The unpenalized start is already NaN on this covariance; the loop
+    # once ran all 100 reweighted solves on NaN before the check raised.
+    calls = []
+    mvdr_direction = solvers._mvdr_direction
+
+    def counted(*args):
+        calls.append(1)
+        return mvdr_direction(*args)
+
+    monkeypatch.setattr(solvers, "_mvdr_direction", counted)
+    with np.errstate(all="ignore"), pytest.raises(SolverError, match="non-finite weights"):
+        _every_solver(geometry, a_grid, a0)[method](1e-310 * np.eye(8))
+    assert 1 <= len(calls) <= 2
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    m=st.integers(2, 16),
+    n=st.integers(1, 200),
+    p=st.sampled_from([1.0, 0.5, 0.1]),
+    gamma=st.sampled_from([0.0, 1e-3, 2.0, 50.0]),
+    zero_fraction=st.sampled_from([0.0, 0.5, 1.0]),
+    max_iterations=st.integers(1, 100),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_irls_matches_the_reference_loop_bit_for_bit(
+    m, n, p, gamma, zero_fraction, max_iterations, seed
+):
+    rng = np.random.default_rng(seed)
+
+    def complex_normal(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    r = sb.sample_covariance(complex_normal(m, 2 * m))
+    a = complex_normal(m, n)
+    q = rng.uniform(0.0, 2.0, n)
+    q[rng.random(n) < zero_fraction] = 0.0
+    a0 = complex_normal(m)
+    opts = SolverOptions(gamma=gamma, p=p, max_iterations=max_iterations)
+
+    result = sb.solve_wsc(r, a, q, a0, opts)
+    loaded = sb.diagonal_load(0.5 * (r + r.conj().T), opts.diagonal_loading)
+    w, iterations, objective, converged, history = run_irls_reference(
+        loaded, a * q[None, :], opts, lambda r_eff: mvdr_direction_reference(r_eff, a0)
+    )
+    diagnostics = result.diagnostics
+    assert np.array_equal(result.w, w)
+    assert diagnostics.iterations == iterations
+    assert diagnostics.final_objective == objective
+    assert diagnostics.converged == converged
+    assert diagnostics.objective_history == history
 
 
 @pytest.mark.parametrize("method", ["mvdr", "sc", "wsc", "rmvb", "rwsc"])
