@@ -77,12 +77,10 @@ def _source_steering(geometry: ArrayGeometry, theta_deg: float) -> np.ndarray:
     return vector
 
 
-def beam_pattern(weights, geometry: ArrayGeometry, resolution_deg: float = 0.1) -> BeamPattern:
-    """Evaluate |w^H a(theta)|^2 over [-90, 90] at the given resolution.
+def _weight_vector(weights, geometry: ArrayGeometry) -> np.ndarray:
+    """The complex weight vector of ``weights``, a raw vector or a BeamformerWeights.
 
-    ``weights`` may be a raw complex vector or a BeamformerWeights
-    wrapper. The grid includes both endpoints; gain_db peaks at exactly
-    0 dB.
+    It must be 1-D, of the array's length and finite.
     """
     if isinstance(weights, BeamformerWeights):
         weights = weights.w
@@ -91,6 +89,17 @@ def beam_pattern(weights, geometry: ArrayGeometry, resolution_deg: float = 0.1) 
         raise DomainError("weight vector length must match the array size")
     if not np.isfinite(w).all():
         raise DomainError("weight vector must be finite")
+    return w
+
+
+def beam_pattern(weights, geometry: ArrayGeometry, resolution_deg: float = 0.1) -> BeamPattern:
+    """Evaluate |w^H a(theta)|^2 over [-90, 90] at the given resolution.
+
+    ``weights`` may be a raw complex vector or a BeamformerWeights
+    wrapper. The grid includes both endpoints; gain_db peaks at exactly
+    0 dB.
+    """
+    w = _weight_vector(weights, geometry)
     if not w.any():
         raise DomainError("weight vector must be nonzero")
     if not 0 < resolution_deg <= 1.0:
@@ -184,12 +193,10 @@ def output_sinr(weights, scenario: Scenario, geometry: ArrayGeometry) -> float:
     over interference powers plus white noise times ||w||^2. Clamped at
     -200 dB; a weight vector orthogonal to all interference and noise
     cannot occur (noise_power > 0), so the ratio is always finite.
+    Weights are checked as in :func:`beam_pattern`, except that a zero
+    vector is allowed and reads -200 dB.
     """
-    if isinstance(weights, BeamformerWeights):
-        weights = weights.w
-    w = np.asarray(weights, dtype=complex)
-    if w.ndim != 1 or w.size != geometry.num_elements:
-        raise DomainError("weight vector length must match the array size")
+    w = _weight_vector(weights, geometry)
     noise = scenario.noise_power
     soi_power = noise * 10.0 ** (scenario.soi_snr_db / 10.0)
     w_h = w.conj()

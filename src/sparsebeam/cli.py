@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import sys
 
-from .errors import ConfigError
 from .experiment import parse_config, run_experiment
 
 __all__ = ["main"]
@@ -49,11 +48,9 @@ def main(argv=None) -> int:
                 )
             if overrides:
                 config = dataclasses.replace(config, **overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except (TypeError, ValueError) as exc:
-        # dataclasses.replace re-runs the invariant checks on overrides.
+        # ConfigError and DomainError are ValueErrors; dataclasses.replace
+        # re-runs the invariant checks on the overrides.
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,7 +13,6 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -170,37 +169,33 @@ def _parse_methods(raw: str, key: str) -> tuple[str, ...]:
     return names
 
 
-_KNOWN_KEYS = {
-    "array.num_elements",
-    "array.spacing_wavelengths",
-    "scenario.soi_doa_deg",
-    "scenario.soi_snr_db",
-    "scenario.interferers",
-    "scenario.num_snapshots",
-    "scenario.noise_power",
-    "scenario.rng_seed",
-    "solver.gamma",
-    "solver.p",
-    "solver.max_iterations",
-    "solver.objective_tolerance",
-    "solver.irls_epsilon",
-    "solver.diagonal_loading",
-    "experiment.methods",
-    "experiment.mismatch_deg",
-    "experiment.monte_carlo_runs",
-    "experiment.grid_resolution_deg",
-    "experiment.output_dir",
-    "experiment.failure_budget",
-    "ellipsoid.half_width_deg",
-    "ellipsoid.num_samples",
+# Every config key and the parser of its value. A key names the field it
+# sets, <section>.<field>, and ellipsoid.<x> sets ExperimentConfig's
+# ellipsoid_<x>. Defaults, and which keys are required, are the fields'.
+_PARSERS = {
+    "array.num_elements": _parse_int,
+    "array.spacing_wavelengths": _parse_float,
+    "scenario.soi_doa_deg": _parse_float,
+    "scenario.soi_snr_db": _parse_float,
+    "scenario.interferers": _parse_interferers,
+    "scenario.num_snapshots": _parse_int,
+    "scenario.noise_power": _parse_float,
+    "scenario.rng_seed": _parse_int,
+    "solver.gamma": _parse_float,
+    "solver.p": _parse_float,
+    "solver.max_iterations": _parse_int,
+    "solver.objective_tolerance": _parse_float,
+    "solver.irls_epsilon": _parse_float,
+    "solver.diagonal_loading": _parse_float,
+    "experiment.methods": _parse_methods,
+    "experiment.mismatch_deg": _parse_float,
+    "experiment.monte_carlo_runs": _parse_int,
+    "experiment.grid_resolution_deg": _parse_float,
+    "experiment.output_dir": lambda raw, _key: raw,
+    "experiment.failure_budget": _parse_int,
+    "ellipsoid.half_width_deg": _parse_float,
+    "ellipsoid.num_samples": _parse_int,
 }
-
-_REQUIRED_KEYS = (
-    "array.num_elements",
-    "scenario.soi_doa_deg",
-    "scenario.soi_snr_db",
-    "experiment.methods",
-)
 
 
 def _read_pairs(path) -> dict[str, str]:
@@ -217,12 +212,31 @@ def _read_pairs(path) -> dict[str, str]:
             raise ConfigError(f"malformed syntax at line {lineno}: expected 'key = value'")
         key, _, value = body.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _PARSERS:
             raise ConfigError("unknown key", key=key)
         if key in pairs:
             raise ConfigError("duplicate key", key=key)
         pairs[key] = value
     return pairs
+
+
+def _from_section(cls, section: str, pairs: dict[str, str], **built):
+    """``cls`` built from the keys of ``section`` plus the fields in ``built``.
+
+    A field whose key is absent keeps its default; a field with a key
+    and no default is required.
+    """
+    kwargs = dict(built)
+    for f in dataclasses.fields(cls):
+        key = f"{section}.{f.name}".replace("experiment.ellipsoid_", "ellipsoid.")
+        if key in pairs:
+            kwargs[f.name] = _PARSERS[key](pairs[key], key)
+        elif key in _PARSERS and f.default is dataclasses.MISSING:
+            raise ConfigError("missing key", key=key)
+    try:
+        return cls(**kwargs)
+    except DomainError as exc:
+        raise ConfigError(f"invariant violation: {exc}", key=section) from exc
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -234,60 +248,14 @@ def parse_config(path) -> ExperimentConfig:
     ConfigError carrying the responsible section.
     """
     pairs = _read_pairs(path)
-    for key in _REQUIRED_KEYS:
-        if key not in pairs:
-            raise ConfigError("missing key", key=key)
-
-    def take(key: str, parse: Callable, default=None):
-        if key in pairs:
-            return parse(pairs[key], key)
-        return default
-
-    try:
-        geometry = ArrayGeometry(
-            num_elements=_parse_int(pairs["array.num_elements"], "array.num_elements"),
-            spacing_wavelengths=take("array.spacing_wavelengths", _parse_float, 0.5),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"invariant violation: {exc}", key="array") from exc
-    try:
-        scenario = Scenario(
-            soi_doa_deg=_parse_float(pairs["scenario.soi_doa_deg"], "scenario.soi_doa_deg"),
-            soi_snr_db=_parse_float(pairs["scenario.soi_snr_db"], "scenario.soi_snr_db"),
-            interferers=take("scenario.interferers", _parse_interferers, ()),
-            num_snapshots=take("scenario.num_snapshots", _parse_int, 100),
-            noise_power=take("scenario.noise_power", _parse_float, 1.0),
-            rng_seed=take("scenario.rng_seed", _parse_int, 0),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"invariant violation: {exc}", key="scenario") from exc
-    try:
-        solver_options = SolverOptions(
-            gamma=take("solver.gamma", _parse_float, 2.0),
-            p=take("solver.p", _parse_float, 1.0),
-            max_iterations=take("solver.max_iterations", _parse_int, 100),
-            objective_tolerance=take("solver.objective_tolerance", _parse_float, 1e-8),
-            irls_epsilon=take("solver.irls_epsilon", _parse_float, 1e-8),
-            diagonal_loading=take("solver.diagonal_loading", _parse_float, 1e-6),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"invariant violation: {exc}", key="solver") from exc
-    try:
-        return ExperimentConfig(
-            geometry=geometry,
-            scenario=scenario,
-            methods=_parse_methods(pairs["experiment.methods"], "experiment.methods"),
-            solver_options=solver_options,
-            mismatch_deg=take("experiment.mismatch_deg", _parse_float, 0.0),
-            monte_carlo_runs=take("experiment.monte_carlo_runs", _parse_int, 1),
-            grid_resolution_deg=take("experiment.grid_resolution_deg", _parse_float, 1.0),
-            output_dir=take("experiment.output_dir", lambda raw, _key: raw, "results"),
-            ellipsoid_half_width_deg=take("ellipsoid.half_width_deg", _parse_float, None),
-            ellipsoid_num_samples=take("ellipsoid.num_samples", _parse_int, 61),
-            failure_budget=take("experiment.failure_budget", _parse_int, 0),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"invariant violation: {exc}", key="experiment") from exc
+    return _from_section(
+        ExperimentConfig,
+        "experiment",
+        pairs,
+        geometry=_from_section(ArrayGeometry, "array", pairs),
+        scenario=_from_section(Scenario, "scenario", pairs),
+        solver_options=_from_section(SolverOptions, "solver", pairs),
+    )
 
 
 # --- orchestration --------------------------------------------------------

@@ -1,27 +1,39 @@
 """Beamformer weight solvers.
 
-Five related designs over a loaded covariance R:
+Every solver minimizes one objective over a loaded covariance R,
 
-- ``mvdr``: minimize w^H R w subject to w^H a0 = 1, in closed form.
-- ``solve_wsc``: adds a weighted p-norm penalty gamma*||w^H A Q||_p^p
-  over a grid of candidate interference directions, Q = diag(q), solved
-  by iteratively reweighted least squares (IRLS) where every reweighted
-  subproblem is again an MVDR-form closed solve.
+    w^H R w + gamma * ||w^H A Q||_p^p,   Q = diag(q),
+
+a weighted p-norm penalty over a grid A of candidate interference
+directions, under one of two constraints:
+
+- the distortionless constraint w^H a0 = 1 for a steering vector a0;
+- a worst-case gain floor real(w^H a) >= 1 over an uncertainty
+  ellipsoid of steering vectors, a second-order cone program solved
+  exactly (Lorenz & Boyd, 2005): the optimum is (R + nu E E^H)^-1 c
+  scaled onto the constraint, and nu >= 0 is the root of one increasing
+  scalar equation, found by a safeguarded Newton iteration after a
+  Cholesky whitening and one thin SVD. When that equation has no root
+  the optimum is the cone apex, where E^H w = 0; a point ellipsoid is
+  the rank-0 case of the same formula.
+
+The penalty is handled by iteratively reweighted least squares (IRLS):
+each reweighted subproblem is the unpenalized problem with R replaced by
+an effective covariance, solved in closed form. The five solvers are
+cases of this one problem, solved by one code path:
+
+- ``mvdr``: no penalty, distortionless constraint, in closed form.
+- ``solve_wsc``: the penalty and the distortionless constraint.
 - ``solve_sc``: the same with unit weights, q = 1.
-- ``solve_rmvb``: replaces the equality constraint by a worst-case gain
-  floor over an uncertainty ellipsoid of steering vectors, a second-order
-  cone program solved exactly (Lorenz & Boyd, 2005): the optimum is
-  (R + nu E E^H)^-1 c scaled onto the constraint, and nu >= 0 is the
-  root of one increasing scalar equation, found by a safeguarded Newton
-  iteration after a Cholesky whitening and one thin SVD. When that
-  equation has no root the optimum is the cone apex, where E^H w = 0; a
-  point ellipsoid is the rank-0 case of the same formula.
-- ``solve_rwsc``: the weighted penalty and the ellipsoid constraint
-  together; IRLS outer loop, exact cone-program inner step.
+- ``solve_rmvb``: no penalty, ellipsoid constraint.
+- ``solve_rwsc``: the penalty and the ellipsoid constraint.
 
 All solvers symmetrize the covariance on entry and apply diagonal
 loading before factorization. Covariance inputs may also be raw M x K
 snapshot matrices (see :func:`sparsebeam.covariance.ensure_covariance`).
+A, q, a0 or an ellipsoid that does not match R's size, or that holds
+NaN or inf, raises DomainError before any factorization, as do
+negative q entries and a zero a0.
 """
 
 from __future__ import annotations
@@ -126,38 +138,10 @@ class Ellipsoid:
         return self.shape.shape[1]
 
 
-def _weights(w: np.ndarray, method: str, diagnostics: Diagnostics) -> BeamformerWeights:
-    """Package a solve's result; every solver returns through here.
-
-    Finite input can still overflow, for example a covariance so small
-    that its inverse is infinite, so the weights are checked once more.
-    """
-    if not np.isfinite(w).all():
-        raise SolverError(f"{method} produced non-finite weights")
-    return BeamformerWeights(w, method, diagnostics)
-
-
-def _loaded(covariance, opts: SolverOptions) -> np.ndarray:
-    r = ensure_covariance(covariance)
-    return diagonal_load(r, opts.diagonal_loading)
-
-
 def _check_factorization(info: int) -> None:
     if info != 0:
         reason = "not positive definite" if info > 0 else "illegal argument"
         raise SolverError(f"covariance factorization failed: zpotrf info={info} ({reason})")
-
-
-def _cholesky(r: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of r; the strict upper triangle is left as is.
-
-    Calls LAPACK's zpotrf directly: this is the routine ``cho_factor``
-    wraps, without its per-call argument handling. Inputs are finite
-    (checked once per solve by ensure_covariance).
-    """
-    chol, info = zpotrf(r, lower=1, clean=0)
-    _check_factorization(info)
-    return chol
 
 
 def _mvdr_direction(r: np.ndarray, a0: np.ndarray, a0_h: np.ndarray) -> np.ndarray:
@@ -175,34 +159,18 @@ def _mvdr_direction(r: np.ndarray, a0: np.ndarray, a0_h: np.ndarray) -> np.ndarr
     return x / denom
 
 
-def mvdr(covariance, a0, opts: SolverOptions | None = None) -> BeamformerWeights:
-    """Closed-form minimum-variance distortionless response weights.
-
-    Returns w = R^-1 a0 / (a0^H R^-1 a0), the unique minimizer of
-    w^H R w subject to w^H a0 = 1 for positive-definite loaded R.
-    """
-    opts = opts or SolverOptions()
-    a0 = np.asarray(a0, dtype=complex)
-    if not np.any(a0):
-        raise DomainError("steering vector a0 must be nonzero")
-    r = _loaded(covariance, opts)
-    w = _mvdr_direction(r, a0, a0.conj())
-    objective = float((w.conj() @ r @ w).real)
-    residual = float(abs(w.conj() @ a0 - 1.0))
-    return _weights(w, "mvdr", Diagnostics(1, objective, residual))
-
-
 def _run_irls(r, aq, opts: SolverOptions, inner):
     """Shared IRLS loop. ``inner(R_eff) -> w`` solves the reweighted subproblem.
 
     Returns (w, iterations, final_objective, converged, history). The
     recorded objective is the epsilon-smoothed one, which the
     majorize-minimize update never increases; annealing epsilon only
-    lowers it further. With gamma = 0 or an all-zero penalty matrix the
-    unpenalized solve is the answer: one iteration, objective w^H R w
-    and an empty history. A step whose weights are not finite ends the
-    loop, since every later step would be NaN too; the best weights
-    so far are returned, and iterations counts the finite steps.
+    lowers it further. With gamma = 0 or an all-zero penalty matrix (an
+    M x 0 one included) the unpenalized solve is the answer: one
+    iteration, objective w^H R w and an empty history. A step whose
+    weights are not finite ends the loop, since every later step would
+    be NaN too; the best weights so far are returned, and iterations
+    counts the finite steps.
 
     Each step is R_eff = (R + gamma A Q D Q A^H + its conjugate
     transpose) / 2, assembled in place, and |u|^2 of the step's response
@@ -256,57 +224,6 @@ def _run_irls(r, aq, opts: SolverOptions, inner):
             break
         previous = objective
     return best_w, iterations, best_obj, converged, tuple(history)
-
-
-def _validate_penalty_inputs(a, a0=None, q=None):
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
-        raise DomainError("steering matrix A must be 2-D")
-    if a0 is not None:
-        a0 = np.asarray(a0, dtype=complex)
-        if a0.shape != (a.shape[0],):
-            raise DomainError("a0 length must match the steering matrix rows")
-    if q is not None:
-        q = np.asarray(q, dtype=float)
-        if q.shape != (a.shape[1],):
-            raise DomainError("q length must match the steering matrix columns")
-        if np.any(q < 0):
-            raise DomainError("q entries must be nonnegative")
-    return a, a0, q
-
-
-def _solve_penalized(covariance, a, q, a0, opts, method) -> BeamformerWeights:
-    opts = opts or SolverOptions()
-    a, a0, q = _validate_penalty_inputs(a, a0, q)
-    r = _loaded(covariance, opts)
-    a0_h = a0.conj()
-    w, iters, objective, converged, history = _run_irls(
-        r, a * q[None, :], opts, lambda r_eff: _mvdr_direction(r_eff, a0, a0_h)
-    )
-    residual = float(abs(w.conj() @ a0 - 1.0))
-    return _weights(w, method, Diagnostics(iters, objective, residual, converged, history))
-
-
-def solve_sc(covariance, a, a0, opts: SolverOptions | None = None) -> BeamformerWeights:
-    """Sparse-constraint beamformer.
-
-    Approximately minimizes w^H R w + gamma*||w^H A||_p^p subject to
-    w^H a0 = 1. Each IRLS iteration folds the reweighted penalty into an
-    effective covariance R + gamma*A D A^H and reuses the closed-form
-    distortionless solve. The grid behind A must exclude the steering
-    direction. This is :func:`solve_wsc` with unit weights.
-    """
-    # Unit weights; a * 1.0 is exact. Any a that is not 2-D fails validation.
-    return _solve_penalized(covariance, a, np.ones(np.shape(a)[1:]), a0, opts, "sc")
-
-
-def solve_wsc(covariance, a, q, a0, opts: SolverOptions | None = None) -> BeamformerWeights:
-    """Weighted-sparse-constraint beamformer.
-
-    Identical to :func:`solve_sc` with A replaced by A Q in the penalty,
-    Q = diag(q). q = 1 reproduces solve_sc; q = 0 reproduces mvdr.
-    """
-    return _solve_penalized(covariance, a, q, a0, opts, "wsc")
 
 
 def build_ellipsoid(
@@ -419,9 +336,12 @@ def _cone_solve(r, center, shape):
     apex (nu = inf, E^H w = 0) only c_perp is left, and a rank-0 point
     ellipsoid gives R^-1 c / (c^H R^-1 c).
     """
-    chol = _cholesky(r)
-    # LAPACK's ztrtrs, the routine solve_triangular wraps, called
-    # directly. The factor's diagonal is positive, so it cannot fail.
+    # LAPACK's zpotrf and ztrtrs, the routines cho_factor and
+    # solve_triangular wrap, called directly. R is finite (checked once
+    # per solve by ensure_covariance), and the factor's diagonal is
+    # positive, so ztrtrs cannot fail.
+    chol, info = zpotrf(r, lower=1, clean=0)
+    _check_factorization(info)
     white_c, _ = ztrtrs(chol, center, lower=1)
     white_e, _ = ztrtrs(chol, shape, lower=1)
     u, sigma, _ = np.linalg.svd(white_e, full_matrices=False)
@@ -438,6 +358,90 @@ def _cone_solve(r, center, shape):
     return w / margin
 
 
+def _checked(name: str, value, shape: tuple, dtype=complex) -> np.ndarray:
+    """``value`` as a finite array of ``shape``; None in ``shape`` matches any length."""
+    x = np.asarray(value, dtype=dtype)
+    if x.ndim != len(shape) or any(n not in (None, k) for n, k in zip(shape, x.shape)):
+        expected = tuple("any" if n is None else n for n in shape)
+        raise DomainError(f"{name} has shape {x.shape}, expected {expected}")
+    if not np.isfinite(x).all():
+        raise DomainError(f"{name} must be finite (no NaN or inf entries)")
+    return x
+
+
+def _solve(method, covariance, a, q, constraint, opts) -> BeamformerWeights:
+    """Minimize w^H R w + gamma ||w^H A Q||_p^p under ``constraint``.
+
+    The one solve behind every public solver. ``constraint`` is the
+    steering vector a0 of w^H a0 = 1, or, for rmvb and rwsc, the
+    Ellipsoid of the worst-case gain floor. a = None drops the penalty:
+    an M x 0 penalty matrix makes _run_irls return the unpenalized
+    solve. q = None means unit weights. Every input is checked against
+    R's size before the first factorization.
+    """
+    opts = opts or SolverOptions()
+    r = diagonal_load(ensure_covariance(covariance), opts.diagonal_loading)
+    m = r.shape[0]
+    if a is None:
+        aq = np.zeros((m, 0), dtype=complex)
+    else:
+        a = _checked("steering matrix A", a, (m, None))
+        q = np.ones(a.shape[1]) if q is None else _checked("q", q, a.shape[1:], float)
+        if np.any(q < 0):
+            raise DomainError("q entries must be nonnegative")
+        aq = a * q[None, :]
+    if method in ("rmvb", "rwsc"):
+        center = _checked("ellipsoid center", constraint.center, (m,))
+        shape = _checked("ellipsoid shape", constraint.shape, (m, None))
+        inner = lambda r_eff: _cone_solve(r_eff, center, shape)
+        residual = lambda w: _margin(w, center, shape) - 1.0
+    else:
+        a0 = _checked("steering vector a0", constraint, (m,))
+        if not a0.any():
+            raise DomainError("steering vector a0 must be nonzero")
+        a0_h = a0.conj()
+        # _mvdr_direction is looked up at call time, so it can be swapped.
+        inner = lambda r_eff: _mvdr_direction(r_eff, a0, a0_h)
+        residual = lambda w: float(abs(w.conj() @ a0 - 1.0))
+    w, iterations, objective, converged, history = _run_irls(r, aq, opts, inner)
+    # Finite input can still overflow, for example a covariance so small
+    # that its inverse is infinite, so the weights are checked once more.
+    if not np.isfinite(w).all():
+        raise SolverError(f"{method} produced non-finite weights")
+    diagnostics = Diagnostics(iterations, objective, residual(w), converged, history)
+    return BeamformerWeights(w, method, diagnostics)
+
+
+def mvdr(covariance, a0, opts: SolverOptions | None = None) -> BeamformerWeights:
+    """Closed-form minimum-variance distortionless response weights.
+
+    Returns w = R^-1 a0 / (a0^H R^-1 a0), the unique minimizer of
+    w^H R w subject to w^H a0 = 1 for positive-definite loaded R.
+    """
+    return _solve("mvdr", covariance, None, None, a0, opts)
+
+
+def solve_sc(covariance, a, a0, opts: SolverOptions | None = None) -> BeamformerWeights:
+    """Sparse-constraint beamformer.
+
+    Approximately minimizes w^H R w + gamma*||w^H A||_p^p subject to
+    w^H a0 = 1. Each IRLS iteration folds the reweighted penalty into an
+    effective covariance R + gamma*A D A^H and reuses the closed-form
+    distortionless solve. The grid behind A must exclude the steering
+    direction. This is :func:`solve_wsc` with unit weights.
+    """
+    return _solve("sc", covariance, a, None, a0, opts)
+
+
+def solve_wsc(covariance, a, q, a0, opts: SolverOptions | None = None) -> BeamformerWeights:
+    """Weighted-sparse-constraint beamformer.
+
+    Identical to :func:`solve_sc` with A replaced by A Q in the penalty,
+    Q = diag(q). q = 1 reproduces solve_sc; q = 0 reproduces mvdr.
+    """
+    return _solve("wsc", covariance, a, q, a0, opts)
+
+
 def solve_rmvb(covariance, ellipsoid: Ellipsoid, opts: SolverOptions | None = None) -> BeamformerWeights:
     """Robust minimum-variance beamformer over a steering ellipsoid.
 
@@ -445,12 +449,7 @@ def solve_rmvb(covariance, ellipsoid: Ellipsoid, opts: SolverOptions | None = No
     ellipsoid staying at or above 1. The constraint is active at the
     optimum for positive definite loaded R.
     """
-    opts = opts or SolverOptions()
-    r = _loaded(covariance, opts)
-    w = _cone_solve(r, ellipsoid.center, ellipsoid.shape)
-    objective = float((w.conj() @ r @ w).real)
-    residual = _margin(w, ellipsoid.center, ellipsoid.shape) - 1.0
-    return _weights(w, "rmvb", Diagnostics(1, objective, residual))
+    return _solve("rmvb", covariance, None, None, ellipsoid, opts)
 
 
 def solve_rwsc(
@@ -463,12 +462,4 @@ def solve_rwsc(
     penalty into R_eff = R + gamma*A Q D Q A^H and each inner step is the
     ellipsoid-constrained cone solve. gamma = 0 reduces to solve_rmvb.
     """
-    opts = opts or SolverOptions()
-    a, _, q = _validate_penalty_inputs(a, q=q)
-    r = _loaded(covariance, opts)
-    center, shape = ellipsoid.center, ellipsoid.shape
-    w, iters, objective, converged, history = _run_irls(
-        r, a * q[None, :], opts, lambda r_eff: _cone_solve(r_eff, center, shape)
-    )
-    residual = _margin(w, center, shape) - 1.0
-    return _weights(w, "rwsc", Diagnostics(iters, objective, residual, converged, history))
+    return _solve("rwsc", covariance, a, q, ellipsoid, opts)

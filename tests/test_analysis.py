@@ -61,9 +61,12 @@ class TestBeamPattern:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_rejects_non_finite_weights(self, bad):
         # A NaN entry once gave an all-NaN pattern, and pointing_error on
-        # it failed with a bare ValueError.
+        # it failed with a bare ValueError; output_sinr returned NaN.
+        w, geometry = np.array([bad, 1, 1, 1]), sb.ArrayGeometry(4)
         with pytest.raises(DomainError, match="finite"):
-            sb.beam_pattern(np.array([bad, 1, 1, 1]), sb.ArrayGeometry(4), 1.0)
+            sb.beam_pattern(w, geometry, 1.0)
+        with pytest.raises(DomainError, match="finite"):
+            sb.output_sinr(w, sb.Scenario(0.0, 10.0, ((40.0, 20.0),)), geometry)
 
     def test_cached_steering_matrix_matches_a_fresh_one(self):
         # Interleaved keys: every call must read the matrix of its own

@@ -189,16 +189,17 @@ def test_cone_multiplier_matches_bisection(rank, top, decades, log_limit, seed):
 
 class TestSolveRwsc:
     def test_gamma_zero_matches_rmvb(self, sample_r, a_grid, q_weights, ellipsoid3):
-        w_rwsc = sb.solve_rwsc(sample_r, a_grid, q_weights, ellipsoid3, SolverOptions(gamma=0.0)).w
-        w_rmvb = sb.solve_rmvb(sample_r, ellipsoid3).w
-        assert np.linalg.norm(w_rwsc - w_rmvb) <= 1e-8
+        # One solve path: the gamma = 0 case is the rmvb solve itself.
+        rwsc = sb.solve_rwsc(sample_r, a_grid, q_weights, ellipsoid3, SolverOptions(gamma=0.0))
+        rmvb = sb.solve_rmvb(sample_r, ellipsoid3)
+        assert np.array_equal(rwsc.w, rmvb.w)
+        assert rwsc.diagnostics == rmvb.diagnostics
 
     def test_gamma_zero_point_matches_point_rmvb(self, sample_r, a_grid, q_weights, point_ellipsoid):
-        w_rwsc = sb.solve_rwsc(
-            sample_r, a_grid, q_weights, point_ellipsoid, SolverOptions(gamma=0.0)
-        ).w
-        w_rmvb = sb.solve_rmvb(sample_r, point_ellipsoid).w
-        assert np.linalg.norm(w_rwsc - w_rmvb) <= 1e-8
+        rwsc = sb.solve_rwsc(sample_r, a_grid, q_weights, point_ellipsoid, SolverOptions(gamma=0.0))
+        rmvb = sb.solve_rmvb(sample_r, point_ellipsoid)
+        assert np.array_equal(rwsc.w, rmvb.w)
+        assert rwsc.diagnostics == rmvb.diagnostics
 
     def test_point_with_unit_weights_matches_sc(self, sample_r, a_grid, a0, point_ellipsoid):
         # With a point ellipsoid the cone constraint collapses to

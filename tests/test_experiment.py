@@ -66,6 +66,7 @@ class TestParseConfig:
         assert cfg.failure_budget == 0
         assert cfg.ellipsoid_half_width_deg is None
         assert cfg.effective_half_width_deg == 3.0
+        assert cfg.solver_options == sb.SolverOptions()
 
     def test_mismatch_drives_default_half_width(self, tmp_path):
         cfg = parse_config(_write(tmp_path, MINIMAL + "experiment.mismatch_deg = -5\n"))

@@ -83,9 +83,11 @@ class TestOracleSanity:
 
 class TestSolveSc:
     def test_gamma_zero_reduces_to_mvdr(self, sample_r, a_grid, a0):
-        w_sc = sb.solve_sc(sample_r, a_grid, a0, SolverOptions(gamma=0.0)).w
-        w_mv = sb.mvdr(sample_r, a0).w
-        assert np.linalg.norm(w_sc - w_mv) <= 1e-10
+        # One solve path: the gamma = 0 case is the mvdr solve itself.
+        sc = sb.solve_sc(sample_r, a_grid, a0, SolverOptions(gamma=0.0))
+        mv = sb.mvdr(sample_r, a0)
+        assert np.array_equal(sc.w, mv.w)
+        assert sc.diagnostics == mv.diagnostics
 
     def test_distortionless_and_converged(self, sample_r, a_grid, a0):
         result = sb.solve_sc(sample_r, a_grid, a0)
@@ -138,8 +140,10 @@ class TestSolveWsc:
         assert np.max(np.abs(w_sc - w_wsc)) <= 1e-8
 
     def test_zero_weights_match_mvdr(self, sample_r, a_grid, a0):
-        w_wsc = sb.solve_wsc(sample_r, a_grid, np.zeros(a_grid.shape[1]), a0).w
-        assert np.linalg.norm(w_wsc - sb.mvdr(sample_r, a0).w) <= 1e-10
+        wsc = sb.solve_wsc(sample_r, a_grid, np.zeros(a_grid.shape[1]), a0)
+        mv = sb.mvdr(sample_r, a0)
+        assert np.array_equal(wsc.w, mv.w)
+        assert wsc.diagnostics == mv.diagnostics
 
     def test_objective_monotone(self, sample_r, a_grid, q_weights, a0):
         history = np.array(
@@ -193,6 +197,69 @@ def test_non_finite_covariance_rejected(geometry, a_grid, a0, method, bad):
         r[2, 2] = np.nan if bad == "nan_entry" else np.inf
     with pytest.raises(DomainError, match="finite"):
         _every_solver(geometry, a_grid, a0)[method](r)
+
+
+NON_FINITE_CASES = [
+    (method, bad)
+    for method in ("sc", "wsc", "rwsc")
+    for bad in ("nan_in_a", "inf_in_q", "nan_in_a0")
+    if (method, bad) != ("sc", "inf_in_q")  # sc has no q
+]
+
+
+@pytest.mark.parametrize("method, bad", NON_FINITE_CASES)
+def test_non_finite_penalty_input_rejected(sample_r, a_grid, a0, method, bad):
+    # These were once accepted: a NaN in A or an inf in q gave the
+    # unpenalized start with an infinite objective, and a NaN in a0
+    # failed only after the solve. rwsc's a0 is its point ellipsoid.
+    a, q, a0 = a_grid.copy(), np.ones(a_grid.shape[1]), a0.copy()
+    if bad == "nan_in_a":
+        a[3, 40] = np.nan
+    elif bad == "inf_in_q":
+        q[40] = np.inf
+    else:
+        a0[2] = np.nan
+    point = sb.Ellipsoid(a0, np.zeros((8, 0), dtype=complex))
+    solve = {
+        "sc": lambda: sb.solve_sc(sample_r, a, a0),
+        "wsc": lambda: sb.solve_wsc(sample_r, a, q, a0),
+        "rwsc": lambda: sb.solve_rwsc(sample_r, a, q, point),
+    }[method]
+    with pytest.raises(DomainError, match="finite"):
+        solve()
+
+
+def _mis_sized_or_zero_calls(r, a, a0):
+    ones, zero = np.ones(a.shape[1]), np.zeros(8, dtype=complex)
+    ellipsoid4 = sb.build_ellipsoid(sb.ArrayGeometry(4), 0.0, 3.0, 13)
+    return {
+        "mvdr_short_a0": lambda: sb.mvdr(r, np.ones(7)),
+        "sc_short_a": lambda: sb.solve_sc(r, a[:7], np.ones(7)),
+        "rmvb_short_ellipsoid": lambda: sb.solve_rmvb(r, ellipsoid4),
+        "rwsc_short_ellipsoid": lambda: sb.solve_rwsc(r, a, ones, ellipsoid4),
+        "sc_zero_a0": lambda: sb.solve_sc(r, a, zero),
+        "wsc_zero_a0": lambda: sb.solve_wsc(r, a, ones, zero),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "mvdr_short_a0",
+        "sc_short_a",
+        "rmvb_short_ellipsoid",
+        "rwsc_short_ellipsoid",
+        "sc_zero_a0",
+        "wsc_zero_a0",
+    ],
+)
+def test_mis_sized_or_zero_input_rejected_before_lapack(sample_r, a_grid, a0, case, capfd):
+    # Size mismatches once reached LAPACK: f2py raised a bare ValueError,
+    # and ztrtrs printed "parameter number 9 had an illegal value" first.
+    # A zero a0 failed as an annihilated steering vector in sc and wsc.
+    with pytest.raises(DomainError):
+        _mis_sized_or_zero_calls(sample_r, a_grid, a0)[case]()
+    assert capfd.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("method", ["mvdr", "sc", "wsc"])
