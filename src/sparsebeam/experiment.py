@@ -302,6 +302,19 @@ def _median_pattern(raw_rows: list[np.ndarray], angles: np.ndarray) -> BeamPatte
     return BeamPattern(angles, _to_db(median_raw, peak), median_raw / peak)
 
 
+def _summaries(runs: list[list[float]], count: int) -> tuple[list[float], list[float]]:
+    """Median and IQR of each of ``count`` metrics over ``runs``.
+
+    ``runs`` holds one list of metric values per run. With no run, both
+    are NaN for every metric.
+    """
+    if not runs:
+        return [math.nan] * count, [math.nan] * count
+    samples = np.array(runs).T
+    q25, q75 = np.percentile(samples, [25, 75], axis=1)
+    return np.median(samples, axis=1).tolist(), (q75 - q25).tolist()
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute every Monte-Carlo run and write the CSV artifacts.
 
@@ -326,7 +339,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     export_angles = np.linspace(-90.0, 90.0, export_count)
     export_matrix = steering_matrix(geometry, export_angles)
 
-    per_metric: dict[str, dict[str, list[float]]] = {m: {} for m in config.methods}
+    metric_names = _metric_names(scenario)
+    per_run: dict[str, list[list[float]]] = {m: [] for m in config.methods}
     export_raws: dict[str, list[np.ndarray]] = {m: [] for m in config.methods}
     failures = {m: 0 for m in config.methods}
     seeds = tuple(scenario.rng_seed + i for i in range(config.monte_carlo_runs))
@@ -344,23 +358,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             except SolverError:
                 failures[method] += 1
                 continue
-            for name, value in _run_metrics(result.w, config).items():
-                per_metric[method].setdefault(name, []).append(value)
+            values = _run_metrics(result.w, config)
+            per_run[method].append([values[name] for name in metric_names])
             raw = np.abs(result.w.conj() @ export_matrix) ** 2
             export_raws[method].append(raw)
 
-    metric_names = _metric_names(scenario)
     rows = []
     for method in config.methods:
-        for name in metric_names:
-            samples = per_metric[method].get(name, [])
-            if samples:
-                arr = np.asarray(samples)
-                median = float(np.median(arr))
-                iqr = float(np.percentile(arr, 75) - np.percentile(arr, 25))
-            else:
-                median, iqr = float("nan"), float("nan")
-            rows.append(MetricRow(method, name, median, iqr, failures[method]))
+        medians, iqrs = _summaries(per_run[method], len(metric_names))
+        rows += [
+            MetricRow(method, name, median, iqr, failures[method])
+            for name, median, iqr in zip(metric_names, medians, iqrs)
+        ]
 
     patterns: dict[str, BeamPattern] = {}
     out_dir = Path(config.output_dir)
@@ -373,7 +382,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         else:
             # Every configured method yields exactly one artifact, even
             # when all of its runs failed: an empty (header-only) file.
-            _write_rows(out_dir / f"pattern_{method}.csv", "theta_deg,gain_db,raw_gain", [])
+            _write_text(out_dir / f"pattern_{method}.csv", _PATTERN_HEADER)
     report = ExperimentReport(
         methods=config.methods,
         patterns=patterns,
@@ -387,29 +396,33 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 # --- CSV emission ---------------------------------------------------------
 
-def _write_rows(path, header: str, rows: list[str]) -> None:
+_PATTERN_HEADER = "theta_deg,gain_db,raw_gain\n"
+
+
+def _write_text(path, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(header + "\n")
-            for row in rows:
-                handle.write(row + "\n")
+            handle.write(text)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def emit_pattern_csv(pattern: BeamPattern, path) -> None:
     """Write theta_deg,gain_db,raw_gain rows at fixed six decimals."""
-    rows = [
-        f"{theta:.6f},{db:.6f},{raw:.6f}"
-        for theta, db, raw in zip(pattern.angles_deg, pattern.gain_db, pattern.raw_gain)
-    ]
-    _write_rows(path, "theta_deg,gain_db,raw_gain", rows)
+    columns = [np.asarray(column).tolist() for column in pattern]
+    _write_text(
+        path,
+        _PATTERN_HEADER + "".join(f"{t:.6f},{db:.6f},{raw:.6f}\n" for t, db, raw in zip(*columns)),
+    )
 
 
 def emit_metrics_csv(report: ExperimentReport, path) -> None:
     """Write method,metric,median,iqr,failures rows at fixed six decimals."""
-    rows = [
-        f"{row.method},{row.metric},{row.median:.6f},{row.iqr:.6f},{row.failures}"
-        for row in report.metrics
-    ]
-    _write_rows(path, "method,metric,median,iqr,failures", rows)
+    _write_text(
+        path,
+        "method,metric,median,iqr,failures\n"
+        + "".join(
+            f"{row.method},{row.metric},{row.median:.6f},{row.iqr:.6f},{row.failures}\n"
+            for row in report.metrics
+        ),
+    )

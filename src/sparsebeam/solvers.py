@@ -39,7 +39,7 @@ negative q entries and a zero a0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg.lapack import zposv, zpotrf, ztrtrs
@@ -72,7 +72,8 @@ class SolverOptions:
     selects the penalty norm; irls_epsilon smooths |u|^(p-2) at the
     origin and is annealed by 0.1 every 10 iterations down to 1e-12.
     diagonal_loading is the relative loading applied to R before any
-    factorization.
+    factorization. Every option must be finite; NaN or inf raises
+    DomainError.
     """
 
     gamma: float = 2.0
@@ -83,6 +84,11 @@ class SolverOptions:
     diagonal_loading: float = 1e-6
 
     def __post_init__(self):
+        for option in fields(self):
+            value = getattr(self, option.name)
+            # Exact for ints of any size, and false for NaN.
+            if not -math.inf < value < math.inf:
+                raise DomainError(f"{option.name} must be finite, got {value}")
         if not 0 < self.p <= 1:
             raise DomainError(f"p must lie in (0, 1], got {self.p}")
         if self.gamma < 0:

@@ -17,6 +17,19 @@ from .errors import DomainError
 __all__ = ["snm", "build_q"]
 
 
+# build_q holds one row block of A^H X at a time: B rows of K complex
+# entries, B = max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (16 K)).
+_BLOCK_BYTES = 1 << 20
+_MIN_BLOCK_ROWS = 8
+
+
+def _squared_normalized(means: np.ndarray) -> np.ndarray:
+    """|means|^2 divided by its maximum; all zeros stay all zeros."""
+    m = np.abs(means) ** 2
+    peak = m.max()
+    return m / peak if peak > 0 else m
+
+
 def snm(rows) -> np.ndarray:
     """Squared row means of a complex matrix, normalized to unit maximum.
 
@@ -29,9 +42,7 @@ def snm(rows) -> np.ndarray:
     c = np.asarray(rows, dtype=complex)
     if c.ndim != 2 or c.shape[1] < 1:
         raise DomainError("input must be an N x K matrix with K >= 1")
-    m = np.abs(c.mean(axis=1)) ** 2
-    peak = m.max()
-    return m / peak if peak > 0 else m
+    return _squared_normalized(c.mean(axis=1))
 
 
 def build_q(steering_mat, snapshots) -> np.ndarray:
@@ -40,6 +51,16 @@ def build_q(steering_mat, snapshots) -> np.ndarray:
     The conceptual Q is the N x N diagonal matrix holding these weights.
     An all-zero result (no data energy) falls back to all-ones so the
     weighted penalty degrades to the unweighted one.
+
+    A^H X is never held whole: its row means are taken one block of
+    contiguous rows at a time, so the working memory is one block of
+    about 1 MiB, not N x K. With B = max(8, 2^20 // (16 K)), the N rows
+    are split into max(1, N // B) near-equal blocks of B to 2B - 1 rows,
+    so a block holds under 2 MiB unless K > 8192, and N < 2B is the
+    single product. No block has one row: numpy sends a one-row product
+    through a matrix-vector kernel whose sums round differently. Each
+    entry is the same gemm dot product and the same pairwise mean over
+    K as in the single product, so q is bit-identical to snm(A^H X).
     """
     a = np.asarray(steering_mat, dtype=complex)
     x = np.asarray(snapshots, dtype=complex)
@@ -48,7 +69,16 @@ def build_q(steering_mat, snapshots) -> np.ndarray:
             f"steering matrix and snapshots disagree on element count: "
             f"{a.shape} vs {x.shape}"
         )
-    q = snm(a.conj().T @ x)
+    if x.shape[1] < 1:
+        raise DomainError("snapshots must have K >= 1 columns")
+    n = a.shape[1]
+    blocks = max(1, n // max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (16 * x.shape[1])))
+    bounds = [n * i // blocks for i in range(blocks + 1)]
+    a_h = a.conj().T
+    means = np.empty(n, dtype=complex)
+    for lo, hi in zip(bounds, bounds[1:]):
+        means[lo:hi] = (a_h[lo:hi] @ x).mean(axis=1)
+    q = _squared_normalized(means)
     if q.max() == 0:
-        return np.ones(a.shape[1])
+        return np.ones(n)
     return q

@@ -201,3 +201,59 @@ def is_hermitian_allclose(arr):
     return np.allclose(
         arr, arr.conj().T, rtol=1e-8, atol=1e-12 * max(1.0, float(np.abs(arr).max()))
     )
+
+
+# --- Reference copies of build_q and of the study's aggregation and CSVs --
+#
+# build_q's reference forms the whole N x K product A^H X; the library
+# takes its row means one block of rows at a time. The aggregation and
+# emitters are the per-metric loop and the row-by-row writers the
+# library had before it summarized all metrics in one pass. Both must
+# give the same bytes as these.
+
+
+def build_q_reference(a, x):
+    """snm(A^H X) from the whole product, or all ones when that is all zeros."""
+    m = np.abs((np.asarray(a, dtype=complex).conj().T @ np.asarray(x, dtype=complex)).mean(axis=1)) ** 2
+    peak = m.max()
+    if peak == 0:
+        return np.ones(m.size)
+    return m / peak
+
+
+def metric_summaries_reference(per_metric, metric_names):
+    """(median, iqr) per name, from a dict of name -> samples; NaN when empty."""
+    out = []
+    for name in metric_names:
+        samples = per_metric.get(name, [])
+        if samples:
+            arr = np.asarray(samples)
+            median = float(np.median(arr))
+            iqr = float(np.percentile(arr, 75) - np.percentile(arr, 25))
+        else:
+            median, iqr = float("nan"), float("nan")
+        out.append((median, iqr))
+    return out
+
+
+def _write_rows(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(header + "\n")
+        for row in rows:
+            handle.write(row + "\n")
+
+
+def emit_pattern_csv_reference(pattern, path):
+    rows = [
+        f"{theta:.6f},{db:.6f},{raw:.6f}"
+        for theta, db, raw in zip(pattern.angles_deg, pattern.gain_db, pattern.raw_gain)
+    ]
+    _write_rows(path, "theta_deg,gain_db,raw_gain", rows)
+
+
+def emit_metrics_csv_reference(report, path):
+    rows = [
+        f"{row.method},{row.metric},{row.median:.6f},{row.iqr:.6f},{row.failures}"
+        for row in report.metrics
+    ]
+    _write_rows(path, "method,metric,median,iqr,failures", rows)

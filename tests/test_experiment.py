@@ -1,14 +1,21 @@
 import dataclasses
+import hashlib
+import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from _oracles import emit_metrics_csv_reference, emit_pattern_csv_reference, metric_summaries_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparsebeam as sb
 from sparsebeam import ConfigError
-from sparsebeam.experiment import ExperimentConfig, parse_config, run_experiment
+from sparsebeam.experiment import ExperimentConfig, _summaries, parse_config, run_experiment
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+CLI_DIGESTS = Path(__file__).resolve().parent / "data" / "cli_digests.json"
 
 MINIMAL = """
 array.num_elements = 4
@@ -246,3 +253,73 @@ class TestRunExperiment:
         assert (Path(cfg.output_dir) / "pattern_mvdr.csv").read_text() == "theta_deg,gain_db,raw_gain\n"
         row = next(iter(report.metrics))
         assert np.isnan(row.median)
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2"])
+def test_bundled_configs_write_recorded_csv_bytes(tmp_path, name):
+    """fig1's and fig2's CSV bytes (20 runs each) equal the recorded SHA-256s.
+
+    These bytes are the CLI's contract. The digests were recorded with
+    single-threaded OpenBLAS on x86-64. Like the benchmark's
+    csv_identical, the check assumes the same BLAS kernels: another
+    BLAS, CPU kernel or thread count may round the last bits of a
+    product differently.
+    """
+    config = dataclasses.replace(parse_config(CONFIG_DIR / f"{name}.cfg"), output_dir=str(tmp_path))
+    run_experiment(config)
+    written = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(tmp_path.iterdir())
+    }
+    assert written == json.loads(CLI_DIGESTS.read_text(encoding="utf-8"))[name]
+
+
+# Metric values with ties, signed zeros, the -200 dB floor and values
+# that round to +/-0.000000 or sit on a six-decimal rounding edge.
+_METRIC_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, -200.0, 1.0, 2.5, -30.0, 5e-7, -5e-7, 4.9999995e-7, 1e-300]),
+    st.floats(-300.0, 300.0),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(count=st.integers(1, 6), data=st.data())
+def test_summaries_match_the_per_metric_loop(count, data):
+    runs = data.draw(st.lists(st.lists(_METRIC_VALUES, min_size=count, max_size=count), max_size=9))
+    names = [f"metric_{i}" for i in range(count)]
+    per_metric = {name: [run[i] for run in runs] for i, name in enumerate(names)} if runs else {}
+    expected = metric_summaries_reference(per_metric, names)
+    medians, iqrs = _summaries(runs, count)
+    assert np.array(list(zip(medians, iqrs))).tobytes() == np.array(expected).tobytes()
+
+    def report(summaries):
+        rows = tuple(sb.MetricRow("wsc", name, m, i, 2) for name, (m, i) in zip(names, summaries))
+        return sb.ExperimentReport(("wsc",), {}, rows, (0,), {"wsc": 2})
+
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
+        sb.emit_metrics_csv(report(zip(medians, iqrs)), new)
+        emit_metrics_csv_reference(report(expected), old)
+        assert new.read_bytes() == old.read_bytes()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from([-90.0, -0.0, 0.0, 0.05, 89.95]), st.floats(-90.0, 90.0)),
+            st.one_of(st.sampled_from([-200.0, -0.0, 0.0, -3.0103]), st.floats(-200.0, 0.0)),
+            st.one_of(
+                st.sampled_from([0.0, 1.0, 1e-20, 5e-324, 5e-7, 4.9999995e-7]), st.floats(0.0, 1.0)
+            ),
+        ),
+        max_size=40,
+    )
+)
+def test_pattern_csv_matches_the_row_by_row_writer(rows):
+    columns = [np.array(column, dtype=float) for column in zip(*rows)] or [np.empty(0)] * 3
+    pattern = sb.BeamPattern(*columns)
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
+        sb.emit_pattern_csv(pattern, new)
+        emit_pattern_csv_reference(pattern, old)
+        assert new.read_bytes() == old.read_bytes()

@@ -344,6 +344,13 @@ def test_indefinite_covariance_fails_factorization(geometry, a_grid, a0, method)
         _every_solver(geometry, a_grid, a0)[method](-np.eye(8))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", [option.name for option in dataclasses.fields(SolverOptions)])
+def test_solver_options_reject_non_finite(name, value):
+    with pytest.raises(DomainError, match=f"{name} must be finite"):
+        SolverOptions(**{name: value})
+
+
 def test_solver_options_validation():
     with pytest.raises(DomainError):
         SolverOptions(p=0.0)

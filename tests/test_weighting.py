@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from _oracles import build_q_reference
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sparsebeam as sb
 from sparsebeam import DomainError
@@ -62,3 +67,49 @@ def test_build_q_zero_data_falls_back_to_ones(a_grid):
 def test_build_q_shape_mismatch(a_grid):
     with pytest.raises(DomainError):
         sb.build_q(a_grid, np.zeros((7, 10), dtype=complex))
+
+
+def test_build_q_rejects_empty_snapshots(a_grid):
+    with pytest.raises(DomainError):
+        sb.build_q(a_grid, np.zeros((8, 0), dtype=complex))
+
+
+# Rows per block: B = max(8, 2^20 // (16 K)), so K = 1000 gives B = 65
+# and K = 8192 gives the minimum, B = 8.
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    m=st.integers(2, 32),
+    n=st.integers(1, 900),
+    k=st.integers(1, 5000),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=8, n=181, k=100, seed=0)  # fig1 and fig2: one block
+@example(m=32, n=720, k=1000, seed=1)  # wide: 11 blocks
+@example(m=4, n=64, k=1000, seed=2)  # N < B
+@example(m=4, n=65, k=1000, seed=3)  # N = B
+@example(m=4, n=131, k=1000, seed=4)  # N = 2B + 1
+@example(m=4, n=8, k=8192, seed=5)  # B = 8, N = B
+@example(m=4, n=17, k=8192, seed=6)  # B = 8, N = 2B + 1
+@example(m=3, n=7, k=8192, seed=7)  # B = 8, N < B
+def test_build_q_blocks_match_the_whole_product(m, n, k, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    x = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+    assert sb.build_q(a, x).tobytes() == build_q_reference(a, x).tobytes()
+
+
+def test_build_q_working_memory_is_one_block():
+    # The wide benchmark's shape: the whole 720 x 1000 product would
+    # take 11 MiB.
+    geometry = sb.ArrayGeometry(32, 0.5)
+    a = sb.steering_matrix(geometry, sb.interference_grid(3.0, 0.25))
+    assert a.shape == (32, 720)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((32, 1000)) + 1j * rng.standard_normal((32, 1000))
+    tracemalloc.start()
+    try:
+        sb.build_q(a, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
