@@ -64,9 +64,11 @@ def ensure_covariance(data) -> np.ndarray:
     """Coerce solver input to a Hermitian covariance matrix.
 
     A square matrix R with |R - R^H| <= atol + 1e-8 |R^H| entrywise,
-    where atol = 1e-12 max(1, max |R|), is symmetrized to (R + R^H)/2 and
+    where atol = 1e-12 max |R|, is symmetrized to (R + R^H)/2 and
     returned; this is ``np.allclose(R, R^H, rtol=1e-8, atol=atol)``
-    written out for finite input, with R^H and |R| computed once.
+    written out for finite input, with R^H and |R| computed once. The
+    floor scales with max |R|, so the decision does not depend on R's
+    units; an exactly Hermitian R always passes.
     Anything else is treated as an M x K snapshot matrix and passed
     through :func:`sample_covariance`. This lets solvers accept either
     raw snapshots or a prebuilt covariance (for example an analytic
@@ -81,7 +83,7 @@ def ensure_covariance(data) -> np.ndarray:
     if arr.shape[0] == arr.shape[1]:
         arr_h = arr.conj().T
         magnitude = np.abs(arr)
-        atol = 1e-12 * max(1.0, float(magnitude.max()))
+        atol = 1e-12 * float(magnitude.max())
         # |R^H| is |R| transposed, exactly.
         if (np.abs(arr - arr_h) <= atol + 1e-8 * magnitude.T).all():
             return 0.5 * (arr + arr_h)

@@ -79,6 +79,14 @@ class ExperimentConfig:
             raise DomainError("ellipsoid_num_samples must be >= 2")
         if self.failure_budget < 0:
             raise DomainError("failure_budget must be nonnegative")
+        named: dict[str, float] = {}
+        for doa, _ in self.scenario.interferers:
+            name = _null_depth_name(doa)
+            if name in named:
+                raise DomainError(
+                    f"interferer DOAs {named[name]!r} and {doa!r} share the metric name {name!r}"
+                )
+            named[name] = doa
 
     @property
     def steer_deg(self) -> float:
@@ -274,8 +282,12 @@ def _solve_one(method, r, a_grid, q, a0, ellipsoid, opts):
     raise DomainError(f"unknown method {method!r}")
 
 
+def _null_depth_name(doa: float) -> str:
+    return f"null_depth_{doa:g}deg"
+
+
 def _metric_names(scenario: Scenario) -> tuple[str, ...]:
-    names = [f"null_depth_{doa:g}deg" for doa, _ in scenario.interferers]
+    names = [_null_depth_name(doa) for doa, _ in scenario.interferers]
     names += ["sidelobe_level_db", "pointing_error_deg", "output_sinr_db"]
     return tuple(names)
 
@@ -284,7 +296,7 @@ def _run_metrics(w, config: ExperimentConfig) -> dict[str, float]:
     pattern = beam_pattern(w, config.geometry, _METRIC_RESOLUTION_DEG)
     values: dict[str, float] = {}
     for doa, _ in config.scenario.interferers:
-        values[f"null_depth_{doa:g}deg"] = null_depth(pattern, doa, _NULL_WINDOW_DEG)
+        values[_null_depth_name(doa)] = null_depth(pattern, doa, _NULL_WINDOW_DEG)
     # Centering on the observed peak keeps the mainlobe search valid for
     # mis-steered patterns whose peak drifts away from the nominal DOA.
     values["sidelobe_level_db"] = sidelobe_level(pattern, pattern.peak_angle_deg).level_db

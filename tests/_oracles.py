@@ -198,9 +198,7 @@ def run_irls_reference(r, aq, opts, inner):
 
 def is_hermitian_allclose(arr):
     """The Hermitian test ensure_covariance applies to square finite input."""
-    return np.allclose(
-        arr, arr.conj().T, rtol=1e-8, atol=1e-12 * max(1.0, float(np.abs(arr).max()))
-    )
+    return np.allclose(arr, arr.conj().T, rtol=1e-8, atol=1e-12 * float(np.abs(arr).max()))
 
 
 # --- Reference copies of build_q and of the study's aggregation and CSVs --

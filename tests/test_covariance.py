@@ -96,6 +96,25 @@ class TestEnsureCovariance:
             with pytest.raises(DomainError, match="finite"):
                 sb.ensure_covariance(data)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-13, 1.0, 1e300])
+    def test_exactly_hermitian_input_is_kept_at_any_scale(self, sample_r, geometry, scenario, scale):
+        for r in (sample_r, sb.analytic_covariance(scenario, geometry)):
+            r = r * scale
+            assert np.array_equal(sb.ensure_covariance(r), 0.5 * (r + r.conj().T))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-13])
+    def test_near_hermitian_floor_scales_with_the_input(self, geometry, scale):
+        # A square snapshot matrix is not a covariance at any scale; at
+        # 1e-13 its symmetrization would be indefinite.
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        data = scale * x
+        assert np.array_equal(sb.ensure_covariance(data), sb.sample_covariance(data))
+        a0 = sb.steering_vector(geometry, 0.0)
+        w = sb.mvdr(data, a0).w
+        w_unscaled = sb.mvdr(x, a0).w
+        assert np.linalg.norm(w - w_unscaled) <= 1e-12 * np.linalg.norm(w_unscaled)
+
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import sparsebeam as sb
 from sparsebeam import ConfigError
-from sparsebeam.experiment import ExperimentConfig, _summaries, parse_config, run_experiment
+from sparsebeam.experiment import ExperimentConfig, _metric_names, _summaries, parse_config, run_experiment
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CLI_DIGESTS = Path(__file__).resolve().parent / "data" / "cli_digests.json"
@@ -137,6 +137,19 @@ class TestParseConfig:
         with pytest.raises(sb.DomainError):
             ExperimentConfig(geometry=geometry, scenario=scen, methods=("mvdr",),
                              grid_resolution_deg=2.0)
+
+    def test_interferers_sharing_a_metric_name_rejected(self, geometry, tmp_path):
+        # Null-depth metrics are named by the DOA to six significant
+        # digits, so 30 and 30.0000001 would give two null_depth_30deg rows.
+        scen = sb.Scenario(0.0, 10.0, ((30.0, 20.0), (30.0000001, 20.0), (-40.0, 20.0)))
+        with pytest.raises(sb.DomainError, match=r"30\.0 and 30\.0000001 .*null_depth_30deg"):
+            ExperimentConfig(geometry=geometry, scenario=scen, methods=("mvdr",))
+        with pytest.raises(ConfigError, match=r"30\.0 and 30\.0000001"):
+            parse_config(_write(tmp_path, MINIMAL + "scenario.interferers = 30:20,30.0000001:20\n"))
+        close = sb.Scenario(0.0, 10.0, ((30.0, 20.0), (30.0001, 20.0)))
+        cfg = ExperimentConfig(geometry=geometry, scenario=close, methods=("mvdr",))
+        assert [n for n in _metric_names(cfg.scenario) if n.startswith("null_depth")] == [
+            "null_depth_30deg", "null_depth_30.0001deg"]
 
 
 class TestRunExperiment:
