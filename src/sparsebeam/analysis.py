@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arrays import ArrayGeometry, Scenario, steering_matrix, steering_vector
+from .arrays import ArrayGeometry, Scenario, _checked, steering_matrix, steering_vector
 from .errors import DomainError
 from .solvers import BeamformerWeights
 
@@ -84,12 +84,7 @@ def _weight_vector(weights, geometry: ArrayGeometry) -> np.ndarray:
     """
     if isinstance(weights, BeamformerWeights):
         weights = weights.w
-    w = np.asarray(weights, dtype=complex)
-    if w.ndim != 1 or w.size != geometry.num_elements:
-        raise DomainError("weight vector length must match the array size")
-    if not np.isfinite(w).all():
-        raise DomainError("weight vector must be finite")
-    return w
+    return _checked("weight vector", weights, (geometry.num_elements,))
 
 
 def beam_pattern(weights, geometry: ArrayGeometry, resolution_deg: float = 0.1) -> BeamPattern:

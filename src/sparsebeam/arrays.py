@@ -25,6 +25,17 @@ __all__ = [
 ]
 
 
+def _checked(name: str, value, shape: tuple, dtype=complex) -> np.ndarray:
+    """``value`` as a finite array of ``shape``; None in ``shape`` matches any length."""
+    x = np.asarray(value, dtype=dtype)
+    if x.ndim != len(shape) or any(n not in (None, k) for n, k in zip(shape, x.shape)):
+        expected = tuple("any" if n is None else n for n in shape)
+        raise DomainError(f"{name} has shape {x.shape}, expected {expected}")
+    if not np.isfinite(x).all():
+        raise DomainError(f"{name} must be finite (no NaN or inf entries)")
+    return x
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Element count and normalized spacing of a uniform linear array.
@@ -55,9 +66,9 @@ class Scenario:
 
     ``soi_snr_db`` and each interferer's INR are powers relative to
     ``noise_power``, so with the default unit noise power the dB values
-    map directly to source variances. ``rng_seed`` makes snapshot
-    generation reproducible; Monte-Carlo harnesses derive per-run seeds
-    from it.
+    map directly to source variances. ``rng_seed``, a non-negative
+    integer, makes snapshot generation reproducible; Monte-Carlo
+    harnesses derive per-run seeds from it.
     """
 
     soi_doa_deg: float
@@ -75,6 +86,8 @@ class Scenario:
         values += [v for pair in self.interferers for v in pair]
         if not all(map(math.isfinite, values)):
             raise DomainError("scenario DOAs, SNR, INRs and noise power must be finite")
+        if not isinstance(self.rng_seed, (int, np.integer)) or self.rng_seed < 0:
+            raise DomainError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
         if self.num_snapshots < 1:
             raise DomainError(f"num_snapshots must be >= 1, got {self.num_snapshots}")
         if not self.noise_power > 0:

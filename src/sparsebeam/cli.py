@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Two subcommands: ``run`` executes a config end to end and writes CSVs;
-``validate`` only parses. Exit codes: 0 success, 1 configuration error,
-2 solver failures exceeding the configured failure budget.
+``validate`` only parses. Exit codes: 0 success, 1 configuration error
+or an output directory that cannot be created or written, 2 solver
+failures exceeding the configured failure budget.
 """
 
 from __future__ import annotations
@@ -59,7 +60,12 @@ def main(argv=None) -> int:
               f"{config.monte_carlo_runs} run(s), output -> {config.output_dir}")
         return 0
 
-    report = run_experiment(config)
+    try:
+        report = run_experiment(config)
+    except OSError as exc:
+        # mkdir's error and the CSV writers' errors name the path.
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     for method in report.methods:
         print(f"{method}: {config.monte_carlo_runs - report.failures[method]} run(s) ok, "
               f"{report.failures[method]} failed")

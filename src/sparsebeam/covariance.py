@@ -1,10 +1,10 @@
-"""Spatial covariance estimation and conditioning."""
+"""Spatial covariance estimation, conditioning, and the solvers' input check."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .arrays import ArrayGeometry, Scenario, steering_vector
+from .arrays import ArrayGeometry, Scenario, _checked, steering_vector
 from .errors import DomainError
 
 __all__ = [
@@ -61,30 +61,22 @@ def diagonal_load(covariance, epsilon: float) -> np.ndarray:
 
 
 def ensure_covariance(data) -> np.ndarray:
-    """Coerce solver input to a Hermitian covariance matrix.
+    """Return the Hermitian covariance R of ``data`` as (R + R^H)/2.
 
-    A square matrix R with |R - R^H| <= atol + 1e-8 |R^H| entrywise,
-    where atol = 1e-12 max |R|, is symmetrized to (R + R^H)/2 and
-    returned; this is ``np.allclose(R, R^H, rtol=1e-8, atol=atol)``
-    written out for finite input, with R^H and |R| computed once. The
-    floor scales with max |R|, so the decision does not depend on R's
-    units; an exactly Hermitian R always passes.
-    Anything else is treated as an M x K snapshot matrix and passed
-    through :func:`sample_covariance`. This lets solvers accept either
-    raw snapshots or a prebuilt covariance (for example an analytic
-    one). Input holding NaN or inf raises DomainError: the solvers
-    factor what this returns without checking it again.
+    R must be finite and square with |R - R^H| <= atol + 1e-8 |R^H|
+    entrywise, atol = 1e-12 max |R|: np.allclose(R, R^H, rtol=1e-8,
+    atol=atol) written out. The floor scales with R, so an exactly
+    Hermitian R passes at any scale. Anything else, M x K snapshots
+    included, raises DomainError; :func:`sample_covariance` builds R from
+    snapshots. The solvers factor what this returns without another check.
     """
-    arr = np.asarray(data, dtype=complex)
-    if arr.ndim != 2:
-        raise DomainError("covariance input must be a 2-D array")
-    if not np.isfinite(arr).all():
-        raise DomainError("covariance input must be finite (no NaN or inf entries)")
-    if arr.shape[0] == arr.shape[1]:
+    arr = _checked("covariance", data, (None, None))
+    if arr.shape[0] == arr.shape[1] > 0:
         arr_h = arr.conj().T
         magnitude = np.abs(arr)
         atol = 1e-12 * float(magnitude.max())
         # |R^H| is |R| transposed, exactly.
         if (np.abs(arr - arr_h) <= atol + 1e-8 * magnitude.T).all():
             return 0.5 * (arr + arr_h)
-    return sample_covariance(arr)
+    raise DomainError(f"covariance of shape {arr.shape} is not a square Hermitian matrix; "
+                      "build one from M x K snapshots with sample_covariance")

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import BeamPattern, _to_db, beam_pattern, null_depth, output_sinr, pointing_error, sidelobe_level
+from .analysis import (BeamPattern, _pattern_angles, _pattern_steering, _to_db, beam_pattern, null_depth,
+                       output_sinr, pointing_error, sidelobe_level)
 from .arrays import ArrayGeometry, Scenario, generate_snapshots, interference_grid, steering_matrix, steering_vector
 from .covariance import sample_covariance
 from .errors import ConfigError, DomainError, SolverError
@@ -305,13 +306,15 @@ def _run_metrics(w, config: ExperimentConfig) -> dict[str, float]:
     return values
 
 
-def _median_pattern(raw_rows: list[np.ndarray], angles: np.ndarray) -> BeamPattern:
+def _median_pattern(raw_rows: list[np.ndarray], resolution_deg: float) -> BeamPattern:
+    """Pointwise median of raw gains on the pattern metrics' cached grid."""
     stacked = np.vstack(raw_rows)
     median_raw = np.median(stacked, axis=0)
     peak = float(median_raw.max())
     if peak <= 0:
         raise SolverError("median pattern collapsed to zero")
-    return BeamPattern(angles, _to_db(median_raw, peak), median_raw / peak)
+    # A copy of the cached angles keeps the pattern writable.
+    return BeamPattern(_pattern_angles(resolution_deg).copy(), _to_db(median_raw, peak), median_raw / peak)
 
 
 def _summaries(runs: list[list[float]], count: int) -> tuple[list[float], list[float]]:
@@ -347,9 +350,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             geometry, steer, config.effective_half_width_deg, config.ellipsoid_num_samples
         )
 
-    export_count = int(round(180.0 / config.grid_resolution_deg)) + 1
-    export_angles = np.linspace(-90.0, 90.0, export_count)
-    export_matrix = steering_matrix(geometry, export_angles)
+    # The cached grid of beam_pattern, also used by _median_pattern.
+    export_matrix = _pattern_steering(geometry, config.grid_resolution_deg)
+    # Created before the first run, so an unusable path fails at once.
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     metric_names = _metric_names(scenario)
     per_run: dict[str, list[list[float]]] = {m: [] for m in config.methods}
@@ -384,11 +389,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         ]
 
     patterns: dict[str, BeamPattern] = {}
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for method in config.methods:
         if export_raws[method]:
-            pattern = _median_pattern(export_raws[method], export_angles)
+            pattern = _median_pattern(export_raws[method], config.grid_resolution_deg)
             patterns[method] = pattern
             emit_pattern_csv(pattern, out_dir / f"pattern_{method}.csv")
         else:

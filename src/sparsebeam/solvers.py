@@ -28,12 +28,12 @@ cases of this one problem, solved by one code path:
 - ``solve_rmvb``: no penalty, ellipsoid constraint.
 - ``solve_rwsc``: the penalty and the ellipsoid constraint.
 
-All solvers symmetrize the covariance on entry and apply diagonal
-loading before factorization. Covariance inputs may also be raw M x K
-snapshot matrices (see :func:`sparsebeam.covariance.ensure_covariance`).
-A, q, a0 or an ellipsoid that does not match R's size, or that holds
-NaN or inf, raises DomainError before any factorization, as do
-negative q entries and a zero a0.
+Every solver takes a covariance R and nothing else: anything but a
+finite Hermitian matrix, raw snapshots included, raises DomainError
+(:func:`sparsebeam.covariance.ensure_covariance`). R is symmetrized and
+diagonally loaded before factorization. A, q, a0 or an ellipsoid that
+does not match R's size, or holds NaN or inf, raises DomainError before
+any factorization, as do negative q entries and a zero a0.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 import scipy
 
-from .arrays import ArrayGeometry, steering_matrix, steering_vector
+from .arrays import ArrayGeometry, _checked, steering_matrix, steering_vector
 from .covariance import diagonal_load, ensure_covariance
 from .errors import DomainError, SolverError
 
@@ -395,17 +395,6 @@ def _cone_solve(r, center, shape):
             "positive worst-case gain (the uncertainty set contains the origin)"
         )
     return w / margin
-
-
-def _checked(name: str, value, shape: tuple, dtype=complex) -> np.ndarray:
-    """``value`` as a finite array of ``shape``; None in ``shape`` matches any length."""
-    x = np.asarray(value, dtype=dtype)
-    if x.ndim != len(shape) or any(n not in (None, k) for n, k in zip(shape, x.shape)):
-        expected = tuple("any" if n is None else n for n in shape)
-        raise DomainError(f"{name} has shape {x.shape}, expected {expected}")
-    if not np.isfinite(x).all():
-        raise DomainError(f"{name} must be finite (no NaN or inf entries)")
-    return x
 
 
 def _solve(method, covariance, a, q, constraint, opts) -> BeamformerWeights:

@@ -96,3 +96,40 @@ def test_failures_within_budget_exit_0(tmp_path, monkeypatch):
         SMALL + f"experiment.output_dir = {tmp_path / 'o'}\n" + "experiment.failure_budget = 1\n",
     )
     assert main(["run", path]) == 0
+
+
+def test_bad_seed_rejected_at_every_boundary(tmp_path, capsys):
+    # A negative seed was once accepted and reported OK by validate, then
+    # failed inside np.random.default_rng with a numpy traceback.
+    for seed in (-1, 1.5):
+        with pytest.raises(sb.DomainError, match="rng_seed"):
+            sb.Scenario(0.0, 10.0, rng_seed=seed)
+    path = _write(tmp_path, SMALL + "scenario.rng_seed = -1\n")
+    with pytest.raises(sb.ConfigError, match="rng_seed"):
+        sb.parse_config(path)
+    assert main(["validate", path]) == 1
+    assert main(["run", _write(tmp_path, SMALL, "ok.cfg"), "--out", str(tmp_path / "o"), "--seed", "-5"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("config error") == 2 and "rng_seed" in err and "Traceback" not in err
+
+
+def test_unusable_output_dir_fails_before_any_solve(tmp_path, monkeypatch, capsys):
+    # The output directory was once made after every run: all 20 fig1
+    # runs were solved, then the CLI died with a NotADirectoryError.
+    import sparsebeam.experiment as exp
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        raise AssertionError("mvdr called before the output directory was made")
+
+    monkeypatch.setattr(exp, "mvdr", counted)
+    regular = tmp_path / "file"
+    regular.write_text("", encoding="utf-8")
+    out = regular / "sub"
+    assert main(["run", str(CONFIG_DIR / "fig1.cfg"), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and str(out) in captured.err
+    assert "Traceback" not in captured.err
+    assert calls == []

@@ -73,16 +73,16 @@ class TestEnsureCovariance:
         np.testing.assert_array_equal(out, sample_r)
 
     def test_snapshots_are_reduced(self, snapshots):
-        np.testing.assert_allclose(
-            sb.ensure_covariance(snapshots), sb.sample_covariance(snapshots), atol=1e-12
-        )
+        # Snapshots are not reduced: they must go through sample_covariance.
+        with pytest.raises(DomainError, match="sample_covariance"):
+            sb.ensure_covariance(snapshots)
 
     def test_square_non_hermitian_treated_as_snapshots(self):
+        # A square non-Hermitian matrix is rejected, not read as snapshots.
         rng = np.random.default_rng(0)
         x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        np.testing.assert_allclose(
-            sb.ensure_covariance(x), sb.sample_covariance(x), atol=1e-12
-        )
+        with pytest.raises(DomainError, match="sample_covariance"):
+            sb.ensure_covariance(x)
 
     def test_rejects_non_2d(self):
         with pytest.raises(DomainError):
@@ -104,16 +104,15 @@ class TestEnsureCovariance:
 
     @pytest.mark.parametrize("scale", [1.0, 1e-13])
     def test_near_hermitian_floor_scales_with_the_input(self, geometry, scale):
-        # A square snapshot matrix is not a covariance at any scale; at
-        # 1e-13 its symmetrization would be indefinite.
+        # A square snapshot matrix is not a covariance at any scale: the
+        # Hermitian test rejects it at unit scale and at 1e-13 alike.
         rng = np.random.default_rng(0)
         x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         data = scale * x
-        assert np.array_equal(sb.ensure_covariance(data), sb.sample_covariance(data))
-        a0 = sb.steering_vector(geometry, 0.0)
-        w = sb.mvdr(data, a0).w
-        w_unscaled = sb.mvdr(x, a0).w
-        assert np.linalg.norm(w - w_unscaled) <= 1e-12 * np.linalg.norm(w_unscaled)
+        with pytest.raises(DomainError, match="sample_covariance"):
+            sb.ensure_covariance(data)
+        with pytest.raises(DomainError, match="sample_covariance"):
+            sb.mvdr(data, sb.steering_vector(geometry, 0.0))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -125,15 +124,34 @@ class TestEnsureCovariance:
 )
 def test_hermitian_test_matches_allclose_bit_for_bit(m, log_scale, log_perturbation, seed):
     # Relative perturbations from 1e-10 to 1e-6 straddle the 1e-8
-    # tolerance, so both decisions occur; the two outputs differ, so equal
-    # bits mean an equal decision.
+    # tolerance, so both decisions occur: an accepted input comes back
+    # symmetrized to the bit, a rejected one raises.
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     e = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     h = (z + z.conj().T) * 10.0**log_scale
     arr = h + h * e * 10.0**log_perturbation
     with np.errstate(all="ignore"):
-        expected = (
-            0.5 * (arr + arr.conj().T) if is_hermitian_allclose(arr) else sb.sample_covariance(arr)
-        )
-        assert np.array_equal(sb.ensure_covariance(arr), expected, equal_nan=True)
+        if is_hermitian_allclose(arr):
+            assert np.array_equal(sb.ensure_covariance(arr), 0.5 * (arr + arr.conj().T), equal_nan=True)
+        else:
+            with pytest.raises(DomainError, match="sample_covariance"):
+                sb.ensure_covariance(arr)
+
+
+def test_covariance_built_without_its_conjugate_rejected_by_every_solver(snapshots, geometry, a_grid, a0):
+    # X X^T / K is square but not Hermitian. It was once read as
+    # snapshots, and mvdr returned "converged" weights 81 % away from
+    # mvdr(sample_covariance(X), a0).
+    ones = np.ones(a_grid.shape[1])
+    ellipsoid = sb.build_ellipsoid(geometry, 0.0, 3.0, 13)
+    for data in (snapshots @ snapshots.T / snapshots.shape[1], snapshots):
+        for solve in (
+            lambda: sb.mvdr(data, a0),
+            lambda: sb.solve_sc(data, a_grid, a0),
+            lambda: sb.solve_wsc(data, a_grid, ones, a0),
+            lambda: sb.solve_rmvb(data, ellipsoid),
+            lambda: sb.solve_rwsc(data, a_grid, ones, ellipsoid),
+        ):
+            with pytest.raises(DomainError, match="sample_covariance"):
+                solve()
