@@ -5,93 +5,25 @@ sparse-constraint and weighted-sparse-constraint variants that penalize
 response over a grid of candidate interference directions, a robust
 ellipsoid-constrained design, and the combination of the robust
 constraint with the weighted sparse penalty.
+
+The public API is the union of the library modules' ``__all__`` lists
+plus ``__version__``; each module's list is the only place its public
+names are written down.
 """
 
-from .analysis import (
-    DB_FLOOR,
-    BeamPattern,
-    SidelobeLevel,
-    beam_pattern,
-    null_depth,
-    output_sinr,
-    pointing_error,
-    sidelobe_level,
-)
-from .arrays import (
-    ArrayGeometry,
-    Scenario,
-    generate_snapshots,
-    interference_grid,
-    steering_matrix,
-    steering_vector,
-)
-from .covariance import analytic_covariance, diagonal_load, ensure_covariance, sample_covariance
-from .errors import ConfigError, DomainError, SolverError
-from .experiment import (
-    ExperimentConfig,
-    ExperimentReport,
-    MetricRow,
-    emit_metrics_csv,
-    emit_pattern_csv,
-    parse_config,
-    run_experiment,
-)
-from .solvers import (
-    BeamformerWeights,
-    Diagnostics,
-    Ellipsoid,
-    SolverOptions,
-    build_ellipsoid,
-    mvdr,
-    solve_rmvb,
-    solve_rwsc,
-    solve_sc,
-    solve_wsc,
-)
-from .weighting import build_q, snm
+from . import analysis, arrays, covariance, errors, experiment, solvers, weighting
+from .analysis import *
+from .arrays import *
+from .covariance import *
+from .errors import *
+from .experiment import *
+from .solvers import *
+from .weighting import *
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "ArrayGeometry",
-    "Scenario",
-    "steering_vector",
-    "steering_matrix",
-    "interference_grid",
-    "generate_snapshots",
-    "sample_covariance",
-    "analytic_covariance",
-    "diagonal_load",
-    "ensure_covariance",
-    "snm",
-    "build_q",
-    "SolverOptions",
-    "Diagnostics",
-    "BeamformerWeights",
-    "Ellipsoid",
-    "mvdr",
-    "solve_sc",
-    "solve_wsc",
-    "build_ellipsoid",
-    "solve_rmvb",
-    "solve_rwsc",
-    "DB_FLOOR",
-    "BeamPattern",
-    "SidelobeLevel",
-    "beam_pattern",
-    "null_depth",
-    "sidelobe_level",
-    "pointing_error",
-    "output_sinr",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "MetricRow",
-    "parse_config",
-    "run_experiment",
-    "emit_pattern_csv",
-    "emit_metrics_csv",
-    "DomainError",
-    "SolverError",
-    "ConfigError",
+__all__ = ["__version__"] + [
+    name
+    for module in (analysis, arrays, covariance, errors, experiment, solvers, weighting)
+    for name in module.__all__
 ]

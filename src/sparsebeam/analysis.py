@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arrays import ArrayGeometry, Scenario, _checked, steering_matrix, steering_vector
+from .arrays import ArrayGeometry, Scenario, _angle_grid, _checked, steering_matrix, steering_vector
 from .errors import DomainError
 from .solvers import BeamformerWeights
 
@@ -56,7 +56,7 @@ class SidelobeLevel(NamedTuple):
 @lru_cache(maxsize=16)
 def _pattern_angles(resolution_deg: float) -> np.ndarray:
     """Angle grid of the pattern, built once per resolution and read-only."""
-    angles = np.linspace(-90.0, 90.0, int(round(180.0 / resolution_deg)) + 1)
+    angles = _angle_grid(resolution_deg)
     angles.flags.writeable = False
     return angles
 

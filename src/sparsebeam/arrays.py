@@ -36,6 +36,17 @@ def _checked(name: str, value, shape: tuple, dtype=complex) -> np.ndarray:
     return x
 
 
+def _check_count(name: str, value, minimum: int) -> None:
+    """Raise DomainError unless ``value`` is an int or numpy integer >= ``minimum``."""
+    if not isinstance(value, (int, np.integer)) or value < minimum:
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _angle_grid(step_deg: float) -> np.ndarray:
+    """[-90, 90] in round(180 / step_deg) equal steps; both ends are exact."""
+    return np.linspace(-90.0, 90.0, int(round(180.0 / step_deg)) + 1)
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Element count and normalized spacing of a uniform linear array.
@@ -52,8 +63,7 @@ class ArrayGeometry:
     spacing_wavelengths: float = 0.5
 
     def __post_init__(self):
-        if self.num_elements < 2:
-            raise DomainError(f"num_elements must be >= 2, got {self.num_elements}")
+        _check_count("num_elements", self.num_elements, 2)
         if not self.spacing_wavelengths > 0:
             raise DomainError(
                 f"spacing_wavelengths must be positive, got {self.spacing_wavelengths}"
@@ -86,10 +96,8 @@ class Scenario:
         values += [v for pair in self.interferers for v in pair]
         if not all(map(math.isfinite, values)):
             raise DomainError("scenario DOAs, SNR, INRs and noise power must be finite")
-        if not isinstance(self.rng_seed, (int, np.integer)) or self.rng_seed < 0:
-            raise DomainError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
-        if self.num_snapshots < 1:
-            raise DomainError(f"num_snapshots must be >= 1, got {self.num_snapshots}")
+        _check_count("rng_seed", self.rng_seed, 0)
+        _check_count("num_snapshots", self.num_snapshots, 1)
         if not self.noise_power > 0:
             raise DomainError(f"noise_power must be positive, got {self.noise_power}")
         doas = [d for d, _ in self.interferers]
@@ -145,8 +153,7 @@ def interference_grid(steer_deg: float, step_deg: float = 1.0) -> np.ndarray:
     """
     if not step_deg > 0:
         raise DomainError(f"step_deg must be positive, got {step_deg}")
-    n = int(round(180.0 / step_deg))
-    angles = -90.0 + step_deg * np.arange(n + 1)
+    angles = _angle_grid(step_deg)
     return angles[np.abs(angles - steer_deg) > 1e-9]
 
 

@@ -18,14 +18,14 @@ import numpy as np
 
 from .analysis import (BeamPattern, _pattern_angles, _pattern_steering, _to_db, beam_pattern, null_depth,
                        output_sinr, pointing_error, sidelobe_level)
-from .arrays import ArrayGeometry, Scenario, generate_snapshots, interference_grid, steering_matrix, steering_vector
+from .arrays import (ArrayGeometry, Scenario, _check_count, generate_snapshots, interference_grid, steering_matrix,
+                     steering_vector)
 from .covariance import sample_covariance
 from .errors import ConfigError, DomainError, SolverError
 from .solvers import SolverOptions, build_ellipsoid, mvdr, solve_rmvb, solve_rwsc, solve_sc, solve_wsc
 from .weighting import build_q
 
 __all__ = [
-    "METHOD_NAMES",
     "ExperimentConfig",
     "MetricRow",
     "ExperimentReport",
@@ -35,10 +35,30 @@ __all__ = [
     "emit_metrics_csv",
 ]
 
-METHOD_NAMES = ("mvdr", "sc", "wsc", "rmvb", "rwsc")
+# Each method's solve. A lambda looks its solver up in this module's
+# namespace when it is called, so a solver swapped in there is the one
+# that runs.
+_SOLVES = {
+    "mvdr": lambda r, a_grid, q, a0, ellipsoid, opts: mvdr(r, a0, opts),
+    "sc": lambda r, a_grid, q, a0, ellipsoid, opts: solve_sc(r, a_grid, a0, opts),
+    "wsc": lambda r, a_grid, q, a0, ellipsoid, opts: solve_wsc(r, a_grid, q, a0, opts),
+    "rmvb": lambda r, a_grid, q, a0, ellipsoid, opts: solve_rmvb(r, ellipsoid, opts),
+    "rwsc": lambda r, a_grid, q, a0, ellipsoid, opts: solve_rwsc(r, a_grid, q, ellipsoid, opts),
+}
+METHOD_NAMES = tuple(_SOLVES)
 
 _METRIC_RESOLUTION_DEG = 0.1
 _NULL_WINDOW_DEG = 1.0
+
+
+def _check_methods(methods) -> None:
+    if not methods:
+        raise DomainError("methods must be non-empty")
+    for name in methods:
+        if name not in METHOD_NAMES:
+            raise DomainError(f"unknown method {name!r}; choose from {','.join(METHOD_NAMES)}")
+    if len(set(methods)) != len(methods):
+        raise DomainError("methods must not repeat")
 
 
 @dataclass(frozen=True)
@@ -63,23 +83,14 @@ class ExperimentConfig:
     failure_budget: int = 0
 
     def __post_init__(self):
-        if not self.methods:
-            raise DomainError("methods must be non-empty")
-        for name in self.methods:
-            if name not in METHOD_NAMES:
-                raise DomainError(f"unknown method {name!r}; choose from {METHOD_NAMES}")
-        if len(set(self.methods)) != len(self.methods):
-            raise DomainError("methods must not repeat")
-        if self.monte_carlo_runs < 1:
-            raise DomainError("monte_carlo_runs must be >= 1")
+        _check_methods(self.methods)
+        _check_count("monte_carlo_runs", self.monte_carlo_runs, 1)
         if not 0 < self.grid_resolution_deg <= 1.0:
             raise DomainError("grid_resolution_deg must lie in (0, 1]")
         if self.ellipsoid_half_width_deg is not None and self.ellipsoid_half_width_deg < 0:
             raise DomainError("ellipsoid_half_width_deg must be nonnegative")
-        if self.ellipsoid_num_samples < 2:
-            raise DomainError("ellipsoid_num_samples must be >= 2")
-        if self.failure_budget < 0:
-            raise DomainError("failure_budget must be nonnegative")
+        _check_count("ellipsoid_num_samples", self.ellipsoid_num_samples, 2)
+        _check_count("failure_budget", self.failure_budget, 0)
         named: dict[str, float] = {}
         for doa, _ in self.scenario.interferers:
             name = _null_depth_name(doa)
@@ -165,16 +176,10 @@ def _parse_interferers(raw: str, key: str) -> tuple[tuple[float, float], ...]:
 
 def _parse_methods(raw: str, key: str) -> tuple[str, ...]:
     names = tuple(part.strip() for part in raw.split(",") if part.strip())
-    if not names:
-        raise ConfigError("invalid value: methods must be non-empty", key=key)
-    for name in names:
-        if name not in METHOD_NAMES:
-            raise ConfigError(
-                f"invalid value: unknown method {name!r}; choose from {','.join(METHOD_NAMES)}",
-                key=key,
-            )
-    if len(set(names)) != len(names):
-        raise ConfigError("invalid value: methods must not repeat", key=key)
+    try:
+        _check_methods(names)
+    except DomainError as exc:
+        raise ConfigError(f"invalid value: {exc}", key=key) from exc
     return names
 
 
@@ -269,20 +274,6 @@ def parse_config(path) -> ExperimentConfig:
 
 # --- orchestration --------------------------------------------------------
 
-def _solve_one(method, r, a_grid, q, a0, ellipsoid, opts):
-    if method == "mvdr":
-        return mvdr(r, a0, opts)
-    if method == "sc":
-        return solve_sc(r, a_grid, a0, opts)
-    if method == "wsc":
-        return solve_wsc(r, a_grid, q, a0, opts)
-    if method == "rmvb":
-        return solve_rmvb(r, ellipsoid, opts)
-    if method == "rwsc":
-        return solve_rwsc(r, a_grid, q, ellipsoid, opts)
-    raise DomainError(f"unknown method {method!r}")
-
-
 def _null_depth_name(doa: float) -> str:
     return f"null_depth_{doa:g}deg"
 
@@ -369,9 +360,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         q = build_q(a_grid, snapshots) if needs_q else None
         for method in config.methods:
             try:
-                result = _solve_one(
-                    method, r, a_grid, q, a0, ellipsoid, config.solver_options
-                )
+                result = _SOLVES[method](r, a_grid, q, a0, ellipsoid, config.solver_options)
             except SolverError:
                 failures[method] += 1
                 continue

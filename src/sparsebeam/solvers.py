@@ -48,7 +48,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 import scipy
 
-from .arrays import ArrayGeometry, _checked, steering_matrix, steering_vector
+from .arrays import ArrayGeometry, _check_count, _checked, steering_matrix, steering_vector
 from .covariance import diagonal_load, ensure_covariance
 from .errors import DomainError, SolverError
 
@@ -126,8 +126,7 @@ class SolverOptions:
             raise DomainError(f"p must lie in (0, 1], got {self.p}")
         if self.gamma < 0:
             raise DomainError(f"gamma must be nonnegative, got {self.gamma}")
-        if self.max_iterations < 1:
-            raise DomainError("max_iterations must be >= 1")
+        _check_count("max_iterations", self.max_iterations, 1)
         if not self.objective_tolerance > 0:
             raise DomainError("objective_tolerance must be positive")
         if not self.irls_epsilon > 0:
@@ -279,8 +278,7 @@ def build_ellipsoid(
     ||E^+ (a - c)|| <= 1. half_width_deg = 0 returns the degenerate point
     ellipsoid at a(theta0).
     """
-    if num_samples < 2:
-        raise DomainError(f"num_samples must be >= 2, got {num_samples}")
+    _check_count("num_samples", num_samples, 2)
     if half_width_deg < 0:
         raise DomainError(f"half_width_deg must be nonnegative, got {half_width_deg}")
     m = geometry.num_elements

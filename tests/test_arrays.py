@@ -77,6 +77,37 @@ class TestInterferenceGrid:
         with pytest.raises(DomainError):
             sb.interference_grid(0.0, 0.0)
 
+    def test_grid_stays_inside_the_half_plane(self):
+        # -90 + step * arange(round(180 / step) + 1) once overshot 90 for
+        # 40 of these steps: 0.13 ended at 90.05.
+        for step in np.arange(1, 101) / 100:
+            g = sb.interference_grid(0.5, step)
+            assert g[0] == -90.0 and g[-1] == 90.0, step
+
+
+# A count field or argument, and a call that sets it to a non-integer.
+NON_INTEGER_COUNTS = {
+    "num_elements": lambda geometry: sb.ArrayGeometry(2.5),
+    "num_snapshots": lambda geometry: sb.Scenario(0.0, 10.0, num_snapshots=1.5),
+    "max_iterations": lambda geometry: sb.SolverOptions(max_iterations=2.5),
+    "num_samples": lambda geometry: sb.build_ellipsoid(geometry, 0.0, 3.0, 13.5),
+    "monte_carlo_runs": lambda geometry: sb.ExperimentConfig(
+        geometry, sb.Scenario(0.0, 10.0), ("mvdr",), monte_carlo_runs=1.5),
+    "ellipsoid_num_samples": lambda geometry: sb.ExperimentConfig(
+        geometry, sb.Scenario(0.0, 10.0), ("rmvb",), ellipsoid_num_samples=2.5),
+    "failure_budget": lambda geometry: sb.ExperimentConfig(
+        geometry, sb.Scenario(0.0, 10.0), ("mvdr",), failure_budget=0.5),
+}
+
+
+@pytest.mark.parametrize("name", NON_INTEGER_COUNTS)
+def test_non_integer_counts_rejected_when_built(geometry, name):
+    # Each once passed construction. ArrayGeometry(2.5) became a 3-element
+    # array, failure_budget=0.5 was used as given, and the others failed
+    # later inside numpy or range() with a TypeError.
+    with pytest.raises(DomainError, match=f"{name} must be an integer"):
+        NON_INTEGER_COUNTS[name](geometry)
+
 
 class TestScenario:
     def test_interferer_at_soi_rejected(self):

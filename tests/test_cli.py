@@ -29,6 +29,15 @@ def test_validate_bundled_configs(capsys):
         assert "config OK" in capsys.readouterr().out
 
 
+def test_run_at_a_grid_step_that_does_not_divide_180(tmp_path, capsys):
+    # At 0.13 deg the penalty grid once ended at 90.05 deg: validate said
+    # "config OK" and run died in steering_matrix with a traceback.
+    path = _write(tmp_path, SMALL.replace("mvdr", "mvdr,wsc") + "experiment.grid_resolution_deg = 0.13\n")
+    assert main(["validate", path]) == 0
+    assert main(["run", path, "--runs", "1", "--out", str(tmp_path / "o")]) == 0
+    assert "wsc: 1 run(s) ok" in capsys.readouterr().out
+
+
 def test_validate_bad_key_exits_1(tmp_path, capsys):
     path = _write(tmp_path, SMALL + "array.elements = 9\n")
     assert main(["validate", path]) == 1

@@ -121,9 +121,10 @@ class TestParseConfig:
             parse_config(_write(tmp_path, MINIMAL + "scenario.interferers = 30;20\n"))
 
     def test_unknown_method_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="experiment.methods"):
-            parse_config(_write(tmp_path, MINIMAL.replace(
-                "experiment.methods = mvdr", "experiment.methods = mvdr,magic")))
+        for methods in ("mvdr,magic", "mvdr,sc,mvdr", "", " , "):
+            with pytest.raises(ConfigError, match="experiment.methods"):
+                parse_config(_write(tmp_path, MINIMAL.replace(
+                    "experiment.methods = mvdr", f"experiment.methods = {methods}")))
 
     def test_config_invariants(self, geometry):
         scen = sb.Scenario(0.0, 10.0, ())
@@ -229,6 +230,24 @@ class TestRunExperiment:
         text = path.read_text(encoding="utf-8")
         assert "-200.000000" in text
         assert text.endswith("\n") and "\r" not in text
+
+    def test_every_solve_goes_through_the_module_namespace(self, tmp_path, monkeypatch):
+        # perfbench/tracing.py and the failure tests swap these names in
+        # sparsebeam.experiment; a swapped name must be the one called.
+        import sparsebeam.experiment as exp
+
+        calls = []
+
+        def counted(name, solve):
+            return lambda *args: calls.append(name) or solve(*args)
+
+        names = ("mvdr", "solve_sc", "solve_wsc", "solve_rmvb", "solve_rwsc")
+        for name in names:
+            monkeypatch.setattr(exp, name, counted(name, getattr(exp, name)))
+        cfg = parse_config(_fast_config(tmp_path, methods="mvdr,sc,wsc,rmvb,rwsc"))
+        report = run_experiment(cfg)
+        assert sorted(calls) == sorted(names)
+        assert report.total_failures == 0
 
     def test_solver_failures_counted_and_excluded(self, tmp_path, monkeypatch):
         import sparsebeam.experiment as exp
