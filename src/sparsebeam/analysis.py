@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arrays import ArrayGeometry, Scenario, _angle_grid, _checked, steering_matrix, steering_vector
-from .errors import DomainError
+from .errors import DomainError, SolverError
 from .solvers import BeamformerWeights
 
 __all__ = [
@@ -108,6 +108,21 @@ def beam_pattern(weights, geometry: ArrayGeometry, resolution_deg: float = 0.1) 
     if peak <= 0:
         raise DomainError("beam pattern is identically zero")
     return BeamPattern(angles, _to_db(raw, peak), raw)
+
+
+def _median_pattern(weights: list[np.ndarray], geometry: ArrayGeometry, resolution_deg: float) -> BeamPattern:
+    """Pointwise median of the raw gains of ``weights``, renormalized to a 0 dB peak.
+
+    Each weight vector's |w^H a(theta)|^2 is its own product, as in
+    :func:`beam_pattern`, so every row has beam_pattern's bits.
+    """
+    steering = _pattern_steering(geometry, resolution_deg)
+    median_raw = np.median([np.abs(w.conj() @ steering) ** 2 for w in weights], axis=0)
+    peak = float(median_raw.max())
+    if peak <= 0:
+        raise SolverError("median pattern collapsed to zero")
+    # A copy of the cached angles keeps the pattern writable.
+    return BeamPattern(_pattern_angles(resolution_deg).copy(), _to_db(median_raw, peak), median_raw / peak)
 
 
 def _window_indices(pattern: BeamPattern, theta_deg: float, window_deg: float) -> np.ndarray:

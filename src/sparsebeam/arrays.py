@@ -42,6 +42,12 @@ def _check_count(name: str, value, minimum: int) -> None:
         raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def _check_direction(name: str, theta_deg: float) -> None:
+    """Raise DomainError unless ``theta_deg`` lies in [-90, 90]."""
+    if not -90.0 <= theta_deg <= 90.0:
+        raise DomainError(f"{name} must lie in [-90, 90], got {theta_deg}")
+
+
 def _angle_grid(step_deg: float) -> np.ndarray:
     """[-90, 90] in round(180 / step_deg) equal steps; both ends are exact."""
     return np.linspace(-90.0, 90.0, int(round(180.0 / step_deg)) + 1)
@@ -76,9 +82,9 @@ class Scenario:
 
     ``soi_snr_db`` and each interferer's INR are powers relative to
     ``noise_power``, so with the default unit noise power the dB values
-    map directly to source variances. ``rng_seed``, a non-negative
-    integer, makes snapshot generation reproducible; Monte-Carlo
-    harnesses derive per-run seeds from it.
+    map directly to source variances. Every DOA lies in [-90, 90] deg.
+    ``rng_seed``, a non-negative integer, makes snapshot generation
+    reproducible; Monte-Carlo harnesses derive per-run seeds from it.
     """
 
     soi_doa_deg: float
@@ -101,6 +107,8 @@ class Scenario:
         if not self.noise_power > 0:
             raise DomainError(f"noise_power must be positive, got {self.noise_power}")
         doas = [d for d, _ in self.interferers]
+        for doa in (self.soi_doa_deg, *doas):
+            _check_direction("scenario DOA", doa)
         if len(set(doas)) != len(doas):
             raise DomainError("interferer DOAs must be distinct")
         if any(abs(d - self.soi_doa_deg) < 1e-12 for d in doas):
@@ -121,8 +129,7 @@ def steering_vector(geometry: ArrayGeometry, theta_deg: float) -> np.ndarray:
     numpy.ndarray
         Complex vector of length M with unit-modulus entries; entry 0 is 1.
     """
-    if not -90.0 <= theta_deg <= 90.0:
-        raise DomainError(f"theta_deg must lie in [-90, 90], got {theta_deg}")
+    _check_direction("theta_deg", theta_deg)
     phi = 2.0 * np.pi * geometry.spacing_wavelengths * np.sin(np.deg2rad(theta_deg))
     return np.exp(1j * phi * np.arange(geometry.num_elements))
 

@@ -9,6 +9,7 @@ table).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 from dataclasses import dataclass, field
@@ -16,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (BeamPattern, _pattern_angles, _pattern_steering, _to_db, beam_pattern, null_depth,
-                       output_sinr, pointing_error, sidelobe_level)
-from .arrays import (ArrayGeometry, Scenario, _check_count, generate_snapshots, interference_grid, steering_matrix,
-                     steering_vector)
+from .analysis import (BeamPattern, _median_pattern, beam_pattern, null_depth, output_sinr, pointing_error,
+                       sidelobe_level)
+from .arrays import (ArrayGeometry, Scenario, _check_count, _check_direction, generate_snapshots, interference_grid,
+                     steering_matrix, steering_vector)
 from .covariance import sample_covariance
 from .errors import ConfigError, DomainError, SolverError
 from .solvers import SolverOptions, build_ellipsoid, mvdr, solve_rmvb, solve_rwsc, solve_sc, solve_wsc
@@ -66,8 +67,10 @@ class ExperimentConfig:
     """Validated experiment description.
 
     ellipsoid_half_width_deg = None selects the default
-    max(|mismatch_deg|, 3 deg). failure_budget bounds how many per-run
-    solver failures the CLI tolerates before reporting an error exit.
+    max(|mismatch_deg|, 3 deg). The steering direction, and for rmvb and
+    rwsc the ellipsoid's span around it, must lie in [-90, 90] deg.
+    failure_budget bounds how many per-run solver failures the CLI
+    tolerates before reporting an error exit.
     """
 
     geometry: ArrayGeometry
@@ -91,6 +94,10 @@ class ExperimentConfig:
             raise DomainError("ellipsoid_half_width_deg must be nonnegative")
         _check_count("ellipsoid_num_samples", self.ellipsoid_num_samples, 2)
         _check_count("failure_budget", self.failure_budget, 0)
+        _check_direction("steering direction", self.steer_deg)
+        if any(m in self.methods for m in ("rmvb", "rwsc")):
+            for edge in (-self.effective_half_width_deg, self.effective_half_width_deg):
+                _check_direction("ellipsoid span", self.steer_deg + edge)
         named: dict[str, float] = {}
         for doa, _ in self.scenario.interferers:
             name = _null_depth_name(doa)
@@ -284,28 +291,17 @@ def _metric_names(scenario: Scenario) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _run_metrics(w, config: ExperimentConfig) -> dict[str, float]:
+def _run_metrics(w, config: ExperimentConfig) -> list[float]:
+    """The metrics of one run's weights, in _metric_names order."""
+    scenario = config.scenario
     pattern = beam_pattern(w, config.geometry, _METRIC_RESOLUTION_DEG)
-    values: dict[str, float] = {}
-    for doa, _ in config.scenario.interferers:
-        values[_null_depth_name(doa)] = null_depth(pattern, doa, _NULL_WINDOW_DEG)
+    values = [null_depth(pattern, doa, _NULL_WINDOW_DEG) for doa, _ in scenario.interferers]
     # Centering on the observed peak keeps the mainlobe search valid for
     # mis-steered patterns whose peak drifts away from the nominal DOA.
-    values["sidelobe_level_db"] = sidelobe_level(pattern, pattern.peak_angle_deg).level_db
-    values["pointing_error_deg"] = pointing_error(pattern, config.scenario.soi_doa_deg)
-    values["output_sinr_db"] = output_sinr(w, config.scenario, config.geometry)
+    values.append(sidelobe_level(pattern, pattern.peak_angle_deg).level_db)
+    values.append(pointing_error(pattern, scenario.soi_doa_deg))
+    values.append(output_sinr(w, scenario, config.geometry))
     return values
-
-
-def _median_pattern(raw_rows: list[np.ndarray], resolution_deg: float) -> BeamPattern:
-    """Pointwise median of raw gains on the pattern metrics' cached grid."""
-    stacked = np.vstack(raw_rows)
-    median_raw = np.median(stacked, axis=0)
-    peak = float(median_raw.max())
-    if peak <= 0:
-        raise SolverError("median pattern collapsed to zero")
-    # A copy of the cached angles keeps the pattern writable.
-    return BeamPattern(_pattern_angles(resolution_deg).copy(), _to_db(median_raw, peak), median_raw / peak)
 
 
 def _summaries(runs: list[list[float]], count: int) -> tuple[list[float], list[float]]:
@@ -324,84 +320,57 @@ def _summaries(runs: list[list[float]], count: int) -> tuple[list[float], list[f
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute every Monte-Carlo run and write the CSV artifacts.
 
-    Run i re-seeds the scenario with rng_seed + i. Solver failures are
-    caught per (run, method), excluded from all aggregates, and counted
-    in the report and the metrics CSV. Outputs are deterministic
-    functions of the config.
+    Run i re-seeds the scenario with rng_seed + i. The solve phase keeps
+    each method's weights; a SolverError drops that (run, method) from
+    all aggregates and counts as a failure in the report and the
+    metrics CSV. The summary phase then computes the metrics and median
+    patterns from the kept weights. Outputs are deterministic functions
+    of the config.
     """
     geometry, scenario = config.geometry, config.scenario
     steer = config.steer_deg
-    penalty_grid = interference_grid(steer, config.grid_resolution_deg)
-    a_grid = steering_matrix(geometry, penalty_grid)
+    a_grid = steering_matrix(geometry, interference_grid(steer, config.grid_resolution_deg))
     a0 = steering_vector(geometry, steer)
     needs_q = any(m in config.methods for m in ("wsc", "rwsc"))
     ellipsoid = None
     if any(m in config.methods for m in ("rmvb", "rwsc")):
-        ellipsoid = build_ellipsoid(
-            geometry, steer, config.effective_half_width_deg, config.ellipsoid_num_samples
-        )
-
-    # The cached grid of beam_pattern, also used by _median_pattern.
-    export_matrix = _pattern_steering(geometry, config.grid_resolution_deg)
+        ellipsoid = build_ellipsoid(geometry, steer, config.effective_half_width_deg, config.ellipsoid_num_samples)
     # Created before the first run, so an unusable path fails at once.
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    metric_names = _metric_names(scenario)
-    per_run: dict[str, list[list[float]]] = {m: [] for m in config.methods}
-    export_raws: dict[str, list[np.ndarray]] = {m: [] for m in config.methods}
-    failures = {m: 0 for m in config.methods}
+    kept: dict[str, list[np.ndarray]] = {m: [] for m in config.methods}
     seeds = tuple(scenario.rng_seed + i for i in range(config.monte_carlo_runs))
-
     for seed in seeds:
-        run_scenario = dataclasses.replace(scenario, rng_seed=seed)
-        snapshots = generate_snapshots(run_scenario, geometry)
+        snapshots = generate_snapshots(dataclasses.replace(scenario, rng_seed=seed), geometry)
         r = sample_covariance(snapshots)
         q = build_q(a_grid, snapshots) if needs_q else None
-        for method in config.methods:
-            try:
-                result = _SOLVES[method](r, a_grid, q, a0, ellipsoid, config.solver_options)
-            except SolverError:
-                failures[method] += 1
-                continue
-            values = _run_metrics(result.w, config)
-            per_run[method].append([values[name] for name in metric_names])
-            raw = np.abs(result.w.conj() @ export_matrix) ** 2
-            export_raws[method].append(raw)
+        for method, weights in kept.items():
+            with contextlib.suppress(SolverError):
+                weights.append(_SOLVES[method](r, a_grid, q, a0, ellipsoid, config.solver_options).w)
 
-    rows = []
-    for method in config.methods:
-        medians, iqrs = _summaries(per_run[method], len(metric_names))
+    metric_names = _metric_names(scenario)
+    failures = {m: len(seeds) - len(weights) for m, weights in kept.items()}
+    rows, patterns = [], {}
+    for method, weights in kept.items():
+        medians, iqrs = _summaries([_run_metrics(w, config) for w in weights], len(metric_names))
         rows += [
             MetricRow(method, name, median, iqr, failures[method])
             for name, median, iqr in zip(metric_names, medians, iqrs)
         ]
-
-    patterns: dict[str, BeamPattern] = {}
+        if weights:
+            patterns[method] = _median_pattern(weights, geometry, config.grid_resolution_deg)
+    report = ExperimentReport(config.methods, patterns, tuple(rows), seeds, failures)
+    # Every configured method yields exactly one artifact, even when all
+    # of its runs failed: an empty (header-only) file.
+    empty = BeamPattern(*[np.empty(0)] * 3)
     for method in config.methods:
-        if export_raws[method]:
-            pattern = _median_pattern(export_raws[method], config.grid_resolution_deg)
-            patterns[method] = pattern
-            emit_pattern_csv(pattern, out_dir / f"pattern_{method}.csv")
-        else:
-            # Every configured method yields exactly one artifact, even
-            # when all of its runs failed: an empty (header-only) file.
-            _write_text(out_dir / f"pattern_{method}.csv", _PATTERN_HEADER)
-    report = ExperimentReport(
-        methods=config.methods,
-        patterns=patterns,
-        metrics=tuple(rows),
-        run_seeds=seeds,
-        failures=failures,
-    )
+        emit_pattern_csv(patterns.get(method, empty), out_dir / f"pattern_{method}.csv")
     emit_metrics_csv(report, out_dir / "metrics.csv")
     return report
 
 
 # --- CSV emission ---------------------------------------------------------
-
-_PATTERN_HEADER = "theta_deg,gain_db,raw_gain\n"
-
 
 def _write_text(path, text: str) -> None:
     try:
@@ -416,7 +385,7 @@ def emit_pattern_csv(pattern: BeamPattern, path) -> None:
     columns = [np.asarray(column).tolist() for column in pattern]
     _write_text(
         path,
-        _PATTERN_HEADER + "".join(f"{t:.6f},{db:.6f},{raw:.6f}\n" for t, db, raw in zip(*columns)),
+        "theta_deg,gain_db,raw_gain\n" + "".join(f"{t:.6f},{db:.6f},{raw:.6f}\n" for t, db, raw in zip(*columns)),
     )
 
 

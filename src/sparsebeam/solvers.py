@@ -31,9 +31,12 @@ cases of this one problem, solved by one code path:
 Every solver takes a covariance R and nothing else: anything but a
 finite Hermitian matrix, raw snapshots included, raises DomainError
 (:func:`sparsebeam.covariance.ensure_covariance`). R is symmetrized and
-diagonally loaded before factorization. A, q, a0 or an ellipsoid that
-does not match R's size, or holds NaN or inf, raises DomainError before
-any factorization, as do negative q entries and a zero a0.
+diagonally loaded before factorization. Each inner solve first scales
+its matrix by a power of four, so a covariance of any scale whose trace
+is finite solves, with the weights of the unit-scale solve bit for bit.
+A, q, a0 or an ellipsoid that does not match R's size, or holds NaN or
+inf, raises DomainError before any factorization, as do negative q
+entries and a zero a0.
 """
 
 from __future__ import annotations
@@ -182,13 +185,32 @@ def _check_factorization(info: int) -> None:
         raise SolverError(f"covariance factorization failed: zpotrf info={info} ({reason})")
 
 
+def _unit_scaled(r: np.ndarray) -> np.ndarray:
+    """``r`` times the power of four that puts its mean diagonal in [1/4, 1).
+
+    Both inner solves are invariant to R's scale, and a power of four
+    commutes exactly with the Cholesky factor (its square root is a
+    power of two), the triangular solves, the SVD and the cone
+    multiplier. So the weights keep their bits, while R's overall size
+    can no longer overflow or underflow a solve. The factor is applied
+    as two halves, each finite even where 4^k is not.
+    """
+    # A Python sum over the diagonal costs a third of numpy's trace here.
+    mean = sum(r.real.diagonal().tolist()) / r.shape[0]
+    half = math.ldexp(1.0, -((math.frexp(mean)[1] + 1) // 2))
+    scaled = r * half
+    scaled *= half
+    return scaled
+
+
 def _mvdr_direction(r: np.ndarray, a0: np.ndarray, a0_h: np.ndarray) -> np.ndarray:
     """R^-1 a0 / (a0_h R^-1 a0), where a0_h is a0.conj().
 
     One LAPACK zposv call, which is zpotrf followed by zpotrs; a failed
-    factorization reports zpotrf's info.
+    factorization reports zpotrf's info. R is scaled by _unit_scaled
+    first.
     """
-    _, x, info = zposv(r, a0, lower=1)
+    _, x, info = zposv(_unit_scaled(r), a0, lower=1)
     _check_factorization(info)
     denom = a0_h @ x
     if abs(denom) < 1e-300:
@@ -377,7 +399,7 @@ def _cone_solve(r, center, shape):
     # solve_triangular wrap, called directly. R is finite (checked once
     # per solve by ensure_covariance), and the factor's diagonal is
     # positive, so ztrtrs cannot fail.
-    chol, info = zpotrf(r, lower=1, clean=0)
+    chol, info = zpotrf(_unit_scaled(r), lower=1, clean=0)
     _check_factorization(info)
     white_c, _ = ztrtrs(chol, center, lower=1)
     white_e, _ = ztrtrs(chol, shape, lower=1)
@@ -430,8 +452,8 @@ def _solve(method, covariance, a, q, constraint, opts) -> BeamformerWeights:
         inner = lambda r_eff: _mvdr_direction(r_eff, a0, a0_h)
         residual = lambda w: float(abs(w.conj() @ a0 - 1.0))
     w, iterations, objective, converged, history = _run_irls(r, aq, opts, inner)
-    # Finite input can still overflow, for example a covariance so small
-    # that its inverse is infinite, so the weights are checked once more.
+    # The inner solves scale away R's size, but no solver may return NaN
+    # or inf weights, so they are checked once more.
     if not np.isfinite(w).all():
         raise SolverError(f"{method} produced non-finite weights")
     diagnostics = Diagnostics(iterations, objective, residual(w), converged, history)

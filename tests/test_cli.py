@@ -142,3 +142,23 @@ def test_unusable_output_dir_fails_before_any_solve(tmp_path, monkeypatch, capsy
     assert captured.err.count("\n") == 1 and str(out) in captured.err
     assert "Traceback" not in captured.err
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"scenario.soi_doa_deg": "100"},
+        {"scenario.interferers": "120:20"},
+        {"scenario.soi_doa_deg": "89", "experiment.mismatch_deg": "3"},
+        {"scenario.soi_doa_deg": "85", "experiment.mismatch_deg": "3", "experiment.methods": "mvdr,rmvb,rwsc"},
+    ],
+    ids=["soi", "interferer", "steer", "ellipsoid"],
+)
+def test_direction_outside_the_half_plane_is_a_config_error(tmp_path, capsys, settings):
+    # Each once passed validate as "config OK", and run then died with a
+    # DomainError traceback from steering_vector or steering_matrix.
+    lines = [line for line in SMALL.splitlines() if line.partition(" =")[0] not in settings]
+    path = _write(tmp_path, "\n".join(lines + [f"{key} = {value}" for key, value in settings.items()]))
+    assert main(["validate", path]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "[-90, 90]" in err and "Traceback" not in err

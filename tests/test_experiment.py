@@ -16,6 +16,8 @@ from sparsebeam.experiment import ExperimentConfig, _metric_names, _summaries, p
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CLI_DIGESTS = Path(__file__).resolve().parent / "data" / "cli_digests.json"
+# The benchmark's wide study (32 elements, 12 runs), read where it lives.
+WIDE_CONFIG = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "wide.cfg"
 
 MINIMAL = """
 array.num_elements = 4
@@ -202,17 +204,26 @@ class TestRunExperiment:
         cfg = parse_config(_fast_config(tmp_path, methods="mvdr",
                                         extra="experiment.monte_carlo_runs = 4\n"))
         report = run_experiment(cfg)
-        values = []
+        values, raws = [], []
         for seed in report.run_seeds:
             scen = dataclasses.replace(cfg.scenario, rng_seed=seed)
             x = sb.generate_snapshots(scen, cfg.geometry)
             w = sb.mvdr(sb.sample_covariance(x), sb.steering_vector(cfg.geometry, 0.0)).w
             values.append(sb.output_sinr(w, scen, cfg.geometry))
+            raws.append(sb.beam_pattern(w, cfg.geometry, cfg.grid_resolution_deg).raw_gain)
         row = next(r for r in report.metrics
                    if r.method == "mvdr" and r.metric == "output_sinr_db")
         assert row.median == pytest.approx(float(np.median(values)), abs=1e-12)
         assert row.iqr == pytest.approx(
             float(np.percentile(values, 75) - np.percentile(values, 25)), abs=1e-12)
+        # The median pattern is of each run's own |w^H a|^2, bit for bit.
+        median_raw = np.median(raws, axis=0)
+        peak = median_raw.max()
+        pattern = report.patterns["mvdr"]
+        assert pattern.raw_gain.tobytes() == (median_raw / peak).tobytes()
+        with np.errstate(divide="ignore"):
+            gain_db = np.maximum(10.0 * np.log10(median_raw / peak), sb.DB_FLOOR)
+        assert pattern.gain_db.tobytes() == gain_db.tobytes()
 
     def test_mismatch_moves_steer_and_grid(self, tmp_path):
         cfg = parse_config(_fast_config(tmp_path, methods="mvdr",
@@ -287,17 +298,19 @@ class TestRunExperiment:
         assert np.isnan(row.median)
 
 
-@pytest.mark.parametrize("name", ["fig1", "fig2"])
+@pytest.mark.parametrize("name", ["fig1", "fig2", "wide"])
 def test_bundled_configs_write_recorded_csv_bytes(tmp_path, name):
-    """fig1's and fig2's CSV bytes (20 runs each) equal the recorded SHA-256s.
+    """fig1's and fig2's CSV bytes (20 runs each) and wide's equal the recorded SHA-256s.
 
-    These bytes are the CLI's contract. The digests were recorded with
+    These bytes are the CLI's contract; wide's are the first to move
+    when a data-size layer changes. The digests were recorded with
     single-threaded OpenBLAS on x86-64. Like the benchmark's
     csv_identical, the check assumes the same BLAS kernels: another
     BLAS, CPU kernel or thread count may round the last bits of a
     product differently.
     """
-    config = dataclasses.replace(parse_config(CONFIG_DIR / f"{name}.cfg"), output_dir=str(tmp_path))
+    path = WIDE_CONFIG if name == "wide" else CONFIG_DIR / f"{name}.cfg"
+    config = dataclasses.replace(parse_config(path), output_dir=str(tmp_path))
     run_experiment(config)
     written = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(tmp_path.iterdir())

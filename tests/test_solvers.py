@@ -263,27 +263,28 @@ def test_mis_sized_or_zero_input_rejected_before_lapack(sample_r, a_grid, a0, ca
 
 
 @pytest.mark.parametrize("method", ["mvdr", "sc", "wsc"])
-def test_overflowing_solve_raises_instead_of_returning_nan(geometry, a_grid, a0, method):
-    # A finite but subnormal covariance: R^-1 a0 overflows to inf, and
-    # mvdr once returned the resulting NaN weights marked converged.
+def test_overflowing_solve_raises_instead_of_returning_nan(geometry, a_grid, a0, method, monkeypatch):
+    # An inner solve that overflows to inf: mvdr once returned the
+    # resulting NaN weights marked converged. No finite covariance
+    # overflows any more, so the overflow is injected.
+    monkeypatch.setattr(solvers, "_mvdr_direction", lambda *args: np.full(8, np.inf + 0j))
     with np.errstate(all="ignore"), pytest.raises(SolverError, match="non-finite weights"):
-        _every_solver(geometry, a_grid, a0)[method](1e-310 * np.eye(8))
+        _every_solver(geometry, a_grid, a0)[method](np.eye(8))
 
 
 @pytest.mark.parametrize("method", ["sc", "wsc"])
 def test_irls_stops_at_the_first_non_finite_step(geometry, a_grid, a0, method, monkeypatch):
-    # The unpenalized start is already NaN on this covariance; the loop
-    # once ran all 100 reweighted solves on NaN before the check raised.
+    # The unpenalized start is already NaN; the loop once ran all 100
+    # reweighted solves on NaN before the check raised.
     calls = []
-    mvdr_direction = solvers._mvdr_direction
 
-    def counted(*args):
+    def nan_direction(*args):
         calls.append(1)
-        return mvdr_direction(*args)
+        return np.full(8, np.nan + 0j)
 
-    monkeypatch.setattr(solvers, "_mvdr_direction", counted)
+    monkeypatch.setattr(solvers, "_mvdr_direction", nan_direction)
     with np.errstate(all="ignore"), pytest.raises(SolverError, match="non-finite weights"):
-        _every_solver(geometry, a_grid, a0)[method](1e-310 * np.eye(8))
+        _every_solver(geometry, a_grid, a0)[method](np.eye(8))
     assert 1 <= len(calls) <= 2
 
 
@@ -326,16 +327,24 @@ def test_irls_matches_the_reference_loop_bit_for_bit(
 
 
 @pytest.mark.parametrize("method", ["mvdr", "sc", "wsc", "rmvb", "rwsc"])
-@pytest.mark.parametrize("scale", [1e-310, 1e-300, 1e300])
+@pytest.mark.parametrize("scale", [1e-310, 1e-300, 1e-200, 1e300])
 def test_extreme_covariance_scale_gives_finite_weights_or_solver_error(
     geometry, a_grid, a0, method, scale
 ):
-    with np.errstate(all="ignore"):
-        try:
-            result = _every_solver(geometry, a_grid, a0)[method](scale * np.eye(8))
-        except SolverError:
-            return
+    # Each inner solve is scaled to unit size, so every scale solves
+    # and the SolverError this test once allowed no longer occurs.
+    result = _every_solver(geometry, a_grid, a0)[method](scale * np.eye(8))
     assert np.isfinite(result.w).all()
+
+
+@pytest.mark.parametrize("method", ["mvdr", "rmvb"])
+@pytest.mark.parametrize("power", [-500, -340, -1, 1, 300, 480])
+def test_power_of_four_scale_keeps_the_weight_bits(geometry, a_grid, sample_r, a0, method, power):
+    # Both solves are invariant to R's scale, and a power of four
+    # commutes exactly with every step. rmvb's whitened problem once
+    # overflowed at 4^-340 and returned the cone apex at 4^300.
+    solve = _every_solver(geometry, a_grid, a0)[method]
+    assert solve(4.0**power * sample_r).w.tobytes() == solve(sample_r).w.tobytes()
 
 
 @pytest.mark.parametrize("method", ["mvdr", "wsc", "rmvb", "rwsc"])
