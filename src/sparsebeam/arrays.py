@@ -62,7 +62,8 @@ class ArrayGeometry:
     num_elements : int
         Number of antennas M, at least 2.
     spacing_wavelengths : float
-        Adjacent-element spacing as a fraction of wavelength (d/lambda).
+        Adjacent-element spacing as a fraction of wavelength (d/lambda);
+        finite and positive.
     """
 
     num_elements: int
@@ -70,9 +71,9 @@ class ArrayGeometry:
 
     def __post_init__(self):
         _check_count("num_elements", self.num_elements, 2)
-        if not self.spacing_wavelengths > 0:
+        if not 0 < self.spacing_wavelengths < math.inf:
             raise DomainError(
-                f"spacing_wavelengths must be positive, got {self.spacing_wavelengths}"
+                f"spacing_wavelengths must be finite and positive, got {self.spacing_wavelengths}"
             )
 
 
@@ -137,11 +138,12 @@ def steering_vector(geometry: ArrayGeometry, theta_deg: float) -> np.ndarray:
 def steering_matrix(geometry: ArrayGeometry, angles_deg) -> np.ndarray:
     """Return the M x N matrix whose column n is a(angles_deg[n]).
 
-    The grid must be non-empty, inside [-90, 90], and strictly increasing.
+    The grid must be non-empty, finite, inside [-90, 90], and strictly
+    increasing.
     """
-    angles = np.asarray(angles_deg, dtype=float)
-    if angles.ndim != 1 or angles.size == 0:
-        raise DomainError("angle grid must be a non-empty 1-D sequence")
+    angles = _checked("angle grid", angles_deg, (None,), float)
+    if angles.size == 0:
+        raise DomainError("angle grid must be non-empty")
     if np.any(angles < -90.0) or np.any(angles > 90.0):
         raise DomainError("angle grid must lie within [-90, 90]")
     if angles.size > 1 and np.any(np.diff(angles) <= 0):
@@ -156,8 +158,10 @@ def interference_grid(steer_deg: float, step_deg: float = 1.0) -> np.ndarray:
     Covers [-90, 90] at ``step_deg`` spacing and omits any grid point that
     coincides with the steering direction, so the distortionless direction
     never participates in the penalty. With the defaults and an on-grid
-    steering angle this yields 180 directions.
+    steering angle this yields 180 directions. ``steer_deg`` must lie in
+    [-90, 90].
     """
+    _check_direction("steer_deg", steer_deg)
     if not step_deg > 0:
         raise DomainError(f"step_deg must be positive, got {step_deg}")
     angles = _angle_grid(step_deg)

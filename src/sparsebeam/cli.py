@@ -1,18 +1,19 @@
 """Command-line entry point.
 
 Two subcommands: ``run`` executes a config end to end and writes CSVs;
-``validate`` only parses. Exit codes: 0 success, 1 configuration error
-or an output directory that cannot be created or written, 2 solver
-failures exceeding the configured failure budget.
+``validate`` only parses. ``run``'s flags are the config keys they
+override, parsed and validated as those keys. Exit codes: 0 success, 1
+configuration error (a bad flag value included) or an output directory
+that cannot be created or written, 2 solver failures exceeding the
+configured failure budget; argparse's own usage errors exit 2 too.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
-from .experiment import parse_config, run_experiment
+from .experiment import _build_config, _read_pairs, run_experiment
 
 __all__ = ["main"]
 
@@ -25,9 +26,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run an experiment and write CSV outputs")
     run.add_argument("config", help="path to a key=value config file")
-    run.add_argument("--out", help="override experiment.output_dir")
-    run.add_argument("--runs", type=int, help="override experiment.monte_carlo_runs")
-    run.add_argument("--seed", type=int, help="override scenario.rng_seed")
+    # Each flag's dest is the config key it overrides.
+    for flag, key in (("--out", "experiment.output_dir"), ("--runs", "experiment.monte_carlo_runs"),
+                      ("--seed", "scenario.rng_seed")):
+        run.add_argument(flag, dest=key, help=f"override {key}")
     validate = sub.add_parser("validate", help="parse and validate a config file")
     validate.add_argument("config", help="path to a key=value config file")
     return parser
@@ -36,22 +38,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = parse_config(args.config)
-        if args.command == "run":
-            overrides = {}
-            if args.out is not None:
-                overrides["output_dir"] = args.out
-            if args.runs is not None:
-                overrides["monte_carlo_runs"] = args.runs
-            if args.seed is not None:
-                overrides["scenario"] = dataclasses.replace(
-                    config.scenario, rng_seed=args.seed
-                )
-            if overrides:
-                config = dataclasses.replace(config, **overrides)
-    except (TypeError, ValueError) as exc:
-        # ConfigError and DomainError are ValueErrors; dataclasses.replace
-        # re-runs the invariant checks on the overrides.
+        pairs = _read_pairs(args.config)
+        # A flag's value joins the file's pairs as a string, so it is
+        # parsed and validated exactly as that key would be.
+        pairs.update((key, value) for key, value in vars(args).items() if "." in key and value is not None)
+        config = _build_config(pairs)
+    except ValueError as exc:
+        # ConfigError is a ValueError, as is the error of a file that is not UTF-8.
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

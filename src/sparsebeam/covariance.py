@@ -21,10 +21,10 @@ def sample_covariance(snapshots) -> np.ndarray:
     Parameters
     ----------
     snapshots : array_like
-        M x K complex snapshot matrix with K >= 1.
+        Finite M x K complex snapshot matrix with K >= 1.
     """
-    x = np.asarray(snapshots, dtype=complex)
-    if x.ndim != 2 or x.shape[1] < 1:
+    x = _checked("snapshots", snapshots, (None, None))
+    if x.shape[1] < 1:
         raise DomainError("snapshots must be an M x K matrix with K >= 1")
     r = x @ x.conj().T / x.shape[1]
     return 0.5 * (r + r.conj().T)

@@ -70,7 +70,8 @@ class ExperimentConfig:
     max(|mismatch_deg|, 3 deg). The steering direction, and for rmvb and
     rwsc the ellipsoid's span around it, must lie in [-90, 90] deg.
     failure_budget bounds how many per-run solver failures the CLI
-    tolerates before reporting an error exit.
+    tolerates before reporting an error exit. output_dir must not be
+    empty.
     """
 
     geometry: ArrayGeometry
@@ -94,6 +95,8 @@ class ExperimentConfig:
             raise DomainError("ellipsoid_half_width_deg must be nonnegative")
         _check_count("ellipsoid_num_samples", self.ellipsoid_num_samples, 2)
         _check_count("failure_budget", self.failure_budget, 0)
+        if not self.output_dir:
+            raise DomainError("output_dir must not be empty")
         _check_direction("steering direction", self.steer_deg)
         if any(m in self.methods for m in ("rmvb", "rwsc")):
             for edge in (-self.effective_half_width_deg, self.effective_half_width_deg):
@@ -190,33 +193,30 @@ def _parse_methods(raw: str, key: str) -> tuple[str, ...]:
     return names
 
 
-# Every config key and the parser of its value. A key names the field it
-# sets, <section>.<field>, and ellipsoid.<x> sets ExperimentConfig's
-# ellipsoid_<x>. Defaults, and which keys are required, are the fields'.
+# The parser of each field annotation a config key sets. Every field of
+# ArrayGeometry, Scenario, SolverOptions and ExperimentConfig with one of
+# these annotations has the key <section>.<field>, and ellipsoid.<x>
+# sets ExperimentConfig's ellipsoid_<x>. Defaults, and which keys are
+# required, are the fields'.
 _PARSERS = {
-    "array.num_elements": _parse_int,
-    "array.spacing_wavelengths": _parse_float,
-    "scenario.soi_doa_deg": _parse_float,
-    "scenario.soi_snr_db": _parse_float,
-    "scenario.interferers": _parse_interferers,
-    "scenario.num_snapshots": _parse_int,
-    "scenario.noise_power": _parse_float,
-    "scenario.rng_seed": _parse_int,
-    "solver.gamma": _parse_float,
-    "solver.p": _parse_float,
-    "solver.max_iterations": _parse_int,
-    "solver.objective_tolerance": _parse_float,
-    "solver.irls_epsilon": _parse_float,
-    "solver.diagonal_loading": _parse_float,
-    "experiment.methods": _parse_methods,
-    "experiment.mismatch_deg": _parse_float,
-    "experiment.monte_carlo_runs": _parse_int,
-    "experiment.grid_resolution_deg": _parse_float,
-    "experiment.output_dir": lambda raw, _key: raw,
-    "experiment.failure_budget": _parse_int,
-    "ellipsoid.half_width_deg": _parse_float,
-    "ellipsoid.num_samples": _parse_int,
+    "int": _parse_int,
+    "float": _parse_float,
+    "float | None": _parse_float,
+    "str": lambda raw, _key: raw,
+    "tuple[str, ...]": _parse_methods,
+    "tuple[tuple[float, float], ...]": _parse_interferers,
 }
+_SECTIONS = {"array": ArrayGeometry, "scenario": Scenario, "solver": SolverOptions, "experiment": ExperimentConfig}
+
+
+def _keyed_fields(section: str):
+    """(key, field) for each field of ``section``'s class that a key sets."""
+    for f in dataclasses.fields(_SECTIONS[section]):
+        if f.type in _PARSERS:
+            yield f"{section}.{f.name}".replace("experiment.ellipsoid_", "ellipsoid."), f
+
+
+_KEYS = frozenset(key for section in _SECTIONS for key, _ in _keyed_fields(section))
 
 
 def _read_pairs(path) -> dict[str, str]:
@@ -233,7 +233,7 @@ def _read_pairs(path) -> dict[str, str]:
             raise ConfigError(f"malformed syntax at line {lineno}: expected 'key = value'")
         key, _, value = body.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _PARSERS:
+        if key not in _KEYS:
             raise ConfigError("unknown key", key=key)
         if key in pairs:
             raise ConfigError("duplicate key", key=key)
@@ -241,23 +241,33 @@ def _read_pairs(path) -> dict[str, str]:
     return pairs
 
 
-def _from_section(cls, section: str, pairs: dict[str, str], **built):
-    """``cls`` built from the keys of ``section`` plus the fields in ``built``.
+def _from_section(section: str, pairs: dict[str, str], **built):
+    """``section``'s class built from its keys in ``pairs`` plus the fields in ``built``.
 
     A field whose key is absent keeps its default; a field with a key
     and no default is required.
     """
     kwargs = dict(built)
-    for f in dataclasses.fields(cls):
-        key = f"{section}.{f.name}".replace("experiment.ellipsoid_", "ellipsoid.")
+    for key, f in _keyed_fields(section):
         if key in pairs:
-            kwargs[f.name] = _PARSERS[key](pairs[key], key)
-        elif key in _PARSERS and f.default is dataclasses.MISSING:
+            kwargs[f.name] = _PARSERS[f.type](pairs[key], key)
+        elif f.default is dataclasses.MISSING:
             raise ConfigError("missing key", key=key)
     try:
-        return cls(**kwargs)
+        return _SECTIONS[section](**kwargs)
     except DomainError as exc:
         raise ConfigError(f"invariant violation: {exc}", key=section) from exc
+
+
+def _build_config(pairs: dict[str, str]) -> ExperimentConfig:
+    """The config that the key=value ``pairs`` describe, each value parsed and validated."""
+    return _from_section(
+        "experiment",
+        pairs,
+        geometry=_from_section("array", pairs),
+        scenario=_from_section("scenario", pairs),
+        solver_options=_from_section("solver", pairs),
+    )
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -268,15 +278,7 @@ def parse_config(path) -> ExperimentConfig:
     violations (e.g. an interferer at the SOI DOA) surface as
     ConfigError carrying the responsible section.
     """
-    pairs = _read_pairs(path)
-    return _from_section(
-        ExperimentConfig,
-        "experiment",
-        pairs,
-        geometry=_from_section(ArrayGeometry, "array", pairs),
-        scenario=_from_section(Scenario, "scenario", pairs),
-        solver_options=_from_section(SolverOptions, "solver", pairs),
-    )
+    return _build_config(_read_pairs(path))
 
 
 # --- orchestration --------------------------------------------------------

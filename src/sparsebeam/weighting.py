@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .arrays import _checked
 from .errors import DomainError
 
 __all__ = ["snm", "build_q"]
@@ -39,8 +40,8 @@ def snm(rows) -> np.ndarray:
     unit-modulus phase on the data leaves the output unchanged, as does
     any positive rescaling.
     """
-    c = np.asarray(rows, dtype=complex)
-    if c.ndim != 2 or c.shape[1] < 1:
+    c = _checked("input", rows, (None, None))
+    if c.shape[1] < 1:
         raise DomainError("input must be an N x K matrix with K >= 1")
     return _squared_normalized(c.mean(axis=1))
 
@@ -62,13 +63,8 @@ def build_q(steering_mat, snapshots) -> np.ndarray:
     entry is the same gemm dot product and the same pairwise mean over
     K as in the single product, so q is bit-identical to snm(A^H X).
     """
-    a = np.asarray(steering_mat, dtype=complex)
-    x = np.asarray(snapshots, dtype=complex)
-    if a.ndim != 2 or x.ndim != 2 or a.shape[0] != x.shape[0]:
-        raise DomainError(
-            f"steering matrix and snapshots disagree on element count: "
-            f"{a.shape} vs {x.shape}"
-        )
+    a = _checked("steering matrix", steering_mat, (None, None))
+    x = _checked("snapshots", snapshots, (a.shape[0], None))
     if x.shape[1] < 1:
         raise DomainError("snapshots must have K >= 1 columns")
     n = a.shape[1]

@@ -109,6 +109,33 @@ def test_non_integer_counts_rejected_when_built(geometry, name):
         NON_INTEGER_COUNTS[name](geometry)
 
 
+def _nan_snapshots(geometry):
+    x = sb.generate_snapshots(sb.Scenario(0.0, 10.0, num_snapshots=20), geometry)
+    x[0, 0] = np.nan
+    return x
+
+
+# Each case once got past its function: NaN columns, a LinAlgError from
+# numpy's SVD, NaN statistics, a warning inside steering_vector, or an
+# empty grid.
+NON_FINITE_INPUTS = {
+    "steering_matrix": lambda g: sb.steering_matrix(g, [np.nan]),
+    "build_ellipsoid-center": lambda g: sb.build_ellipsoid(g, np.nan, 3.0),
+    "build_ellipsoid-half-width": lambda g: sb.build_ellipsoid(g, 0.0, np.nan),
+    "sample_covariance": lambda g: sb.sample_covariance(_nan_snapshots(g)),
+    "snm": lambda g: sb.snm(_nan_snapshots(g)),
+    "build_q": lambda g: sb.build_q(sb.steering_matrix(g, sb.interference_grid(0.0)), _nan_snapshots(g)),
+    "ArrayGeometry-spacing": lambda g: sb.ArrayGeometry(8, np.inf),
+    "interference_grid": lambda g: sb.interference_grid(np.nan),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_INPUTS)
+def test_non_finite_input_rejected_at_the_boundary(geometry, case):
+    with pytest.raises(DomainError):
+        NON_FINITE_INPUTS[case](geometry)
+
+
 class TestScenario:
     def test_interferer_at_soi_rejected(self):
         with pytest.raises(DomainError):

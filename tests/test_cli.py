@@ -122,6 +122,35 @@ def test_bad_seed_rejected_at_every_boundary(tmp_path, capsys):
     assert err.count("config error") == 2 and "rng_seed" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, key",
+    [
+        ("--seed", "1.5", "scenario.rng_seed"),
+        ("--runs", "abc", "experiment.monte_carlo_runs"),
+        ("--runs", "2.5", "experiment.monte_carlo_runs"),
+    ],
+)
+def test_bad_flag_value_is_a_config_error(tmp_path, capsys, flag, value, key):
+    # argparse once parsed these flags itself and exited 2, the code of
+    # solver failures over budget.
+    out = tmp_path / "o"
+    assert main(["run", _write(tmp_path, SMALL), "--out", str(out), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_empty_output_dir_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # An empty output_dir once passed validate ("output -> ") and run
+    # wrote its CSVs into the working directory.
+    monkeypatch.chdir(tmp_path)
+    assert main(["validate", _write(tmp_path, SMALL + "experiment.output_dir =\n", "empty.cfg")]) == 1
+    assert main(["run", _write(tmp_path, SMALL), "--out", ""]) == 1
+    err = capsys.readouterr().err
+    assert err.count("config error") == 2 and err.count("output_dir") == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cli.cfg", "empty.cfg"]
+
+
 def test_unusable_output_dir_fails_before_any_solve(tmp_path, monkeypatch, capsys):
     # The output directory was once made after every run: all 20 fig1
     # runs were solved, then the CLI died with a NotADirectoryError.

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparsebeam as sb
-from sparsebeam import ConfigError
+from sparsebeam import ConfigError, experiment
 from sparsebeam.experiment import ExperimentConfig, _metric_names, _summaries, parse_config, run_experiment
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -127,6 +128,22 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match="experiment.methods"):
                 parse_config(_write(tmp_path, MINIMAL.replace(
                     "experiment.methods = mvdr", f"experiment.methods = {methods}")))
+
+    def test_mistyped_required_key_reported_as_unknown(self, tmp_path):
+        # Unknown keys are checked before any value is parsed, so the typo
+        # is named instead of the experiment.methods it hides.
+        with pytest.raises(ConfigError, match="experiment.method: unknown key"):
+            parse_config(_write(tmp_path, MINIMAL.replace("experiment.methods", "experiment.method")))
+
+    def test_keys_are_the_dataclass_fields_in_the_readme_table(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        table = set(re.findall(r"^\| `([a-z_]+\.[a-z_]+)` \|", readme, flags=re.M))
+        assert len(table) == 22 and experiment._KEYS == table
+        # A field whose annotation has no parser would silently lose its key.
+        nested = {"geometry", "scenario", "solver_options"}
+        for cls in experiment._SECTIONS.values():
+            for f in dataclasses.fields(cls):
+                assert f.name in nested or f.type in experiment._PARSERS, (cls.__name__, f.name, f.type)
 
     def test_config_invariants(self, geometry):
         scen = sb.Scenario(0.0, 10.0, ())
