@@ -14,7 +14,6 @@ import numpy as np
 
 from .arrays import ArrayGeometry, Scenario, _angle_grid, _checked, steering_matrix, steering_vector
 from .errors import DomainError, SolverError
-from .solvers import BeamformerWeights
 
 __all__ = [
     "DB_FLOOR",
@@ -82,9 +81,7 @@ def _weight_vector(weights, geometry: ArrayGeometry) -> np.ndarray:
 
     It must be 1-D, of the array's length and finite.
     """
-    if isinstance(weights, BeamformerWeights):
-        weights = weights.w
-    return _checked("weight vector", weights, (geometry.num_elements,))
+    return _checked("weight vector", getattr(weights, "w", weights), (geometry.num_elements,))
 
 
 def beam_pattern(weights, geometry: ArrayGeometry, resolution_deg: float = 0.1) -> BeamPattern:
@@ -207,14 +204,12 @@ def output_sinr(weights, scenario: Scenario, geometry: ArrayGeometry) -> float:
     vector is allowed and reads -200 dB.
     """
     w = _weight_vector(weights, geometry)
-    noise = scenario.noise_power
-    soi_power = noise * 10.0 ** (scenario.soi_snr_db / 10.0)
     w_h = w.conj()
-    signal = soi_power * abs(w_h @ _source_steering(geometry, scenario.soi_doa_deg)) ** 2
-    denom = noise * float(np.linalg.norm(w) ** 2)
-    for doa, inr_db in scenario.interferers:
-        ai = _source_steering(geometry, doa)
-        denom += noise * 10.0 ** (inr_db / 10.0) * abs(w_h @ ai) ** 2
+    (soi_doa, soi_power), *interferers = scenario.sources
+    signal = soi_power * abs(w_h @ _source_steering(geometry, soi_doa)) ** 2
+    denom = scenario.noise_power * float(np.linalg.norm(w) ** 2)
+    for doa, power in interferers:
+        denom += power * abs(w_h @ _source_steering(geometry, doa)) ** 2
     if signal <= 0:
         return DB_FLOOR
     return max(10.0 * float(np.log10(signal / denom)), DB_FLOOR)

@@ -115,6 +115,15 @@ class Scenario:
         if any(abs(d - self.soi_doa_deg) < 1e-12 for d in doas):
             raise DomainError("interferer DOA coincides with the SOI DOA")
 
+    @property
+    def sources(self) -> tuple[tuple[float, float], ...]:
+        """(DOA, power) of the SOI, then of each interferer in listed order.
+
+        A source's power is noise_power * 10^(dB/10) of its SNR or INR.
+        """
+        levels = ((self.soi_doa_deg, self.soi_snr_db), *self.interferers)
+        return tuple((doa, self.noise_power * 10.0 ** (db / 10.0)) for doa, db in levels)
+
 
 def steering_vector(geometry: ArrayGeometry, theta_deg: float) -> np.ndarray:
     """Return the complex array response a(theta) for one direction.
@@ -186,23 +195,19 @@ def generate_snapshots(
     with a constant amplitude for every snapshot.
     """
     rng = np.random.default_rng(scenario.rng_seed)
-    m = geometry.num_elements
-    k = scenario.num_snapshots
+    m, k = geometry.num_elements, scenario.num_snapshots
 
-    def draw(power: float) -> np.ndarray:
-        scale = np.sqrt(power / 2.0)
-        return scale * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+    def draw(power: float, size) -> np.ndarray:
+        return np.sqrt(power / 2.0) * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
 
     # Draw order is fixed (SOI, interferers in listed order, noise) so a
     # given seed always produces the same matrix.
-    soi_power = scenario.noise_power * 10.0 ** (scenario.soi_snr_db / 10.0)
-    s = draw(soi_power)
+    (soi_doa, soi_power), *interferers = scenario.sources
+    s = draw(soi_power, k)
     if fixed_soi_amplitude is not None:
         s = np.full(k, fixed_soi_amplitude, dtype=complex)
-    x = np.outer(steering_vector(geometry, scenario.soi_doa_deg), s)
-    for doa, inr_db in scenario.interferers:
-        power = scenario.noise_power * 10.0 ** (inr_db / 10.0)
-        x += np.outer(steering_vector(geometry, doa), draw(power))
-    noise_scale = np.sqrt(scenario.noise_power / 2.0)
-    x += noise_scale * (rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k)))
+    x = np.outer(steering_vector(geometry, soi_doa), s)
+    for doa, power in interferers:
+        x += np.outer(steering_vector(geometry, doa), draw(power, k))
+    x += draw(scenario.noise_power, (m, k))
     return x

@@ -13,7 +13,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiment import _build_config, _read_pairs, run_experiment
+from .errors import ConfigError
+from .experiment import _from_section, _read_pairs, run_experiment
 
 __all__ = ["main"]
 
@@ -42,9 +43,8 @@ def main(argv=None) -> int:
         # A flag's value joins the file's pairs as a string, so it is
         # parsed and validated exactly as that key would be.
         pairs.update((key, value) for key, value in vars(args).items() if "." in key and value is not None)
-        config = _build_config(pairs)
-    except ValueError as exc:
-        # ConfigError is a ValueError, as is the error of a file that is not UTF-8.
+        config = _from_section("experiment", pairs)
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

@@ -38,10 +38,7 @@ def analytic_covariance(scenario: Scenario, geometry: ArrayGeometry) -> np.ndarr
     """
     m = geometry.num_elements
     r = scenario.noise_power * np.eye(m, dtype=complex)
-    sources = [(scenario.soi_doa_deg, scenario.soi_snr_db)]
-    sources.extend(scenario.interferers)
-    for doa, level_db in sources:
-        power = scenario.noise_power * 10.0 ** (level_db / 10.0)
+    for doa, power in scenario.sources:
         a = steering_vector(geometry, doa)
         r += power * np.outer(a, a.conj())
     return 0.5 * (r + r.conj().T)

@@ -207,6 +207,8 @@ _PARSERS = {
     "tuple[tuple[float, float], ...]": _parse_interferers,
 }
 _SECTIONS = {"array": ArrayGeometry, "scenario": Scenario, "solver": SolverOptions, "experiment": ExperimentConfig}
+# The section of each field annotation that names a section's class.
+_NESTED = {cls.__name__: section for section, cls in _SECTIONS.items()}
 
 
 def _keyed_fields(section: str):
@@ -224,6 +226,8 @@ def _read_pairs(path) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"missing or unreadable config file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
     pairs: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -241,13 +245,16 @@ def _read_pairs(path) -> dict[str, str]:
     return pairs
 
 
-def _from_section(section: str, pairs: dict[str, str], **built):
-    """``section``'s class built from its keys in ``pairs`` plus the fields in ``built``.
+def _from_section(section: str, pairs: dict[str, str]):
+    """``section``'s class built from its keys in ``pairs``.
 
-    A field whose key is absent keeps its default; a field with a key
-    and no default is required.
+    A field annotated with a section's class is that section, built
+    first, so a nested section's error outranks one of this section's
+    own keys. A field whose key is absent keeps its default; a field
+    with a key and no default is required.
     """
-    kwargs = dict(built)
+    fields = dataclasses.fields(_SECTIONS[section])
+    kwargs = {f.name: _from_section(_NESTED[f.type], pairs) for f in fields if f.type in _NESTED}
     for key, f in _keyed_fields(section):
         if key in pairs:
             kwargs[f.name] = _PARSERS[f.type](pairs[key], key)
@@ -259,26 +266,15 @@ def _from_section(section: str, pairs: dict[str, str], **built):
         raise ConfigError(f"invariant violation: {exc}", key=section) from exc
 
 
-def _build_config(pairs: dict[str, str]) -> ExperimentConfig:
-    """The config that the key=value ``pairs`` describe, each value parsed and validated."""
-    return _from_section(
-        "experiment",
-        pairs,
-        geometry=_from_section("array", pairs),
-        scenario=_from_section("scenario", pairs),
-        solver_options=_from_section("solver", pairs),
-    )
-
-
 def parse_config(path) -> ExperimentConfig:
     """Parse and validate a flat dotted key=value config file.
 
     '#' starts a comment; blank lines are ignored; unknown or duplicate
-    keys are rejected with the offending key named. Domain invariant
-    violations (e.g. an interferer at the SOI DOA) surface as
-    ConfigError carrying the responsible section.
+    keys are rejected with the offending key named, as is a file that is
+    not UTF-8. Domain invariant violations (e.g. an interferer at the
+    SOI DOA) surface as ConfigError carrying the responsible section.
     """
-    return _build_config(_read_pairs(path))
+    return _from_section("experiment", _read_pairs(path))
 
 
 # --- orchestration --------------------------------------------------------
@@ -374,30 +370,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 # --- CSV emission ---------------------------------------------------------
 
-def _write_text(path, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
-
-
 def emit_pattern_csv(pattern: BeamPattern, path) -> None:
     """Write theta_deg,gain_db,raw_gain rows at fixed six decimals."""
     columns = [np.asarray(column).tolist() for column in pattern]
-    _write_text(
-        path,
-        "theta_deg,gain_db,raw_gain\n" + "".join(f"{t:.6f},{db:.6f},{raw:.6f}\n" for t, db, raw in zip(*columns)),
-    )
+    rows = "".join(f"{t:.6f},{db:.6f},{raw:.6f}\n" for t, db, raw in zip(*columns))
+    Path(path).write_text("theta_deg,gain_db,raw_gain\n" + rows, encoding="utf-8", newline="\n")
 
 
 def emit_metrics_csv(report: ExperimentReport, path) -> None:
     """Write method,metric,median,iqr,failures rows at fixed six decimals."""
-    _write_text(
-        path,
-        "method,metric,median,iqr,failures\n"
-        + "".join(
-            f"{row.method},{row.metric},{row.median:.6f},{row.iqr:.6f},{row.failures}\n"
-            for row in report.metrics
-        ),
+    rows = "".join(
+        f"{row.method},{row.metric},{row.median:.6f},{row.iqr:.6f},{row.failures}\n" for row in report.metrics
     )
+    Path(path).write_text("method,metric,median,iqr,failures\n" + rows, encoding="utf-8", newline="\n")

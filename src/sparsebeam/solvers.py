@@ -311,8 +311,6 @@ def build_ellipsoid(
     center = samples.mean(axis=1)
     centered = samples - center[:, None]
     u, sigma, _ = np.linalg.svd(centered, full_matrices=False)
-    if sigma.size == 0 or sigma[0] <= 0:
-        return Ellipsoid(center, np.zeros((m, 0), dtype=complex))
     rank = int(np.sum(sigma > sigma[0] * 1e-12))
     u, sigma = u[:, :rank], sigma[:rank]
     coords = u.conj().T @ centered

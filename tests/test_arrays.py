@@ -137,6 +137,14 @@ def test_non_finite_input_rejected_at_the_boundary(geometry, case):
 
 
 class TestScenario:
+    def test_sources_are_the_soi_then_each_interferer(self):
+        scen = sb.Scenario(10.0, 5.0, ((-30.0, 20.0), (40.0, 0.0)), noise_power=2.0)
+        assert scen.sources == (
+            (10.0, 2.0 * 10.0 ** (5.0 / 10.0)),
+            (-30.0, 2.0 * 10.0 ** (20.0 / 10.0)),
+            (40.0, 2.0),
+        )
+
     def test_interferer_at_soi_rejected(self):
         with pytest.raises(DomainError):
             sb.Scenario(10.0, 0.0, ((10.0, 20.0),))

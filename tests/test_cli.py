@@ -191,3 +191,21 @@ def test_direction_outside_the_half_plane_is_a_config_error(tmp_path, capsys, se
     assert main(["validate", path]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "[-90, 90]" in err and "Traceback" not in err
+
+
+def test_validate_file_that_is_not_utf8_exits_1(tmp_path, capsys):
+    # The CLI once printed the codec's message, which does not name the file.
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(SMALL.encode("utf-8") + b"# caf\xff\n")
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and str(path) in err
+
+
+def test_unwritable_csv_is_an_output_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    (out / "metrics.csv").mkdir(parents=True)
+    assert main(["run", _write(tmp_path, SMALL), "--runs", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1 and "metrics.csv" in err
+    assert "Traceback" not in err

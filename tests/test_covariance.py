@@ -155,3 +155,8 @@ def test_covariance_built_without_its_conjugate_rejected_by_every_solver(snapsho
         ):
             with pytest.raises(DomainError, match="sample_covariance"):
                 solve()
+
+
+def test_sample_covariance_rejects_zero_snapshots():
+    with pytest.raises(DomainError, match="K >= 1"):
+        sb.sample_covariance(np.zeros((4, 0)))

@@ -80,6 +80,13 @@ class TestBuildEllipsoid:
         with pytest.raises(DomainError):
             sb.build_ellipsoid(geometry, 0.0, -1.0)
 
+    def test_samples_that_round_to_one_vector_give_a_point(self, geometry):
+        # Near endfire every sample rounds to the same steering vector, so
+        # every singular value is zero and no axis survives.
+        ell = sb.build_ellipsoid(geometry, 89.9999999, 1e-8, 4)
+        assert ell.rank == 0
+        assert ell.shape.shape == (8, 0) and ell.shape.dtype == complex
+
 
 class TestSolveRmvb:
     def test_point_at_a0_matches_mvdr(self, sample_r, a0, point_ellipsoid):

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import hashlib
 import json
 import re
@@ -170,6 +171,35 @@ class TestParseConfig:
         cfg = ExperimentConfig(geometry=geometry, scenario=close, methods=("mvdr",))
         assert [n for n in _metric_names(cfg.scenario) if n.startswith("null_depth")] == [
             "null_depth_30deg", "null_depth_30.0001deg"]
+
+    def test_nested_section_error_outranks_a_missing_own_key(self, tmp_path):
+        # The solver section is built before experiment's own keys, so its
+        # bad value is named instead of the missing experiment.methods.
+        text = MINIMAL.replace("experiment.methods = mvdr", "solver.gamma = abc")
+        with pytest.raises(ConfigError, match="solver.gamma"):
+            parse_config(_write(tmp_path, text))
+
+    def test_file_that_is_not_utf8_is_a_config_error(self, tmp_path):
+        path = tmp_path / "latin.cfg"
+        path.write_bytes(MINIMAL.encode("utf-8") + b"# caf\xff\n")
+        with pytest.raises(ConfigError, match=f"{re.escape(str(path))} is not UTF-8"):
+            parse_config(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("solver.gamma = abc", "solver.gamma: invalid value: expected a number"),
+            ("solver.gamma = inf", "solver.gamma: invalid value: must be finite"),
+            ("ellipsoid.half_width_deg = -1", "experiment: .*ellipsoid_half_width_deg must be nonnegative"),
+        ],
+    )
+    def test_bad_value_names_its_key_or_section(self, tmp_path, line, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(_write(tmp_path, MINIMAL + line + "\n"))
+
+    def test_empty_interferers_value_is_no_interferers(self, tmp_path):
+        cfg = parse_config(_write(tmp_path, MINIMAL + "scenario.interferers =\n"))
+        assert cfg.scenario.interferers == ()
 
 
 class TestRunExperiment:
@@ -385,3 +415,14 @@ def test_pattern_csv_matches_the_row_by_row_writer(rows):
         sb.emit_pattern_csv(pattern, new)
         emit_pattern_csv_reference(pattern, old)
         assert new.read_bytes() == old.read_bytes()
+
+
+@pytest.mark.parametrize("emit, value", [
+    (sb.emit_pattern_csv, sb.BeamPattern(*[np.empty(0)] * 3)),
+    (sb.emit_metrics_csv, sb.ExperimentReport(("mvdr",), {}, (), (0,), {"mvdr": 0})),
+])
+def test_emitters_raise_the_os_error_of_the_path(tmp_path, emit, value):
+    # The writers once replaced it by a bare OSError with errno None.
+    with pytest.raises(IsADirectoryError) as caught:
+        emit(value, tmp_path)
+    assert caught.value.errno == errno.EISDIR and caught.value.filename == str(tmp_path)

@@ -373,3 +373,8 @@ def test_solver_options_validation():
         SolverOptions(objective_tolerance=0.0)
     with pytest.raises(DomainError):
         SolverOptions(diagonal_loading=-1.0)
+
+
+def test_solver_options_reject_zero_irls_epsilon():
+    with pytest.raises(DomainError, match="irls_epsilon must be positive"):
+        SolverOptions(irls_epsilon=0)

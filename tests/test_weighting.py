@@ -113,3 +113,8 @@ def test_build_q_working_memory_is_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_snm_rejects_zero_columns():
+    with pytest.raises(DomainError, match="K >= 1"):
+        sb.snm(np.zeros((3, 0)))
