@@ -53,17 +53,9 @@ class SidelobeLevel(NamedTuple):
 
 
 @lru_cache(maxsize=16)
-def _pattern_angles(resolution_deg: float) -> np.ndarray:
-    """Angle grid of the pattern, built once per resolution and read-only."""
-    angles = _angle_grid(resolution_deg)
-    angles.flags.writeable = False
-    return angles
-
-
-@lru_cache(maxsize=16)
 def _pattern_steering(geometry: ArrayGeometry, resolution_deg: float) -> np.ndarray:
     """Steering matrix of the pattern grid, built once per key and read-only."""
-    matrix = steering_matrix(geometry, _pattern_angles(resolution_deg))
+    matrix = steering_matrix(geometry, _angle_grid(resolution_deg))
     matrix.flags.writeable = False
     return matrix
 
@@ -89,22 +81,18 @@ def beam_pattern(weights, geometry: ArrayGeometry, resolution_deg: float = 0.1) 
 
     ``weights`` may be a raw complex vector or a BeamformerWeights
     wrapper. The grid includes both endpoints; gain_db peaks at exactly
-    0 dB.
+    0 dB. An all-zero pattern, as zero weights give, raises DomainError.
     """
     w = _weight_vector(weights, geometry)
-    if not w.any():
-        raise DomainError("weight vector must be nonzero")
     if not 0 < resolution_deg <= 1.0:
         raise DomainError(f"resolution_deg must lie in (0, 1], got {resolution_deg}")
     resolution_deg = float(resolution_deg)
-    # A copy per call keeps the returned arrays writable.
-    angles = _pattern_angles(resolution_deg).copy()
     response = w.conj() @ _pattern_steering(geometry, resolution_deg)
     raw = np.abs(response) ** 2
     peak = float(raw.max())
     if peak <= 0:
         raise DomainError("beam pattern is identically zero")
-    return BeamPattern(angles, _to_db(raw, peak), raw)
+    return BeamPattern(_angle_grid(resolution_deg), _to_db(raw, peak), raw)
 
 
 def _median_pattern(weights: list[np.ndarray], geometry: ArrayGeometry, resolution_deg: float) -> BeamPattern:
@@ -118,18 +106,7 @@ def _median_pattern(weights: list[np.ndarray], geometry: ArrayGeometry, resoluti
     peak = float(median_raw.max())
     if peak <= 0:
         raise SolverError("median pattern collapsed to zero")
-    # A copy of the cached angles keeps the pattern writable.
-    return BeamPattern(_pattern_angles(resolution_deg).copy(), _to_db(median_raw, peak), median_raw / peak)
-
-
-def _window_indices(pattern: BeamPattern, theta_deg: float, window_deg: float) -> np.ndarray:
-    mask = np.abs(pattern.angles_deg - theta_deg) <= window_deg + 1e-12
-    if not mask.any():
-        raise DomainError(
-            f"window [{theta_deg - window_deg}, {theta_deg + window_deg}] deg "
-            "contains no grid points"
-        )
-    return mask
+    return BeamPattern(_angle_grid(resolution_deg), _to_db(median_raw, peak), median_raw / peak)
 
 
 def null_depth(pattern: BeamPattern, theta_deg: float, window_deg: float = 1.0) -> float:
@@ -140,7 +117,12 @@ def null_depth(pattern: BeamPattern, theta_deg: float, window_deg: float = 1.0) 
     """
     if window_deg < 0:
         raise DomainError(f"window_deg must be nonnegative, got {window_deg}")
-    mask = _window_indices(pattern, theta_deg, window_deg)
+    mask = np.abs(pattern.angles_deg - theta_deg) <= window_deg + 1e-12
+    if not mask.any():
+        raise DomainError(
+            f"window [{theta_deg - window_deg}, {theta_deg + window_deg}] deg "
+            "contains no grid points"
+        )
     return float(pattern.gain_db[mask].min())
 
 

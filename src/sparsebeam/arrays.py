@@ -140,8 +140,7 @@ def steering_vector(geometry: ArrayGeometry, theta_deg: float) -> np.ndarray:
         Complex vector of length M with unit-modulus entries; entry 0 is 1.
     """
     _check_direction("theta_deg", theta_deg)
-    phi = 2.0 * np.pi * geometry.spacing_wavelengths * np.sin(np.deg2rad(theta_deg))
-    return np.exp(1j * phi * np.arange(geometry.num_elements))
+    return steering_matrix(geometry, [theta_deg])[:, 0]
 
 
 def steering_matrix(geometry: ArrayGeometry, angles_deg) -> np.ndarray:

@@ -48,13 +48,18 @@ def diagonal_load(covariance, epsilon: float) -> np.ndarray:
     """Return R + epsilon * tr(R)/M * I.
 
     epsilon = 0 leaves R unchanged. Loading shifts every eigenvalue up by
-    the same amount and leaves eigenvectors untouched.
+    the same amount and leaves eigenvectors untouched. A trace that is
+    not finite, such as one whose sum overflows, raises DomainError.
     """
     if epsilon < 0:
         raise DomainError(f"epsilon must be nonnegative, got {epsilon}")
     r = np.asarray(covariance, dtype=complex)
     m = r.shape[0]
-    return r + epsilon * np.trace(r).real / m * np.eye(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = np.trace(r).real
+    if not np.isfinite(trace):
+        raise DomainError(f"covariance trace must be finite, got {trace}")
+    return r + epsilon * trace / m * np.eye(m)
 
 
 def ensure_covariance(data) -> np.ndarray:
@@ -74,6 +79,9 @@ def ensure_covariance(data) -> np.ndarray:
         atol = 1e-12 * float(magnitude.max())
         # |R^H| is |R| transposed, exactly.
         if (np.abs(arr - arr_h) <= atol + 1e-8 * magnitude.T).all():
-            return 0.5 * (arr + arr_h)
+            # Halved before the sum, which cannot then overflow; exact
+            # for normal floats.
+            half = 0.5 * arr
+            return half + half.conj().T
     raise DomainError(f"covariance of shape {arr.shape} is not a square Hermitian matrix; "
                       "build one from M x K snapshots with sample_covariance")

@@ -31,7 +31,8 @@ cases of this one problem, solved by one code path:
 Every solver takes a covariance R and nothing else: anything but a
 finite Hermitian matrix, raw snapshots included, raises DomainError
 (:func:`sparsebeam.covariance.ensure_covariance`). R is symmetrized and
-diagonally loaded before factorization. Each inner solve first scales
+diagonally loaded before factorization; a trace that is not finite
+raises DomainError. Each inner solve first scales
 its matrix by a power of four, so a covariance of any scale whose trace
 is finite solves, with the weights of the unit-scale solve bit for bit.
 A, q, a0 or an ellipsoid that does not match R's size, or holds NaN or
@@ -233,8 +234,10 @@ def _run_irls(r, aq, opts: SolverOptions, inner):
     counts the finite steps.
 
     Each step is R_eff = (R + gamma A Q D Q A^H + its conjugate
-    transpose) / 2, assembled in place, and |u|^2 of the step's response
-    u = (A Q)^H w serves both its penalty and the next reweighting. The
+    transpose) / 2, assembled in place and halved before the transpose is
+    added, so a finite R cannot overflow it. |u|^2 of the step's response
+    u = (A Q)^H w serves both its penalty and the next reweighting. Apart
+    from the halving, which is exact for normal floats, the
     floating-point operations and their order are those of the plain
     expressions, so the results are the same to the bit
     (tests/_oracles.py keeps the plain loop as the reference).
@@ -248,10 +251,8 @@ def _run_irls(r, aq, opts: SolverOptions, inner):
     power, half_p = (opts.p - 2.0) / 2.0, opts.p / 2.0
     eps = opts.irls_epsilon
     history: list[float] = []
-    previous = None
     best_w, best_obj = w, np.inf
     converged = False
-    iterations = 0
     # A view, not a copy: a contiguous copy changes the matvec's last bits.
     aq_h = aq.conj().T
     u2 = np.abs(aq_h @ w) ** 2
@@ -263,8 +264,8 @@ def _run_irls(r, aq, opts: SolverOptions, inner):
         weighted *= gamma
         r_eff = weighted @ aq_h
         r_eff += r
-        r_eff += r_eff.conj().T
         r_eff *= 0.5
+        r_eff += r_eff.conj().T
         w = inner(r_eff)
         u2 = np.abs(aq_h @ w) ** 2
         quad = float((w.conj() @ r @ w).real)
@@ -274,16 +275,14 @@ def _run_irls(r, aq, opts: SolverOptions, inner):
         if not math.isfinite(objective) and not np.isfinite(w).all():
             break
         history.append(objective)
-        iterations = step + 1
         if objective < best_obj:
             best_w, best_obj = w, objective
-        if previous is not None and abs(objective - previous) <= (
-            opts.objective_tolerance * max(1.0, abs(previous))
+        if len(history) > 1 and abs(objective - history[-2]) <= (
+            opts.objective_tolerance * max(1.0, abs(history[-2]))
         ):
             converged = True
             break
-        previous = objective
-    return best_w, iterations, best_obj, converged, tuple(history)
+    return best_w, len(history), best_obj, converged, tuple(history)
 
 
 def build_ellipsoid(

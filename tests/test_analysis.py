@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparsebeam as sb
-from sparsebeam import BeamPattern, DomainError
-from sparsebeam.analysis import _pattern_steering
+from sparsebeam import BeamPattern, DomainError, SolverError
+from sparsebeam.analysis import _median_pattern, _pattern_steering
 
 from _oracles import sidelobe_level_walk
 
@@ -84,6 +84,15 @@ class TestBeamPattern:
             cached = _pattern_steering(geom, res)
             assert not cached.flags.writeable
             np.testing.assert_array_equal(cached, fresh)
+
+    def test_underflowing_weights_give_a_zero_pattern(self, geometry):
+        # Nonzero weights whose every |w^H a|^2 underflows.
+        with pytest.raises(DomainError, match="identically zero"):
+            sb.beam_pattern(np.full(8, 1e-170 + 0j), geometry, 1.0)
+
+    def test_underflowing_median_pattern_collapses(self, geometry):
+        with pytest.raises(SolverError, match="collapsed"):
+            _median_pattern([np.full(8, 1e-170 + 0j)], geometry, 1.0)
 
 
 def _pattern_on(geometry, w, angles):

@@ -226,3 +226,14 @@ class TestGenerateSnapshots:
         measured = np.mean(np.abs(x) ** 2)
         expected = 1.0 + 10.0 + 100.0
         assert abs(measured - expected) / expected < 0.05
+
+
+@pytest.mark.parametrize("m", [8, 32])
+def test_steering_vector_is_its_steering_matrix_column_bit_for_bit(m):
+    # steering_vector once had its own copy of the formula, and 3,600
+    # of these 7,202 columns differed from it in the sign of a zero.
+    geometry = sb.ArrayGeometry(m)
+    angles = np.linspace(-90.0, 90.0, 3601)
+    matrix = sb.steering_matrix(geometry, angles)
+    for i, theta in enumerate(angles):
+        assert sb.steering_vector(geometry, theta).tobytes() == matrix[:, i].tobytes()

@@ -160,3 +160,15 @@ def test_covariance_built_without_its_conjugate_rejected_by_every_solver(snapsho
 def test_sample_covariance_rejects_zero_snapshots():
     with pytest.raises(DomainError, match="K >= 1"):
         sb.sample_covariance(np.zeros((4, 0)))
+
+
+def test_hermitian_part_of_a_finite_covariance_does_not_overflow():
+    # (R + R^H)/2 once summed first, so a diagonal entry of 1e308 became inf.
+    r = np.diag([1.7e308] + [1e300] * 7).astype(complex)
+    np.testing.assert_array_equal(sb.ensure_covariance(r), r)
+
+
+def test_diagonal_load_rejects_an_infinite_trace():
+    # The trace of 1e308 I overflows; it once loaded R by inf with a warning.
+    with pytest.raises(DomainError, match="trace"):
+        sb.diagonal_load(1e308 * np.eye(8), 1e-6)

@@ -378,3 +378,43 @@ def test_solver_options_validation():
 def test_solver_options_reject_zero_irls_epsilon():
     with pytest.raises(DomainError, match="irls_epsilon must be positive"):
         SolverOptions(irls_epsilon=0)
+
+
+FINITE_TRACE_EXTREMES = {
+    "one_huge_entry": np.diag([1e308] + [1.0] * 7),
+    "near_the_float_limit": np.diag([1.7e308] + [1e300] * 7),
+}
+
+
+@pytest.mark.parametrize("method", ["mvdr", "sc", "wsc", "rmvb", "rwsc"])
+@pytest.mark.parametrize("case", FINITE_TRACE_EXTREMES)
+def test_finite_trace_covariance_solves_at_any_scale(geometry, a_grid, a0, method, case):
+    # The Hermitian part and the IRLS step once summed before halving:
+    # mvdr, sc and wsc raised "non-finite weights", and rmvb and rwsc
+    # leaked numpy's LinAlgError.
+    result = _every_solver(geometry, a_grid, a0)[method](FINITE_TRACE_EXTREMES[case])
+    assert np.isfinite(result.w).all()
+
+
+@pytest.mark.parametrize("method", ["mvdr", "sc", "wsc", "rmvb", "rwsc"])
+def test_infinite_trace_is_a_domain_error(geometry, a_grid, a0, method):
+    with pytest.raises(DomainError, match="trace"):
+        _every_solver(geometry, a_grid, a0)[method](1e308 * np.eye(8))
+
+
+def test_tiny_steering_vector_is_annihilated():
+    # a0^H R^-1 a0 underflows to zero although a0 is nonzero.
+    with pytest.raises(SolverError, match="annihilated"):
+        sb.mvdr(np.eye(8), np.full(8, 1e-170 + 0j))
+
+
+@pytest.mark.parametrize("method", ["sc", "wsc", "rwsc"])
+def test_irls_iterations_count_the_history(geometry, sample_r, a_grid, q_weights, a0, method):
+    ellipsoid = sb.build_ellipsoid(geometry, 0.0, 3.0, 13)
+    result = {
+        "sc": lambda: sb.solve_sc(sample_r, a_grid, a0),
+        "wsc": lambda: sb.solve_wsc(sample_r, a_grid, q_weights, a0),
+        "rwsc": lambda: sb.solve_rwsc(sample_r, a_grid, q_weights, ellipsoid),
+    }[method]()
+    diagnostics = result.diagnostics
+    assert diagnostics.iterations == len(diagnostics.objective_history) > 0
