@@ -140,7 +140,7 @@ def steering_vector(geometry: ArrayGeometry, theta_deg: float) -> np.ndarray:
         Complex vector of length M with unit-modulus entries; entry 0 is 1.
     """
     _check_direction("theta_deg", theta_deg)
-    return steering_matrix(geometry, [theta_deg])[:, 0]
+    return _array_response(geometry, np.array([theta_deg], dtype=float))[:, 0]
 
 
 def steering_matrix(geometry: ArrayGeometry, angles_deg) -> np.ndarray:
@@ -156,6 +156,11 @@ def steering_matrix(geometry: ArrayGeometry, angles_deg) -> np.ndarray:
         raise DomainError("angle grid must lie within [-90, 90]")
     if angles.size > 1 and np.any(np.diff(angles) <= 0):
         raise DomainError("angle grid must be strictly increasing")
+    return _array_response(geometry, angles)
+
+
+def _array_response(geometry: ArrayGeometry, angles: np.ndarray) -> np.ndarray:
+    """a(theta) for each entry of the float array ``angles``, unchecked: the one formula."""
     phi = 2.0 * np.pi * geometry.spacing_wavelengths * np.sin(np.deg2rad(angles))
     return np.exp(1j * np.outer(np.arange(geometry.num_elements), phi))
 

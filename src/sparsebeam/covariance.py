@@ -63,7 +63,7 @@ def diagonal_load(covariance, epsilon: float) -> np.ndarray:
 
 
 def ensure_covariance(data) -> np.ndarray:
-    """Return the Hermitian covariance R of ``data`` as (R + R^H)/2.
+    """Return the Hermitian covariance R of ``data`` as R/2 + R^H/2.
 
     R must be finite and square with |R - R^H| <= atol + 1e-8 |R^H|
     entrywise, atol = 1e-12 max |R|: np.allclose(R, R^H, rtol=1e-8,
@@ -74,14 +74,17 @@ def ensure_covariance(data) -> np.ndarray:
     """
     arr = _checked("covariance", data, (None, None))
     if arr.shape[0] == arr.shape[1] > 0:
-        arr_h = arr.conj().T
-        magnitude = np.abs(arr)
+        # The test runs on the halves it returns, where both sides are
+        # exactly half of the test above for normal floats, and no |entry|
+        # of a finite half overflows. Their difference still can (both
+        # parts near the float limit); its inf is rejected, as it should be.
+        half = 0.5 * arr
+        half_h = half.conj().T
+        magnitude = np.abs(half)
         atol = 1e-12 * float(magnitude.max())
-        # |R^H| is |R| transposed, exactly.
-        if (np.abs(arr - arr_h) <= atol + 1e-8 * magnitude.T).all():
-            # Halved before the sum, which cannot then overflow; exact
-            # for normal floats.
-            half = 0.5 * arr
-            return half + half.conj().T
+        with np.errstate(over="ignore"):
+            # |R^H| is |R| transposed, exactly.
+            if (np.abs(half - half_h) <= atol + 1e-8 * magnitude.T).all():
+                return half + half_h
     raise DomainError(f"covariance of shape {arr.shape} is not a square Hermitian matrix; "
                       "build one from M x K snapshots with sample_covariance")

@@ -32,9 +32,11 @@ Every solver takes a covariance R and nothing else: anything but a
 finite Hermitian matrix, raw snapshots included, raises DomainError
 (:func:`sparsebeam.covariance.ensure_covariance`). R is symmetrized and
 diagonally loaded before factorization; a trace that is not finite
-raises DomainError. Each inner solve first scales
-its matrix by a power of four, so a covariance of any scale whose trace
-is finite solves, with the weights of the unit-scale solve bit for bit.
+raises DomainError. An inner solve whose matrix has a mean
+diagonal outside [2^-64, 2^64) first scales it by a power of four, so a
+covariance of any scale whose trace is finite solves, with the weights
+of the unit-scale solve bit for bit; inside that window the scale would
+move no bit and is skipped (:func:`_unit_scaled`).
 A, q, a0 or an ellipsoid that does not match R's size, or holds NaN or
 inf, raises DomainError before any factorization, as do negative q
 entries and a zero a0.
@@ -187,28 +189,33 @@ def _check_factorization(info: int) -> None:
 
 
 def _unit_scaled(r: np.ndarray) -> np.ndarray:
-    """``r`` times the power of four that puts its mean diagonal in [1/4, 1).
+    """``r``, scaled by a power of four only if its mean diagonal is outside [2^-64, 2^64).
 
     Both inner solves are invariant to R's scale, and a power of four
     commutes exactly with the Cholesky factor (its square root is a
     power of two), the triangular solves, the SVD and the cone
-    multiplier. So the weights keep their bits, while R's overall size
-    can no longer overflow or underflow a solve. The factor is applied
-    as two halves, each finite even where 4^k is not.
+    multiplier while every value stays a normal float. So scaling keeps
+    the weights' bits. Inside the window ``r`` itself is returned: the
+    scale would move no bit, and a matrix that size cannot overflow or
+    underflow a solve, so the two array passes are skipped. Outside it,
+    ``r`` times the power of four that puts its mean diagonal in
+    [1/4, 1) is returned, so R's overall size can no longer overflow or
+    underflow a solve. The factor is applied as two halves, each finite
+    even where 4^k is not.
     """
     # A Python sum over the diagonal costs a third of numpy's trace here.
-    mean = sum(r.real.diagonal().tolist()) / r.shape[0]
-    half = math.ldexp(1.0, -((math.frexp(mean)[1] + 1) // 2))
-    scaled = r * half
-    scaled *= half
-    return scaled
+    exponent = math.frexp(sum(r.real.diagonal().tolist()) / r.shape[0])[1]
+    if -63 <= exponent <= 64:
+        return r
+    half = math.ldexp(1.0, -((exponent + 1) // 2))
+    return r * half * half
 
 
 def _mvdr_direction(r: np.ndarray, a0: np.ndarray, a0_h: np.ndarray) -> np.ndarray:
     """R^-1 a0 / (a0_h R^-1 a0), where a0_h is a0.conj().
 
     One LAPACK zposv call, which is zpotrf followed by zpotrs; a failed
-    factorization reports zpotrf's info. R is scaled by _unit_scaled
+    factorization reports zpotrf's info. R passes through _unit_scaled
     first.
     """
     _, x, info = zposv(_unit_scaled(r), a0, lower=1)
@@ -234,11 +241,12 @@ def _run_irls(r, aq, opts: SolverOptions, inner):
     counts the finite steps.
 
     Each step is R_eff = (R + gamma A Q D Q A^H + its conjugate
-    transpose) / 2, assembled in place and halved before the transpose is
-    added, so a finite R cannot overflow it. |u|^2 of the step's response
-    u = (A Q)^H w serves both its penalty and the next reweighting. Apart
-    from the halving, which is exact for normal floats, the
-    floating-point operations and their order are those of the plain
+    transpose) / 2, assembled in place in two buffers allocated once per
+    solve, and halved before the transpose is added, so a finite R cannot
+    overflow it. |u|^2 + eps of the step's response u = (A Q)^H w serves
+    both its penalty and the next reweighting, unless eps was just
+    annealed. Apart from the halving, which is exact for normal floats,
+    the floating-point operations and their order are those of the plain
     expressions, so the results are the same to the bit
     (tests/_oracles.py keeps the plain loop as the reference).
     """
@@ -255,21 +263,28 @@ def _run_irls(r, aq, opts: SolverOptions, inner):
     converged = False
     # A view, not a copy: a contiguous copy changes the matvec's last bits.
     aq_h = aq.conj().T
+    # Filled in place by every step; inner solves copy what they factor.
+    weighted, r_eff = np.empty_like(aq), np.empty_like(r)
     u2 = np.abs(aq_h @ w) ** 2
+    smoothed = u2 + eps
     for step in range(opts.max_iterations):
         if step > 0 and step % 10 == 0:
             eps = max(eps * 0.1, _IRLS_EPS_FLOOR)
-        d = (u2 + eps) ** power * half_p
-        weighted = aq * d
+            np.add(u2, eps, out=smoothed)
+        d = smoothed**power
+        d *= half_p
+        np.multiply(aq, d, out=weighted)
         weighted *= gamma
-        r_eff = weighted @ aq_h
+        np.matmul(weighted, aq_h, out=r_eff)
         r_eff += r
         r_eff *= 0.5
         r_eff += r_eff.conj().T
         w = inner(r_eff)
-        u2 = np.abs(aq_h @ w) ** 2
+        np.square(np.abs(aq_h @ w, out=u2), out=u2)
         quad = float((w.conj() @ r @ w).real)
-        objective = quad + gamma * float(((u2 + eps) ** half_p).sum())
+        # u2 + eps serves both this penalty and the next reweighting.
+        np.add(u2, eps, out=smoothed)
+        objective = quad + gamma * float(np.add.reduce(smoothed**half_p))
         # Non-finite weights make every entry of u, and so the objective,
         # non-finite: the array test runs only when the scalar one fails.
         if not math.isfinite(objective) and not np.isfinite(w).all():
@@ -322,7 +337,9 @@ def build_ellipsoid(
 
 
 def _margin(w: np.ndarray, center: np.ndarray, shape: np.ndarray) -> float:
-    return float((w.conj() @ center).real - np.linalg.norm(shape.conj().T @ w))
+    # np.linalg.norm's own formula for a complex vector, without its wrapper.
+    v = shape.conj().T @ w
+    return float((w.conj() @ center).real - math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag)))
 
 
 def _cone_multiplier(sigma: np.ndarray, cbar: np.ndarray) -> float:
@@ -430,11 +447,12 @@ def _solve(method, covariance, a, q, constraint, opts) -> BeamformerWeights:
     if a is None:
         aq = np.zeros((m, 0), dtype=complex)
     else:
-        a = _checked("steering matrix A", a, (m, None))
-        q = np.ones(a.shape[1]) if q is None else _checked("q", q, a.shape[1:], float)
-        if np.any(q < 0):
-            raise DomainError("q entries must be nonnegative")
-        aq = a * q[None, :]
+        aq = a = _checked("steering matrix A", a, (m, None))
+        if q is not None:
+            q = _checked("q", q, a.shape[1:], float)
+            if np.any(q < 0):
+                raise DomainError("q entries must be nonnegative")
+            aq = a * q[None, :]
     if method in ("rmvb", "rwsc"):
         center = _checked("ellipsoid center", constraint.center, (m,))
         shape = _checked("ellipsoid shape", constraint.shape, (m, None))

@@ -7,6 +7,8 @@ coarse-to-fine grid search over the real and imaginary parts of z gives
 an oracle that shares no code with the closed-form or IRLS solvers.
 """
 
+import math
+
 import numpy as np
 from scipy.linalg import null_space
 from scipy.linalg.lapack import zpotrf, zpotrs
@@ -150,6 +152,15 @@ def mvdr_direction_reference(r, a0):
     if abs(denom) < 1e-300:
         raise SolverError("steering vector annihilated by the covariance inverse")
     return x / denom
+
+
+def unit_scaled_reference(r):
+    """r times the power of four that puts its mean diagonal in [1/4, 1), always."""
+    mean = sum(r.real.diagonal().tolist()) / r.shape[0]
+    half = math.ldexp(1.0, -((math.frexp(mean)[1] + 1) // 2))
+    scaled = r * half
+    scaled *= half
+    return scaled
 
 
 def _smoothed_penalty(u, gamma, p, eps):

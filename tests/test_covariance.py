@@ -172,3 +172,33 @@ def test_diagonal_load_rejects_an_infinite_trace():
     # The trace of 1e308 I overflows; it once loaded R by inf with a warning.
     with pytest.raises(DomainError, match="trace"):
         sb.diagonal_load(1e308 * np.eye(8), 1e-6)
+
+
+_FLOAT_MAX = np.finfo(float).max
+
+
+@pytest.mark.parametrize(
+    "upper, lower",
+    [
+        (1e308, -1e308),  # R - R^H once overflowed in the subtraction
+        (1e308j, 1e308j),
+        (1.7e308 * (1 + 1j), 0.0),  # |R[0, 1]| once overflowed, making atol inf
+        (_FLOAT_MAX * (1 + 1j), _FLOAT_MAX * (-1 + 1j)),  # |R/2 - R^H/2| is past the float limit
+    ],
+    ids=["opposite_reals", "equal_imaginaries", "one_sided_modulus", "difference_past_the_limit"],
+)
+def test_non_hermitian_input_near_the_float_limit_rejected(upper, lower):
+    # The first three warned "overflow encountered in subtract" or were
+    # accepted silently, instead of raising DomainError.
+    r = np.eye(8, dtype=complex)
+    r[0, 1], r[1, 0] = upper, lower
+    with pytest.raises(DomainError, match="not a square Hermitian matrix"):
+        sb.ensure_covariance(r)
+
+
+def test_hermitian_input_near_the_float_limit_kept():
+    # The halves an exactly Hermitian R passes on are its own entries halved.
+    r = np.eye(8, dtype=complex)
+    r[0, 1] = _FLOAT_MAX * (1 + 1j)
+    r[1, 0] = np.conj(r[0, 1])
+    np.testing.assert_array_equal(sb.ensure_covariance(r), r)

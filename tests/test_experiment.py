@@ -18,6 +18,7 @@ from sparsebeam.experiment import ExperimentConfig, _metric_names, _summaries, p
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CLI_DIGESTS = Path(__file__).resolve().parent / "data" / "cli_digests.json"
+SOLVE_DIGESTS = Path(__file__).resolve().parent / "data" / "solve_digests.json"
 # The benchmark's wide study (32 elements, 12 runs), read where it lives.
 WIDE_CONFIG = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "wide.cfg"
 
@@ -363,6 +364,42 @@ def test_bundled_configs_write_recorded_csv_bytes(tmp_path, name):
         path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(tmp_path.iterdir())
     }
     assert written == json.loads(CLI_DIGESTS.read_text(encoding="utf-8"))[name]
+
+
+def _solve_digests(path, output_dir, monkeypatch) -> dict[str, str]:
+    """SHA-256 of each solve's w bytes and Diagnostics repr in the first 2 runs of a config.
+
+    Keyed "<run>/<method>". A float's repr round-trips exactly, so the
+    digest moves when any bit of w or of a Diagnostics field moves.
+    """
+    digests: dict[str, str] = {}
+    for method, solve in experiment._SOLVES.items():
+
+        def recorded(*args, method=method, solve=solve):
+            result = solve(*args)
+            run = sum(key.endswith(f"/{method}") for key in digests)
+            payload = result.w.tobytes() + repr(result.diagnostics).encode()
+            digests[f"{run}/{method}"] = hashlib.sha256(payload).hexdigest()
+            return result
+
+        monkeypatch.setitem(experiment._SOLVES, method, recorded)
+    config = dataclasses.replace(parse_config(path), output_dir=str(output_dir), monte_carlo_runs=2)
+    run_experiment(config)
+    return digests
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "wide"])
+def test_bundled_configs_solve_recorded_bits(tmp_path, monkeypatch, name):
+    """Every solve of the first 2 runs of fig1, fig2 and wide equals its recorded digest.
+
+    A CSV rounds to six decimals, so an inner-loop change that moves a
+    last bit of w, an objective or a residual can leave the CSV digests
+    above unchanged; this pins the solves themselves. Recorded like
+    them, with single-threaded OpenBLAS on x86-64.
+    """
+    path = WIDE_CONFIG if name == "wide" else CONFIG_DIR / f"{name}.cfg"
+    recorded = json.loads(SOLVE_DIGESTS.read_text(encoding="utf-8"))[name]
+    assert _solve_digests(path, tmp_path, monkeypatch) == recorded
 
 
 # Metric values with ties, signed zeros, the -200 dB floor and values

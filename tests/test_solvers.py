@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from _oracles import (
     penalized_objective,
     quadratic_objective,
     run_irls_reference,
+    unit_scaled_reference,
     zoom_minimize,
 )
 
@@ -173,15 +175,15 @@ class TestSolveWsc:
         assert np.median(deltas) <= -5.0
 
 
-def _every_solver(geometry, a_grid, a0):
-    ones = np.ones(a_grid.shape[1])
+def _every_solver(geometry, a_grid, a0, q=None, opts=None):
+    q = np.ones(a_grid.shape[1]) if q is None else q
     ellipsoid = sb.build_ellipsoid(geometry, 0.0, 3.0, 13)
     return {
-        "mvdr": lambda r: sb.mvdr(r, a0),
-        "sc": lambda r: sb.solve_sc(r, a_grid, a0),
-        "wsc": lambda r: sb.solve_wsc(r, a_grid, ones, a0),
-        "rmvb": lambda r: sb.solve_rmvb(r, ellipsoid),
-        "rwsc": lambda r: sb.solve_rwsc(r, a_grid, ones, ellipsoid),
+        "mvdr": lambda r: sb.mvdr(r, a0, opts),
+        "sc": lambda r: sb.solve_sc(r, a_grid, a0, opts),
+        "wsc": lambda r: sb.solve_wsc(r, a_grid, q, a0, opts),
+        "rmvb": lambda r: sb.solve_rmvb(r, ellipsoid, opts),
+        "rwsc": lambda r: sb.solve_rwsc(r, a_grid, q, ellipsoid, opts),
     }
 
 
@@ -345,6 +347,60 @@ def test_power_of_four_scale_keeps_the_weight_bits(geometry, a_grid, sample_r, a
     # overflowed at 4^-340 and returned the cone apex at 4^300.
     solve = _every_solver(geometry, a_grid, a0)[method]
     assert solve(4.0**power * sample_r).w.tobytes() == solve(sample_r).w.tobytes()
+
+
+def _window_power(sample_r, edge):
+    """j for which 4^j times the loaded R's mean diagonal sits at ``edge`` of [2^-64, 2^64)."""
+    loaded = sb.diagonal_load(sample_r, SolverOptions().diagonal_loading)
+    exponent = math.frexp(float(np.trace(loaded).real) / 8)[1]  # mean = f 2^exponent, f in [1/2, 1)
+    lowest_inside = -((exponent + 63) // 2)  # exponent + 2j is -63 or -62
+    highest_inside = (64 - exponent) // 2  # exponent + 2j is 63 or 64
+    return {
+        "below_low": lowest_inside - 1,
+        "low": lowest_inside,
+        "high": highest_inside,
+        "above_high": highest_inside + 1,
+    }[edge]
+
+
+@pytest.mark.parametrize("method", ["mvdr", "sc", "wsc", "rmvb", "rwsc"])
+@pytest.mark.parametrize("edge", ["below_low", "low", "high", "above_high"])
+def test_skipped_scaling_keeps_the_bits_at_the_window_edges(
+    geometry, a_grid, sample_r, a0, monkeypatch, method, edge
+):
+    # Inside [2^-64, 2^64) the inner solves factor R_eff unscaled. They
+    # must return what they return when every R_eff is scaled into
+    # [1/4, 1), and for the scale-free mvdr and rmvb, what R itself
+    # gives. gamma is scaled with R, so every IRLS step's R_eff is 4^j
+    # times the unit-scale one.
+    power = _window_power(sample_r, edge)
+    opts = SolverOptions(gamma=4.0**power * SolverOptions().gamma)
+    solve = _every_solver(geometry, a_grid, a0, opts=opts)[method]
+    scaled_r = 4.0**power * sample_r
+    result = solve(scaled_r)
+    monkeypatch.setattr(solvers, "_unit_scaled", unit_scaled_reference)
+    always_scaled = solve(scaled_r)
+    assert result.w.tobytes() == always_scaled.w.tobytes()
+    assert result.diagnostics == always_scaled.diagnostics
+    if method in ("mvdr", "rmvb"):
+        assert result.w.tobytes() == _every_solver(geometry, a_grid, a0)[method](sample_r).w.tobytes()
+
+
+@pytest.mark.parametrize("method", ["mvdr", "sc", "wsc", "rmvb", "rwsc"])
+def test_a_later_solve_leaves_earlier_weights_and_inputs_alone(geometry, a_grid, sample_r, q_weights, a0, method):
+    # Each IRLS solve fills its own buffers in place, and an unscaled
+    # R_eff goes to LAPACK as it is; neither may alias what a solve
+    # returns or what it was given.
+    solve = _every_solver(geometry, a_grid, a0, q=q_weights)[method]
+    inputs = (sample_r, a_grid, q_weights, a0)
+    before = [x.tobytes() for x in inputs]
+    first = solve(sample_r)
+    kept = first.w.tobytes()
+    second = solve(sample_r + np.eye(8))
+    assert first.w.tobytes() == kept
+    assert second.w.tobytes() != kept
+    assert solve(sample_r).w.tobytes() == kept
+    assert [x.tobytes() for x in inputs] == before
 
 
 @pytest.mark.parametrize("method", ["mvdr", "wsc", "rmvb", "rwsc"])
