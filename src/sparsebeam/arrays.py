@@ -202,7 +202,13 @@ def generate_snapshots(
     m, k = geometry.num_elements, scenario.num_snapshots
 
     def draw(power: float, size) -> np.ndarray:
-        return np.sqrt(power / 2.0) * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        # sqrt(power/2) * (re + 1j*im), written part by part: the same
+        # values, drawn in the same order, without three complex passes.
+        scale = math.sqrt(power / 2.0)
+        z = np.empty(size, dtype=complex)
+        np.multiply(rng.standard_normal(size), scale, out=z.real)
+        np.multiply(rng.standard_normal(size), scale, out=z.imag)
+        return z
 
     # Draw order is fixed (SOI, interferers in listed order, noise) so a
     # given seed always produces the same matrix.

@@ -372,8 +372,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 def emit_pattern_csv(pattern: BeamPattern, path) -> None:
     """Write theta_deg,gain_db,raw_gain rows at fixed six decimals."""
-    columns = [np.asarray(column).tolist() for column in pattern]
-    rows = "".join(f"{t:.6f},{db:.6f},{raw:.6f}\n" for t, db, raw in zip(*columns))
+    values = np.column_stack(pattern).ravel().tolist()
+    rows = ("%.6f,%.6f,%.6f\n" * (len(values) // 3)) % tuple(values)
     Path(path).write_text("theta_deg,gain_db,raw_gain\n" + rows, encoding="utf-8", newline="\n")
 
 

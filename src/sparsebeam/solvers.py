@@ -32,7 +32,9 @@ Every solver takes a covariance R and nothing else: anything but a
 finite Hermitian matrix, raw snapshots included, raises DomainError
 (:func:`sparsebeam.covariance.ensure_covariance`). R is symmetrized and
 diagonally loaded before factorization; a trace that is not finite
-raises DomainError. An inner solve whose matrix has a mean
+raises DomainError. The last R checked and loaded is kept, read-only,
+so the methods of one Monte-Carlo run check their shared R once
+(:func:`_loaded_covariance`). An inner solve whose matrix has a mean
 diagonal outside [2^-64, 2^64) first scales it by a power of four, so a
 covariance of any scale whose trace is finite solves, with the weights
 of the unit-scale solve bit for bit; inside that window the scale would
@@ -242,11 +244,14 @@ def _run_irls(r, aq, opts: SolverOptions, inner):
 
     Each step is R_eff = (R + gamma A Q D Q A^H + its conjugate
     transpose) / 2, assembled in place in two buffers allocated once per
-    solve, and halved before the transpose is added, so a finite R cannot
-    overflow it. |u|^2 + eps of the step's response u = (A Q)^H w serves
-    both its penalty and the next reweighting, unless eps was just
-    annealed. Apart from the halving, which is exact for normal floats,
-    the floating-point operations and their order are those of the plain
+    solve. Both halves are taken before the transpose is added, so a
+    finite R cannot overflow it: R/2 once per solve, and the penalty
+    term's 1/2 folded into gamma's one multiply, together with D's
+    factor p/2 when that is a power of two. |u|^2 + eps of the step's
+    response u = (A Q)^H w serves both its penalty and the next
+    reweighting, unless eps was just annealed. A power-of-two factor
+    commutes with rounding for normal floats, and otherwise the
+    floating-point operations and their order are those of the plain
     expressions, so the results are the same to the bit
     (tests/_oracles.py keeps the plain loop as the reference).
     """
@@ -257,6 +262,11 @@ def _run_irls(r, aq, opts: SolverOptions, inner):
     # Powers stay ``**``: numpy computes a scalar exponent of 2 or 0.5 as
     # square or sqrt, which np.power does not.
     power, half_p = (opts.p - 2.0) / 2.0, opts.p / 2.0
+    # D = smoothed**power * p/2 enters R_eff only as gamma A Q D / 2; a
+    # p/2 that is a power of two joins that one multiply.
+    fold_p = math.frexp(half_p)[0] == 0.5
+    term_scale = gamma * 0.5 * half_p if fold_p else gamma * 0.5
+    r_half = r * 0.5
     eps = opts.irls_epsilon
     history: list[float] = []
     best_w, best_obj = w, np.inf
@@ -272,12 +282,12 @@ def _run_irls(r, aq, opts: SolverOptions, inner):
             eps = max(eps * 0.1, _IRLS_EPS_FLOOR)
             np.add(u2, eps, out=smoothed)
         d = smoothed**power
-        d *= half_p
+        if not fold_p:
+            d *= half_p
         np.multiply(aq, d, out=weighted)
-        weighted *= gamma
+        weighted *= term_scale
         np.matmul(weighted, aq_h, out=r_eff)
-        r_eff += r
-        r_eff *= 0.5
+        r_eff += r_half
         r_eff += r_eff.conj().T
         w = inner(r_eff)
         np.square(np.abs(aq_h @ w, out=u2), out=u2)
@@ -410,8 +420,8 @@ def _cone_solve(r, center, shape):
     ellipsoid gives R^-1 c / (c^H R^-1 c).
     """
     # LAPACK's zpotrf and ztrtrs, the routines cho_factor and
-    # solve_triangular wrap, called directly. R is finite (checked once
-    # per solve by ensure_covariance), and the factor's diagonal is
+    # solve_triangular wrap, called directly. R is finite (checked by
+    # ensure_covariance before the solve), and the factor's diagonal is
     # positive, so ztrtrs cannot fail.
     chol, info = zpotrf(_unit_scaled(r), lower=1, clean=0)
     _check_factorization(info)
@@ -431,6 +441,31 @@ def _cone_solve(r, center, shape):
     return w / margin
 
 
+# (key, loaded R) of the last covariance checked; see _loaded_covariance.
+_last_loaded: tuple = (None, None)
+
+
+def _loaded_covariance(covariance, loading: float) -> np.ndarray:
+    """``diagonal_load(ensure_covariance(covariance), loading)``, read-only.
+
+    Every method of a Monte-Carlo run solves the same R, so the result
+    for the last (R, loading) is kept and returned again while R's bytes
+    are the same: an array changed in place is checked again. The kept
+    array is read-only and only the solvers read it, and the slot is one
+    tuple, replaced whole, so no caller sees another's R.
+    """
+    global _last_loaded
+    arr = np.asarray(covariance, dtype=complex)
+    # hex() tells -0.0 from 0.0: they load the signed zeros of R differently.
+    key = (arr.shape, float(loading).hex(), arr.tobytes())
+    last_key, loaded = _last_loaded
+    if last_key != key:
+        loaded = diagonal_load(ensure_covariance(arr), loading)
+        loaded.flags.writeable = False
+        _last_loaded = key, loaded
+    return loaded
+
+
 def _solve(method, covariance, a, q, constraint, opts) -> BeamformerWeights:
     """Minimize w^H R w + gamma ||w^H A Q||_p^p under ``constraint``.
 
@@ -442,7 +477,7 @@ def _solve(method, covariance, a, q, constraint, opts) -> BeamformerWeights:
     R's size before the first factorization.
     """
     opts = opts or SolverOptions()
-    r = diagonal_load(ensure_covariance(covariance), opts.diagonal_loading)
+    r = _loaded_covariance(covariance, opts.diagonal_loading)
     m = r.shape[0]
     if a is None:
         aq = np.zeros((m, 0), dtype=complex)

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg import null_space
 from scipy.linalg.lapack import zpotrf, zpotrs
 
-from sparsebeam import DomainError, SidelobeLevel, SolverError
+from sparsebeam import DomainError, SidelobeLevel, SolverError, steering_vector
 
 
 def constraint_parameterization(a0):
@@ -205,6 +205,25 @@ def run_irls_reference(r, aq, opts, inner):
             break
         previous = objective
     return best_w, iterations, best_obj, converged, tuple(history)
+
+
+def generate_snapshots_reference(scenario, geometry, fixed_soi_amplitude=None):
+    """Snapshots drawn as sqrt(p/2) * (re + 1j*im), each term a complex array pass."""
+    rng = np.random.default_rng(scenario.rng_seed)
+    m, k = geometry.num_elements, scenario.num_snapshots
+
+    def draw(power, size):
+        return np.sqrt(power / 2.0) * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+
+    (soi_doa, soi_power), *interferers = scenario.sources
+    s = draw(soi_power, k)
+    if fixed_soi_amplitude is not None:
+        s = np.full(k, fixed_soi_amplitude, dtype=complex)
+    x = np.outer(steering_vector(geometry, soi_doa), s)
+    for doa, power in interferers:
+        x += np.outer(steering_vector(geometry, doa), draw(power, k))
+    x += draw(scenario.noise_power, (m, k))
+    return x
 
 
 def is_hermitian_allclose(arr):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from _oracles import generate_snapshots_reference
 
 import sparsebeam as sb
 from sparsebeam import DomainError
@@ -226,6 +227,23 @@ class TestGenerateSnapshots:
         measured = np.mean(np.abs(x) ** 2)
         expected = 1.0 + 10.0 + 100.0
         assert abs(measured - expected) / expected < 0.05
+
+
+@pytest.mark.parametrize("fixed_soi_amplitude", [None, 2.0 - 1.0j])
+@pytest.mark.parametrize("m, k, interferers", [
+    (2, 1, ()),
+    (8, 100, ((-30.0, 20.0), (30.0, 20.0), (70.0, 40.0))),
+    (32, 1000, ((-20.0, 30.0), (40.0, 25.0))),
+])
+def test_snapshots_match_the_complex_product_draw_bit_for_bit(m, k, interferers, fixed_soi_amplitude):
+    # The draws fill the real and imaginary parts in place; the values
+    # and the generator's draw order must stay those of the product form.
+    geometry = sb.ArrayGeometry(m)
+    for seed in (0, 1, 12345, 2**40 + 7):
+        scenario = sb.Scenario(5.0, 10.0, interferers, k, noise_power=0.5, rng_seed=seed)
+        x = sb.generate_snapshots(scenario, geometry, fixed_soi_amplitude=fixed_soi_amplitude)
+        expected = generate_snapshots_reference(scenario, geometry, fixed_soi_amplitude)
+        assert x.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("m", [8, 32])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,14 +295,16 @@ def test_irls_stops_at_the_first_non_finite_step(geometry, a_grid, a0, method, m
 @given(
     m=st.integers(2, 16),
     n=st.integers(1, 200),
-    p=st.sampled_from([1.0, 0.5, 0.1]),
+    # p/2 = 1/2, 1/4 and 1/8 fold into gamma's multiply; 1/20 does not.
+    p=st.sampled_from([1.0, 0.5, 0.25, 0.1]),
     gamma=st.sampled_from([0.0, 1e-3, 2.0, 50.0]),
     zero_fraction=st.sampled_from([0.0, 0.5, 1.0]),
     max_iterations=st.integers(1, 100),
+    half_width=st.sampled_from([0.0, 2.0]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_irls_matches_the_reference_loop_bit_for_bit(
-    m, n, p, gamma, zero_fraction, max_iterations, seed
+    m, n, p, gamma, zero_fraction, max_iterations, half_width, seed
 ):
     rng = np.random.default_rng(seed)
 
@@ -313,19 +316,23 @@ def test_irls_matches_the_reference_loop_bit_for_bit(
     q = rng.uniform(0.0, 2.0, n)
     q[rng.random(n) < zero_fraction] = 0.0
     a0 = complex_normal(m)
+    ellipsoid = sb.build_ellipsoid(sb.ArrayGeometry(m), rng.uniform(-60.0, 60.0), half_width)
     opts = SolverOptions(gamma=gamma, p=p, max_iterations=max_iterations)
-
-    result = sb.solve_wsc(r, a, q, a0, opts)
     loaded = sb.diagonal_load(0.5 * (r + r.conj().T), opts.diagonal_loading)
-    w, iterations, objective, converged, history = run_irls_reference(
-        loaded, a * q[None, :], opts, lambda r_eff: mvdr_direction_reference(r_eff, a0)
-    )
-    diagnostics = result.diagnostics
-    assert np.array_equal(result.w, w)
-    assert diagnostics.iterations == iterations
-    assert diagnostics.final_objective == objective
-    assert diagnostics.converged == converged
-    assert diagnostics.objective_history == history
+    center, shape = ellipsoid.center, ellipsoid.shape
+
+    # wsc's distortionless step and rwsc's ellipsoid cone solve.
+    for result, inner in [
+        (sb.solve_wsc(r, a, q, a0, opts), lambda r_eff: mvdr_direction_reference(r_eff, a0)),
+        (sb.solve_rwsc(r, a, q, ellipsoid, opts), lambda r_eff: solvers._cone_solve(r_eff, center, shape)),
+    ]:
+        w, iterations, objective, converged, history = run_irls_reference(loaded, a * q[None, :], opts, inner)
+        diagnostics = result.diagnostics
+        assert result.w.tobytes() == w.tobytes()
+        assert diagnostics.iterations == iterations
+        assert diagnostics.final_objective == objective
+        assert diagnostics.converged == converged
+        assert diagnostics.objective_history == history
 
 
 @pytest.mark.parametrize("method", ["mvdr", "sc", "wsc", "rmvb", "rwsc"])
@@ -474,3 +481,74 @@ def test_irls_iterations_count_the_history(geometry, sample_r, a_grid, q_weights
     }[method]()
     diagnostics = result.diagnostics
     assert diagnostics.iterations == len(diagnostics.objective_history) > 0
+
+
+# --- The one-slot covariance memo --------------------------------------
+
+
+@pytest.fixture
+def covariance_checks(monkeypatch):
+    """Empty the memo and count calls of solvers.ensure_covariance."""
+    calls = []
+
+    def counted(data):
+        calls.append(1)
+        return sb.ensure_covariance(data)
+
+    monkeypatch.setattr(solvers, "_last_loaded", (None, None))
+    monkeypatch.setattr(solvers, "ensure_covariance", counted)
+    return calls
+
+
+def test_a_study_checks_each_covariance_once(tmp_path, covariance_checks):
+    # fig1 solves mvdr, sc and wsc on each run's covariance: 2 checks,
+    # where every solve once checked and loaded R again (6).
+    config = sb.parse_config(Path(__file__).resolve().parent.parent / "configs" / "fig1.cfg")
+    config = dataclasses.replace(config, output_dir=str(tmp_path), monte_carlo_runs=2)
+    report = sb.run_experiment(config)
+    assert sum(report.failures.values()) == 0
+    assert len(covariance_checks) == 2
+
+
+def test_a_covariance_changed_in_place_is_checked_again(sample_r, a_grid, a0, covariance_checks, monkeypatch):
+    r = sample_r.copy()
+    sb.solve_sc(r, a_grid, a0)
+    r[0, 0] += 1.0
+    changed = sb.solve_sc(r, a_grid, a0)
+    assert len(covariance_checks) == 2
+    monkeypatch.setattr(solvers, "_last_loaded", (None, None))
+    assert changed.w.tobytes() == sb.solve_sc(r, a_grid, a0).w.tobytes()
+
+
+@pytest.mark.parametrize("first, second", [(1e-6, 1e-3), (0.0, -0.0)])
+def test_another_loading_loads_again(a0, covariance_checks, first, second):
+    # -0.0 passes the loading check, and it keeps the -0.0 entries of R
+    # that 0.0 turns into +0.0.
+    r = np.diag(np.arange(1.0, 9.0)).astype(complex)
+    r[0, 1] = r[1, 0] = -0.0
+    sb.mvdr(r, a0, SolverOptions(diagonal_loading=first))
+    sb.mvdr(r, a0, SolverOptions(diagonal_loading=second))
+    assert len(covariance_checks) == 2
+    expected = sb.diagonal_load(sb.ensure_covariance(r), second)
+    assert solvers._last_loaded[1].tobytes() == expected.tobytes()
+
+
+def test_a_non_hermitian_covariance_after_a_good_one_is_rejected(sample_r, a0, covariance_checks):
+    sb.mvdr(sample_r, a0)
+    bad = sample_r.copy()
+    bad[0, 1] += 1.0
+    with pytest.raises(DomainError, match="Hermitian"):
+        sb.mvdr(bad, a0)
+
+
+@pytest.mark.parametrize("method", ["mvdr", "sc", "wsc", "rmvb", "rwsc"])
+def test_the_kept_covariance_is_read_only_and_never_returned(
+    geometry, sample_r, a_grid, a0, covariance_checks, method
+):
+    r = sample_r.copy()
+    result = _every_solver(geometry, a_grid, a0)[method](r)
+    kept = solvers._last_loaded[1]
+    assert not kept.flags.writeable
+    assert not np.shares_memory(kept, r)
+    assert not np.shares_memory(kept, result.w)
+    assert all(not isinstance(value, np.ndarray) for value in vars(result.diagnostics).values())
