@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arrays import ArrayGeometry, Scenario, _angle_grid, _checked, steering_matrix, steering_vector
+from .arrays import ArrayGeometry, Scenario, _angle_grid, _check_direction, _checked, steering_matrix, steering_vector
 from .errors import DomainError, SolverError
 
 __all__ = [
@@ -167,8 +167,10 @@ def pointing_error(pattern: BeamPattern, true_doa_deg: float) -> float:
 
     Among grid points tied for the maximum gain, the one closest to the
     true direction wins, so a symmetric two-sided tie reports the
-    smaller-magnitude error.
+    smaller-magnitude error. A true direction outside [-90, 90] deg,
+    NaN included, raises DomainError.
     """
+    _check_direction("true direction", true_doa_deg)
     raw = pattern.raw_gain
     ties = np.nonzero(raw == raw.max())[0]
     errors = pattern.angles_deg[ties] - true_doa_deg

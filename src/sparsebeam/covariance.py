@@ -15,19 +15,29 @@ __all__ = [
 ]
 
 
+def _hermitian_part(r: np.ndarray) -> np.ndarray:
+    """(R + R^H)/2 as R/2 + R^H/2: exact for normal floats, finite wherever R is."""
+    half = 0.5 * r
+    return half + half.conj().T
+
+
 def sample_covariance(snapshots) -> np.ndarray:
     """Return the sample covariance (1/K) X X^H, exactly Hermitian.
 
     Parameters
     ----------
     snapshots : array_like
-        Finite M x K complex snapshot matrix with K >= 1.
+        Finite M x K complex snapshot matrix with K >= 1. Data whose
+        X X^H overflows raises DomainError.
     """
     x = _checked("snapshots", snapshots, (None, None))
     if x.shape[1] < 1:
         raise DomainError("snapshots must be an M x K matrix with K >= 1")
-    r = x @ x.conj().T / x.shape[1]
-    return 0.5 * (r + r.conj().T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = x @ x.conj().T / x.shape[1]
+    if not np.isfinite(r).all():
+        raise DomainError("snapshots are too large: X X^H overflows")
+    return _hermitian_part(r)
 
 
 def analytic_covariance(scenario: Scenario, geometry: ArrayGeometry) -> np.ndarray:
@@ -41,18 +51,19 @@ def analytic_covariance(scenario: Scenario, geometry: ArrayGeometry) -> np.ndarr
     for doa, power in scenario.sources:
         a = steering_vector(geometry, doa)
         r += power * np.outer(a, a.conj())
-    return 0.5 * (r + r.conj().T)
+    return _hermitian_part(r)
 
 
 def diagonal_load(covariance, epsilon: float) -> np.ndarray:
     """Return R + epsilon * tr(R)/M * I.
 
-    epsilon = 0 leaves R unchanged. Loading shifts every eigenvalue up by
-    the same amount and leaves eigenvectors untouched. A trace that is
-    not finite, such as one whose sum overflows, raises DomainError.
+    epsilon must be finite and nonnegative; epsilon = 0 leaves R
+    unchanged. Loading shifts every eigenvalue up by the same amount and
+    leaves eigenvectors untouched. A trace that is not finite, such as
+    one whose sum overflows, raises DomainError.
     """
-    if epsilon < 0:
-        raise DomainError(f"epsilon must be nonnegative, got {epsilon}")
+    if not 0 <= epsilon < np.inf:
+        raise DomainError(f"epsilon must be finite and nonnegative, got {epsilon}")
     r = np.asarray(covariance, dtype=complex)
     m = r.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -79,12 +90,11 @@ def ensure_covariance(data) -> np.ndarray:
         # of a finite half overflows. Their difference still can (both
         # parts near the float limit); its inf is rejected, as it should be.
         half = 0.5 * arr
-        half_h = half.conj().T
         magnitude = np.abs(half)
         atol = 1e-12 * float(magnitude.max())
         with np.errstate(over="ignore"):
             # |R^H| is |R| transposed, exactly.
-            if (np.abs(half - half_h) <= atol + 1e-8 * magnitude.T).all():
-                return half + half_h
+            if (np.abs(half - half.conj().T) <= atol + 1e-8 * magnitude.T).all():
+                return _hermitian_part(arr)
     raise DomainError(f"covariance of shape {arr.shape} is not a square Hermitian matrix; "
                       "build one from M x K snapshots with sample_covariance")

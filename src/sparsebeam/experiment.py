@@ -46,7 +46,6 @@ _SOLVES = {
     "rmvb": lambda r, a_grid, q, a0, ellipsoid, opts: solve_rmvb(r, ellipsoid, opts),
     "rwsc": lambda r, a_grid, q, a0, ellipsoid, opts: solve_rwsc(r, a_grid, q, ellipsoid, opts),
 }
-METHOD_NAMES = tuple(_SOLVES)
 
 _METRIC_RESOLUTION_DEG = 0.1
 _NULL_WINDOW_DEG = 1.0
@@ -56,8 +55,8 @@ def _check_methods(methods) -> None:
     if not methods:
         raise DomainError("methods must be non-empty")
     for name in methods:
-        if name not in METHOD_NAMES:
-            raise DomainError(f"unknown method {name!r}; choose from {','.join(METHOD_NAMES)}")
+        if name not in _SOLVES:
+            raise DomainError(f"unknown method {name!r}; choose from {','.join(_SOLVES)}")
     if len(set(methods)) != len(methods):
         raise DomainError("methods must not repeat")
 

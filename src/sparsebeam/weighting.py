@@ -53,28 +53,19 @@ def build_q(steering_mat, snapshots) -> np.ndarray:
     An all-zero result (no data energy) falls back to all-ones so the
     weighted penalty degrades to the unweighted one.
 
-    A^H X is never held whole: its row means are taken one block of
-    contiguous rows at a time, so the working memory is one block of
-    about 1 MiB, not N x K. With B = max(8, 2^20 // (16 K)), the N rows
-    are split into max(1, N // B) near-equal blocks of B to 2B - 1 rows,
-    so a block holds under 2 MiB unless K > 8192, and N < 2B is the
-    single product. No block has one row: numpy sends a one-row product
-    through a matrix-vector kernel whose sums round differently. Each
-    entry is the same gemm dot product and the same pairwise mean over
-    K as in the single product, so q is bit-identical to snm(A^H X).
+    A^H X is never held whole: its row means are taken one block at a
+    time, from np.array_split(A^H, max(1, N // B)) with
+    B = max(8, 2^20 // (16 K)). N < 2B is the single product; otherwise
+    every block has B to 2B - 1 rows, under 2 MiB unless K > 8192, and
+    none goes through numpy's one-row kernel, whose sums round
+    differently. So q is bit-identical to snm(A^H X).
     """
     a = _checked("steering matrix", steering_mat, (None, None))
     x = _checked("snapshots", snapshots, (a.shape[0], None))
     if x.shape[1] < 1:
         raise DomainError("snapshots must have K >= 1 columns")
-    n = a.shape[1]
-    blocks = max(1, n // max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (16 * x.shape[1])))
-    bounds = [n * i // blocks for i in range(blocks + 1)]
-    a_h = a.conj().T
-    means = np.empty(n, dtype=complex)
-    for lo, hi in zip(bounds, bounds[1:]):
-        means[lo:hi] = (a_h[lo:hi] @ x).mean(axis=1)
-    q = _squared_normalized(means)
+    blocks = max(1, a.shape[1] // max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (16 * x.shape[1])))
+    q = _squared_normalized(np.concatenate([(rows @ x).mean(axis=1) for rows in np.array_split(a.conj().T, blocks)]))
     if q.max() == 0:
-        return np.ones(n)
+        return np.ones_like(q)
     return q

@@ -240,6 +240,12 @@ class TestPointingError:
         # maxima at 1 and 5; true DOA 2 is closer to the left one
         assert sb.pointing_error(pattern, 2.0) == -1.0
 
+    @pytest.mark.parametrize("true_doa", [np.nan, np.inf, 120.0])
+    def test_rejects_a_true_direction_off_the_half_circle(self, taper_pattern, true_doa):
+        # These once returned NaN, -inf and -120.0.
+        with pytest.raises(DomainError, match=r"\[-90, 90\]"):
+            sb.pointing_error(taper_pattern, true_doa)
+
 
 class TestOutputSinr:
     def test_white_noise_array_gain(self, geometry, a0):

@@ -63,8 +63,10 @@ def test_diagonal_load_zero_is_identity(sample_r):
 
 
 def test_diagonal_load_rejects_negative(sample_r):
-    with pytest.raises(DomainError):
-        sb.diagonal_load(sample_r, -1e-6)
+    # NaN and inf once loaded R into a NaN or an infinite matrix.
+    for epsilon in (-1e-6, np.nan, np.inf):
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            sb.diagonal_load(sample_r, epsilon)
 
 
 class TestEnsureCovariance:
@@ -166,6 +168,28 @@ def test_hermitian_part_of_a_finite_covariance_does_not_overflow():
     # (R + R^H)/2 once summed first, so a diagonal entry of 1e308 became inf.
     r = np.diag([1.7e308] + [1e300] * 7).astype(complex)
     np.testing.assert_array_equal(sb.ensure_covariance(r), r)
+
+
+def test_sample_covariance_near_the_float_limit_stays_finite():
+    # X X^H is 1.69e308 everywhere; (R + R^H)/2 once overflowed at the sum.
+    x = np.full((4, 1), 1.3e154, dtype=complex)
+    half = 0.5 * (x @ x.conj().T)
+    r = sb.sample_covariance(x)
+    assert np.isfinite(r).all()
+    np.testing.assert_array_equal(r, half + half.conj().T)
+
+
+def test_sample_covariance_rejects_overflowing_snapshots():
+    # X X^H is past the float limit; it once warned and returned inf.
+    with pytest.raises(DomainError, match="overflows"):
+        sb.sample_covariance(np.full((4, 1), 1e200))
+
+
+def test_analytic_covariance_near_the_float_limit_stays_finite(geometry):
+    # A 3,080 dB interferer has power 1e308, so R + R^H once overflowed.
+    r = sb.analytic_covariance(sb.Scenario(0.0, 10.0, ((30.0, 3080.0),)), geometry)
+    assert np.isfinite(r).all()
+    np.testing.assert_array_equal(r, r.conj().T)
 
 
 def test_diagonal_load_rejects_an_infinite_trace():

@@ -98,6 +98,18 @@ def test_build_q_blocks_match_the_whole_product(m, n, k, seed):
     assert sb.build_q(a, x).tobytes() == build_q_reference(a, x).tobytes()
 
 
+def test_build_q_at_the_wide_benchmark_shape_matches_the_whole_product():
+    # perfbench/configs/wide.cfg's grid and data: 720 rows in 11 blocks.
+    # np.array_split puts the five 66-row blocks first; the row bounds
+    # 720 i // 11 once spread them out.
+    geometry = sb.ArrayGeometry(32, 0.5)
+    a = sb.steering_matrix(geometry, sb.interference_grid(3.0, 0.25))
+    scenario = sb.Scenario(0.0, 10.0, ((-30.0, 20.0), (30.0, 20.0), (70.0, 40.0)), 1000, 1.0, 12345)
+    x = sb.generate_snapshots(scenario, geometry)
+    assert (a.shape, x.shape) == ((32, 720), (32, 1000))
+    assert sb.build_q(a, x).tobytes() == build_q_reference(a, x).tobytes()
+
+
 def test_build_q_working_memory_is_one_block():
     # The wide benchmark's shape: the whole 720 x 1000 product would
     # take 11 MiB.
