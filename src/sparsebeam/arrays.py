@@ -25,11 +25,25 @@ __all__ = [
 ]
 
 
-def _checked(name: str, value, shape: tuple, dtype=complex) -> np.ndarray:
-    """``value`` as a finite array of ``shape``; None in ``shape`` matches any length."""
-    x = np.asarray(value, dtype=dtype)
-    if x.ndim != len(shape) or any(n not in (None, k) for n, k in zip(shape, x.shape)):
-        expected = tuple("any" if n is None else n for n in shape)
+def _numeric(name: str, value, dtype=complex) -> np.ndarray:
+    """``value`` as an array of ``dtype``; DomainError naming ``name`` if numpy cannot convert it."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{name} is not a numeric array: {exc}") from None
+
+
+def _checked(name: str, value, shape: tuple, dtype=complex, empty_ok: bool = False) -> np.ndarray:
+    """``value`` as a finite, non-empty array of ``shape``; None in ``shape`` matches any length.
+
+    ``empty_ok`` admits an array with no entries, for the inputs where
+    empty has a meaning. Anything :func:`_numeric` cannot convert, or an
+    array of another shape, raises DomainError naming ``name``.
+    """
+    x = _numeric(name, value, dtype)
+    if (x.ndim != len(shape) or any(n not in (None, k) for n, k in zip(shape, x.shape))
+            or not (x.size or empty_ok)):
+        expected = tuple(("any" if empty_ok else ">= 1") if n is None else n for n in shape)
         raise DomainError(f"{name} has shape {x.shape}, expected {expected}")
     if not np.isfinite(x).all():
         raise DomainError(f"{name} must be finite (no NaN or inf entries)")
@@ -37,8 +51,8 @@ def _checked(name: str, value, shape: tuple, dtype=complex) -> np.ndarray:
 
 
 def _check_count(name: str, value, minimum: int) -> None:
-    """Raise DomainError unless ``value`` is an int or numpy integer >= ``minimum``."""
-    if not isinstance(value, (int, np.integer)) or value < minimum:
+    """Raise DomainError unless ``value`` is an int or numpy integer >= ``minimum``, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
@@ -150,8 +164,6 @@ def steering_matrix(geometry: ArrayGeometry, angles_deg) -> np.ndarray:
     increasing.
     """
     angles = _checked("angle grid", angles_deg, (None,), float)
-    if angles.size == 0:
-        raise DomainError("angle grid must be non-empty")
     if np.any(angles < -90.0) or np.any(angles > 90.0):
         raise DomainError("angle grid must lie within [-90, 90]")
     if angles.size > 1 and np.any(np.diff(angles) <= 0):
@@ -181,12 +193,7 @@ def interference_grid(steer_deg: float, step_deg: float = 1.0) -> np.ndarray:
     return angles[np.abs(angles - steer_deg) > 1e-9]
 
 
-def generate_snapshots(
-    scenario: Scenario,
-    geometry: ArrayGeometry,
-    *,
-    fixed_soi_amplitude: complex | None = None,
-) -> np.ndarray:
+def generate_snapshots(scenario: Scenario, geometry: ArrayGeometry) -> np.ndarray:
     """Synthesize the M x K snapshot matrix X for a scenario.
 
     Column k is s(k)*a(theta0) + sum_j beta_j(k)*a(theta_j) + n(k) where
@@ -194,9 +201,6 @@ def generate_snapshots(
     with powers noise_power*10^(dB/10) and n(k) is spatially white
     complex Gaussian with per-element power ``noise_power``. Output is a
     deterministic function of ``scenario.rng_seed``.
-
-    ``fixed_soi_amplitude`` is a test hook that replaces the random s(k)
-    with a constant amplitude for every snapshot.
     """
     rng = np.random.default_rng(scenario.rng_seed)
     m, k = geometry.num_elements, scenario.num_snapshots
@@ -213,10 +217,7 @@ def generate_snapshots(
     # Draw order is fixed (SOI, interferers in listed order, noise) so a
     # given seed always produces the same matrix.
     (soi_doa, soi_power), *interferers = scenario.sources
-    s = draw(soi_power, k)
-    if fixed_soi_amplitude is not None:
-        s = np.full(k, fixed_soi_amplitude, dtype=complex)
-    x = np.outer(steering_vector(geometry, soi_doa), s)
+    x = np.outer(steering_vector(geometry, soi_doa), draw(soi_power, k))
     for doa, power in interferers:
         x += np.outer(steering_vector(geometry, doa), draw(power, k))
     x += draw(scenario.noise_power, (m, k))

@@ -27,12 +27,10 @@ def sample_covariance(snapshots) -> np.ndarray:
     Parameters
     ----------
     snapshots : array_like
-        Finite M x K complex snapshot matrix with K >= 1. Data whose
+        Finite, non-empty M x K complex snapshot matrix. Data whose
         X X^H overflows raises DomainError.
     """
     x = _checked("snapshots", snapshots, (None, None))
-    if x.shape[1] < 1:
-        raise DomainError("snapshots must be an M x K matrix with K >= 1")
     with np.errstate(over="ignore", invalid="ignore"):
         r = x @ x.conj().T / x.shape[1]
     if not np.isfinite(r).all():
@@ -57,15 +55,18 @@ def analytic_covariance(scenario: Scenario, geometry: ArrayGeometry) -> np.ndarr
 def diagonal_load(covariance, epsilon: float) -> np.ndarray:
     """Return R + epsilon * tr(R)/M * I.
 
-    epsilon must be finite and nonnegative; epsilon = 0 leaves R
-    unchanged. Loading shifts every eigenvalue up by the same amount and
-    leaves eigenvectors untouched. A trace that is not finite, such as
-    one whose sum overflows, raises DomainError.
+    R must be a finite, non-empty square matrix, and epsilon finite and
+    nonnegative; epsilon = 0 leaves R unchanged. Loading shifts every
+    eigenvalue up by the same amount and leaves eigenvectors untouched.
+    A trace that is not finite, such as one whose sum overflows, raises
+    DomainError.
     """
     if not 0 <= epsilon < np.inf:
         raise DomainError(f"epsilon must be finite and nonnegative, got {epsilon}")
-    r = np.asarray(covariance, dtype=complex)
+    r = _checked("covariance", covariance, (None, None))
     m = r.shape[0]
+    if r.shape[1] != m:
+        raise DomainError(f"covariance of shape {r.shape} is not square")
     with np.errstate(over="ignore", invalid="ignore"):
         trace = np.trace(r).real
     if not np.isfinite(trace):
@@ -76,25 +77,27 @@ def diagonal_load(covariance, epsilon: float) -> np.ndarray:
 def ensure_covariance(data) -> np.ndarray:
     """Return the Hermitian covariance R of ``data`` as R/2 + R^H/2.
 
-    R must be finite and square with |R - R^H| <= atol + 1e-8 |R^H|
-    entrywise, atol = 1e-12 max |R|: np.allclose(R, R^H, rtol=1e-8,
-    atol=atol) written out. The floor scales with R, so an exactly
-    Hermitian R passes at any scale. Anything else, M x K snapshots
-    included, raises DomainError; :func:`sample_covariance` builds R from
-    snapshots. The solvers factor what this returns without another check.
+    R must be finite, non-empty and square with
+    |R - R^H| <= atol + 1e-8 |R^H| entrywise, atol = 1e-12 max |R|:
+    np.allclose(R, R^H, rtol=1e-8, atol=atol) written out. The floor
+    scales with R, so an exactly Hermitian R passes at any scale. Anything
+    else, M x K snapshots included, raises DomainError;
+    :func:`sample_covariance` builds R from snapshots. The solvers factor
+    what this returns without another check.
     """
     arr = _checked("covariance", data, (None, None))
-    if arr.shape[0] == arr.shape[1] > 0:
+    if arr.shape[0] == arr.shape[1]:
         # The test runs on the halves it returns, where both sides are
         # exactly half of the test above for normal floats, and no |entry|
         # of a finite half overflows. Their difference still can (both
         # parts near the float limit); its inf is rejected, as it should be.
         half = 0.5 * arr
+        half_h = half.conj().T
         magnitude = np.abs(half)
         atol = 1e-12 * float(magnitude.max())
         with np.errstate(over="ignore"):
             # |R^H| is |R| transposed, exactly.
-            if (np.abs(half - half.conj().T) <= atol + 1e-8 * magnitude.T).all():
-                return _hermitian_part(arr)
+            if (np.abs(half - half_h) <= atol + 1e-8 * magnitude.T).all():
+                return half + half_h
     raise DomainError(f"covariance of shape {arr.shape} is not a square Hermitian matrix; "
                       "build one from M x K snapshots with sample_covariance")

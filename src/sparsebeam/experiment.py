@@ -47,9 +47,6 @@ _SOLVES = {
     "rwsc": lambda r, a_grid, q, a0, ellipsoid, opts: solve_rwsc(r, a_grid, q, ellipsoid, opts),
 }
 
-_METRIC_RESOLUTION_DEG = 0.1
-_NULL_WINDOW_DEG = 1.0
-
 
 def _check_methods(methods) -> None:
     if not methods:
@@ -291,8 +288,8 @@ def _metric_names(scenario: Scenario) -> tuple[str, ...]:
 def _run_metrics(w, config: ExperimentConfig) -> list[float]:
     """The metrics of one run's weights, in _metric_names order."""
     scenario = config.scenario
-    pattern = beam_pattern(w, config.geometry, _METRIC_RESOLUTION_DEG)
-    values = [null_depth(pattern, doa, _NULL_WINDOW_DEG) for doa, _ in scenario.interferers]
+    pattern = beam_pattern(w, config.geometry)
+    values = [null_depth(pattern, doa) for doa, _ in scenario.interferers]
     # Centering on the observed peak keeps the mainlobe search valid for
     # mis-steered patterns whose peak drifts away from the nominal DOA.
     values.append(sidelobe_level(pattern, pattern.peak_angle_deg).level_db)

@@ -39,9 +39,10 @@ diagonal outside [2^-64, 2^64) first scales it by a power of four, so a
 covariance of any scale whose trace is finite solves, with the weights
 of the unit-scale solve bit for bit; inside that window the scale would
 move no bit and is skipped (:func:`_unit_scaled`).
-A, q, a0 or an ellipsoid that does not match R's size, or holds NaN or
-inf, raises DomainError before any factorization, as do negative q
-entries and a zero a0.
+A, q, a0 or an ellipsoid that is not numeric, does not match R's size,
+or holds NaN or inf, raises DomainError before any factorization, as do
+negative q entries and a zero a0. A and q may be empty, and an
+ellipsoid shape may have no columns; nothing else may.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 import scipy
 
-from .arrays import ArrayGeometry, _check_count, _checked, steering_matrix, steering_vector
+from .arrays import ArrayGeometry, _check_count, _checked, _numeric, steering_matrix, steering_vector
 from .covariance import diagonal_load, ensure_covariance
 from .errors import DomainError, SolverError
 
@@ -455,7 +456,9 @@ def _loaded_covariance(covariance, loading: float) -> np.ndarray:
     tuple, replaced whole, so no caller sees another's R.
     """
     global _last_loaded
-    arr = np.asarray(covariance, dtype=complex)
+    # A hit's bytes are those of an R already checked, so only a miss
+    # checks; a value numpy cannot convert has no bytes to compare.
+    arr = _numeric("covariance", covariance)
     # hex() tells -0.0 from 0.0: they load the signed zeros of R differently.
     key = (arr.shape, float(loading).hex(), arr.tobytes())
     last_key, loaded = _last_loaded
@@ -482,15 +485,15 @@ def _solve(method, covariance, a, q, constraint, opts) -> BeamformerWeights:
     if a is None:
         aq = np.zeros((m, 0), dtype=complex)
     else:
-        aq = a = _checked("steering matrix A", a, (m, None))
+        aq = a = _checked("steering matrix A", a, (m, None), empty_ok=True)
         if q is not None:
-            q = _checked("q", q, a.shape[1:], float)
+            q = _checked("q", q, a.shape[1:], float, empty_ok=True)
             if np.any(q < 0):
                 raise DomainError("q entries must be nonnegative")
             aq = a * q[None, :]
     if method in ("rmvb", "rwsc"):
-        center = _checked("ellipsoid center", constraint.center, (m,))
-        shape = _checked("ellipsoid shape", constraint.shape, (m, None))
+        center = _checked("ellipsoid center", getattr(constraint, "center", None), (m,))
+        shape = _checked("ellipsoid shape", getattr(constraint, "shape", None), (m, None), empty_ok=True)
         inner = lambda r_eff: _cone_solve(r_eff, center, shape)
         residual = lambda w: _margin(w, center, shape) - 1.0
     else:

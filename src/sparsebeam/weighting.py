@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .arrays import _checked
-from .errors import DomainError
 
 __all__ = ["snm", "build_q"]
 
@@ -41,8 +40,6 @@ def snm(rows) -> np.ndarray:
     any positive rescaling.
     """
     c = _checked("input", rows, (None, None))
-    if c.shape[1] < 1:
-        raise DomainError("input must be an N x K matrix with K >= 1")
     return _squared_normalized(c.mean(axis=1))
 
 
@@ -62,8 +59,6 @@ def build_q(steering_mat, snapshots) -> np.ndarray:
     """
     a = _checked("steering matrix", steering_mat, (None, None))
     x = _checked("snapshots", snapshots, (a.shape[0], None))
-    if x.shape[1] < 1:
-        raise DomainError("snapshots must have K >= 1 columns")
     blocks = max(1, a.shape[1] // max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (16 * x.shape[1])))
     q = _squared_normalized(np.concatenate([(rows @ x).mean(axis=1) for rows in np.array_split(a.conj().T, blocks)]))
     if q.max() == 0:

@@ -207,7 +207,7 @@ def run_irls_reference(r, aq, opts, inner):
     return best_w, iterations, best_obj, converged, tuple(history)
 
 
-def generate_snapshots_reference(scenario, geometry, fixed_soi_amplitude=None):
+def generate_snapshots_reference(scenario, geometry):
     """Snapshots drawn as sqrt(p/2) * (re + 1j*im), each term a complex array pass."""
     rng = np.random.default_rng(scenario.rng_seed)
     m, k = geometry.num_elements, scenario.num_snapshots
@@ -217,8 +217,6 @@ def generate_snapshots_reference(scenario, geometry, fixed_soi_amplitude=None):
 
     (soi_doa, soi_power), *interferers = scenario.sources
     s = draw(soi_power, k)
-    if fixed_soi_amplitude is not None:
-        s = np.full(k, fixed_soi_amplitude, dtype=complex)
     x = np.outer(steering_vector(geometry, soi_doa), s)
     for doa, power in interferers:
         x += np.outer(steering_vector(geometry, doa), draw(power, k))

@@ -1,3 +1,5 @@
+import inspect
+
 import sparsebeam as sb
 
 # The public API at the point where __all__ came to be built from the
@@ -25,3 +27,67 @@ def test_star_import_binds_exactly_the_public_names():
     exec("from sparsebeam import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == PUBLIC_NAMES
+
+
+# The parameter names of each public callable; None where a class keeps
+# its builtin base's constructor. A parameter joins or leaves the API
+# only on purpose, as a name does.
+SIGNATURES = {
+    "ArrayGeometry": ("num_elements", "spacing_wavelengths"),
+    "BeamPattern": ("angles_deg", "gain_db", "raw_gain"),
+    "BeamformerWeights": ("w", "method", "diagnostics"),
+    "ConfigError": ("message", "key"),
+    "Diagnostics": ("iterations", "final_objective", "constraint_residual", "converged", "objective_history"),
+    "DomainError": None,
+    "Ellipsoid": ("center", "shape"),
+    "ExperimentConfig": (
+        "geometry", "scenario", "methods", "solver_options", "mismatch_deg", "monte_carlo_runs",
+        "grid_resolution_deg", "output_dir", "ellipsoid_half_width_deg", "ellipsoid_num_samples",
+        "failure_budget",
+    ),
+    "ExperimentReport": ("methods", "patterns", "metrics", "run_seeds", "failures"),
+    "MetricRow": ("method", "metric", "median", "iqr", "failures"),
+    "Scenario": ("soi_doa_deg", "soi_snr_db", "interferers", "num_snapshots", "noise_power", "rng_seed"),
+    "SidelobeLevel": ("level_db", "no_sidelobes"),
+    "SolverError": None,
+    "SolverOptions": (
+        "gamma", "p", "max_iterations", "objective_tolerance", "irls_epsilon", "diagonal_loading",
+    ),
+    "analytic_covariance": ("scenario", "geometry"),
+    "beam_pattern": ("weights", "geometry", "resolution_deg"),
+    "build_ellipsoid": ("geometry", "theta0_deg", "half_width_deg", "num_samples"),
+    "build_q": ("steering_mat", "snapshots"),
+    "diagonal_load": ("covariance", "epsilon"),
+    "emit_metrics_csv": ("report", "path"),
+    "emit_pattern_csv": ("pattern", "path"),
+    "ensure_covariance": ("data",),
+    "generate_snapshots": ("scenario", "geometry"),
+    "interference_grid": ("steer_deg", "step_deg"),
+    "mvdr": ("covariance", "a0", "opts"),
+    "null_depth": ("pattern", "theta_deg", "window_deg"),
+    "output_sinr": ("weights", "scenario", "geometry"),
+    "parse_config": ("path",),
+    "pointing_error": ("pattern", "true_doa_deg"),
+    "run_experiment": ("config",),
+    "sample_covariance": ("snapshots",),
+    "sidelobe_level": ("pattern", "mainlobe_center_deg"),
+    "snm": ("rows",),
+    "solve_rmvb": ("covariance", "ellipsoid", "opts"),
+    "solve_rwsc": ("covariance", "a", "q", "ellipsoid", "opts"),
+    "solve_sc": ("covariance", "a", "a0", "opts"),
+    "solve_wsc": ("covariance", "a", "q", "a0", "opts"),
+    "steering_matrix": ("geometry", "angles_deg"),
+    "steering_vector": ("geometry", "theta_deg"),
+}
+
+
+def _parameter_names(obj):
+    try:
+        return tuple(inspect.signature(obj).parameters)
+    except ValueError:  # no signature: the builtin base's constructor
+        return None
+
+
+def test_public_callables_take_exactly_the_recorded_parameters():
+    callables = {name: getattr(sb, name) for name in sb.__all__ if callable(getattr(sb, name))}
+    assert {name: _parameter_names(obj) for name, obj in callables.items()} == SIGNATURES

@@ -148,6 +148,14 @@ class TestSolveWsc:
         assert np.array_equal(wsc.w, mv.w)
         assert wsc.diagnostics == mv.diagnostics
 
+    def test_empty_grid_drops_the_penalty(self, sample_r, a0):
+        # An M x 0 A, with a length-0 q, leaves only w^H R w: mvdr.
+        empty = np.zeros((8, 0), dtype=complex)
+        mv = sb.mvdr(sample_r, a0)
+        for solved in (sb.solve_sc(sample_r, empty, a0), sb.solve_wsc(sample_r, empty, np.zeros(0), a0)):
+            assert solved.w.tobytes() == mv.w.tobytes()
+            assert solved.diagnostics == mv.diagnostics
+
     def test_objective_monotone(self, sample_r, a_grid, q_weights, a0):
         history = np.array(
             sb.solve_wsc(sample_r, a_grid, q_weights, a0).diagnostics.objective_history

@@ -128,5 +128,5 @@ def test_build_q_working_memory_is_one_block():
 
 
 def test_snm_rejects_zero_columns():
-    with pytest.raises(DomainError, match="K >= 1"):
+    with pytest.raises(DomainError, match=">= 1"):
         sb.snm(np.zeros((3, 0)))
