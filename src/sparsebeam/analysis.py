@@ -7,12 +7,14 @@ clamped at -200 dB so that exact nulls serialize to a finite floor.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .arrays import ArrayGeometry, Scenario, _angle_grid, _check_direction, _checked, steering_matrix, steering_vector
+from .arrays import (ArrayGeometry, Scenario, _angle_grid, _check_direction, _checked, _real, steering_matrix,
+                     steering_vector)
 from .errors import DomainError, SolverError
 
 __all__ = [
@@ -84,9 +86,7 @@ def beam_pattern(weights, geometry: ArrayGeometry, resolution_deg: float = 0.1) 
     0 dB. An all-zero pattern, as zero weights give, raises DomainError.
     """
     w = _weight_vector(weights, geometry)
-    if not 0 < resolution_deg <= 1.0:
-        raise DomainError(f"resolution_deg must lie in (0, 1], got {resolution_deg}")
-    resolution_deg = float(resolution_deg)
+    resolution_deg = _real("resolution_deg", resolution_deg, "(0, 1]")
     response = w.conj() @ _pattern_steering(geometry, resolution_deg)
     raw = np.abs(response) ** 2
     peak = float(raw.max())
@@ -115,8 +115,8 @@ def null_depth(pattern: BeamPattern, theta_deg: float, window_deg: float = 1.0) 
     More negative is deeper. A window falling entirely outside the
     pattern grid raises DomainError.
     """
-    if window_deg < 0:
-        raise DomainError(f"window_deg must be nonnegative, got {window_deg}")
+    theta_deg = _real("theta_deg", theta_deg)
+    window_deg = _real("window_deg", window_deg, "[0, inf)")
     mask = np.abs(pattern.angles_deg - theta_deg) <= window_deg + 1e-12
     if not mask.any():
         raise DomainError(
@@ -135,6 +135,7 @@ def sidelobe_level(pattern: BeamPattern, mainlobe_center_deg: float) -> Sidelobe
     away from the mainlobe out to the grid edge have no sidelobes; the
     flagged boundary gain is returned in that case.
     """
+    mainlobe_center_deg = _real("mainlobe_center_deg", mainlobe_center_deg)
     gains = pattern.gain_db
     angles = pattern.angles_deg
     # rises[j]: gains[j + 1] >= gains[j]; falls[j]: gains[j] >= gains[j + 1].
@@ -170,7 +171,7 @@ def pointing_error(pattern: BeamPattern, true_doa_deg: float) -> float:
     smaller-magnitude error. A true direction outside [-90, 90] deg,
     NaN included, raises DomainError.
     """
-    _check_direction("true direction", true_doa_deg)
+    _check_direction("true_doa_deg", true_doa_deg)
     raw = pattern.raw_gain
     ties = np.nonzero(raw == raw.max())[0]
     errors = pattern.angles_deg[ties] - true_doa_deg
@@ -188,10 +189,13 @@ def output_sinr(weights, scenario: Scenario, geometry: ArrayGeometry) -> float:
     vector is allowed and reads -200 dB.
     """
     w = _weight_vector(weights, geometry)
-    w_h = w.conj()
+    # The ratio does not depend on w's scale, so w is taken times the
+    # power of two that puts max |w| in [1/2, 1): exact, and no square
+    # below underflows or overflows, whatever w's size.
+    w_h = w.conj() * math.ldexp(1.0, -math.frexp(float(np.abs(w).max()))[1])
     (soi_doa, soi_power), *interferers = scenario.sources
     signal = soi_power * abs(w_h @ _source_steering(geometry, soi_doa)) ** 2
-    denom = scenario.noise_power * float(np.linalg.norm(w) ** 2)
+    denom = scenario.noise_power * float(np.linalg.norm(w_h) ** 2)
     for doa, power in interferers:
         denom += power * abs(w_h @ _source_steering(geometry, doa)) ** 2
     if signal <= 0:

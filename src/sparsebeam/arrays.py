@@ -9,6 +9,7 @@ always 1 and every element has unit modulus.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,10 +57,28 @@ def _check_count(name: str, value, minimum: int) -> None:
         raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def _check_direction(name: str, theta_deg: float) -> None:
-    """Raise DomainError unless ``theta_deg`` lies in [-90, 90]."""
-    if not -90.0 <= theta_deg <= 90.0:
-        raise DomainError(f"{name} must lie in [-90, 90], got {theta_deg}")
+def _real(name: str, value, interval: str = "(-inf, inf)") -> float:
+    """``value`` as a float in ``interval``, written like ``"(0, 1]"``: square brackets close an end.
+
+    A bool, a str or anything else that is not a ``numbers.Real``, NaN,
+    +-inf, an int too large for a float, or a value outside ``interval``
+    raises DomainError naming ``name`` and quoting ``interval``.
+    """
+    low, high = map(float, interval[1:-1].split(","))
+    try:
+        # float and int first: they skip numbers.Real's slower ABC check.
+        x = float(value) if isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # beyond the float range, so inf as a float (and 10**5000 has no repr)
+        x = value = math.inf
+    # No interval closes at an infinite end, and NaN fails every comparison.
+    if not (low < x < high or x == low and interval[0] == "[" or x == high and interval[-1] == "]"):
+        raise DomainError(f"{name} must be finite and lie in {interval}, got {value!r}")
+    return x
+
+
+def _check_direction(name: str, theta_deg: float) -> float:
+    """``theta_deg`` as a float in [-90, 90]; see :func:`_real`."""
+    return _real(name, theta_deg, "[-90, 90]")
 
 
 def _angle_grid(step_deg: float) -> np.ndarray:
@@ -85,10 +104,7 @@ class ArrayGeometry:
 
     def __post_init__(self):
         _check_count("num_elements", self.num_elements, 2)
-        if not 0 < self.spacing_wavelengths < math.inf:
-            raise DomainError(
-                f"spacing_wavelengths must be finite and positive, got {self.spacing_wavelengths}"
-            )
+        _real("spacing_wavelengths", self.spacing_wavelengths, "(0, inf)")
 
 
 @dataclass(frozen=True)
@@ -110,20 +126,14 @@ class Scenario:
     rng_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "interferers", tuple((float(d), float(p)) for d, p in self.interferers)
-        )
-        values = [self.soi_doa_deg, self.soi_snr_db, self.noise_power]
-        values += [v for pair in self.interferers for v in pair]
-        if not all(map(math.isfinite, values)):
-            raise DomainError("scenario DOAs, SNR, INRs and noise power must be finite")
+        _check_direction("soi_doa_deg", self.soi_doa_deg)
+        _real("soi_snr_db", self.soi_snr_db)
+        _real("noise_power", self.noise_power, "(0, inf)")
+        object.__setattr__(self, "interferers", tuple(
+            (_check_direction("interferer DOA", d), _real("interferer INR", p)) for d, p in self.interferers))
         _check_count("rng_seed", self.rng_seed, 0)
         _check_count("num_snapshots", self.num_snapshots, 1)
-        if not self.noise_power > 0:
-            raise DomainError(f"noise_power must be positive, got {self.noise_power}")
         doas = [d for d, _ in self.interferers]
-        for doa in (self.soi_doa_deg, *doas):
-            _check_direction("scenario DOA", doa)
         if len(set(doas)) != len(doas):
             raise DomainError("interferer DOAs must be distinct")
         if any(abs(d - self.soi_doa_deg) < 1e-12 for d in doas):
@@ -187,9 +197,7 @@ def interference_grid(steer_deg: float, step_deg: float = 1.0) -> np.ndarray:
     [-90, 90].
     """
     _check_direction("steer_deg", steer_deg)
-    if not step_deg > 0:
-        raise DomainError(f"step_deg must be positive, got {step_deg}")
-    angles = _angle_grid(step_deg)
+    angles = _angle_grid(_real("step_deg", step_deg, "(0, inf)"))
     return angles[np.abs(angles - steer_deg) > 1e-9]
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arrays import ArrayGeometry, Scenario, _checked, steering_vector
+from .arrays import ArrayGeometry, Scenario, _checked, _real, steering_vector
 from .errors import DomainError
 
 __all__ = [
@@ -61,12 +61,16 @@ def diagonal_load(covariance, epsilon: float) -> np.ndarray:
     A trace that is not finite, such as one whose sum overflows, raises
     DomainError.
     """
-    if not 0 <= epsilon < np.inf:
-        raise DomainError(f"epsilon must be finite and nonnegative, got {epsilon}")
+    epsilon = _real("epsilon", epsilon, "[0, inf)")
     r = _checked("covariance", covariance, (None, None))
-    m = r.shape[0]
-    if r.shape[1] != m:
+    if r.shape[0] != r.shape[1]:
         raise DomainError(f"covariance of shape {r.shape} is not square")
+    return _loaded(r, epsilon)
+
+
+def _loaded(r: np.ndarray, epsilon: float) -> np.ndarray:
+    """:func:`diagonal_load` of an already checked square R, with its trace test only."""
+    m = r.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         trace = np.trace(r).real
     if not np.isfinite(trace):

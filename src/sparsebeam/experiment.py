@@ -19,8 +19,8 @@ import numpy as np
 
 from .analysis import (BeamPattern, _median_pattern, beam_pattern, null_depth, output_sinr, pointing_error,
                        sidelobe_level)
-from .arrays import (ArrayGeometry, Scenario, _check_count, _check_direction, generate_snapshots, interference_grid,
-                     steering_matrix, steering_vector)
+from .arrays import (ArrayGeometry, Scenario, _check_count, _check_direction, _real, generate_snapshots,
+                     interference_grid, steering_matrix, steering_vector)
 from .covariance import sample_covariance
 from .errors import ConfigError, DomainError, SolverError
 from .solvers import SolverOptions, build_ellipsoid, mvdr, solve_rmvb, solve_rwsc, solve_sc, solve_wsc
@@ -85,14 +85,14 @@ class ExperimentConfig:
     def __post_init__(self):
         _check_methods(self.methods)
         _check_count("monte_carlo_runs", self.monte_carlo_runs, 1)
-        if not 0 < self.grid_resolution_deg <= 1.0:
-            raise DomainError("grid_resolution_deg must lie in (0, 1]")
-        if self.ellipsoid_half_width_deg is not None and self.ellipsoid_half_width_deg < 0:
-            raise DomainError("ellipsoid_half_width_deg must be nonnegative")
+        _real("grid_resolution_deg", self.grid_resolution_deg, "(0, 1]")
+        if self.ellipsoid_half_width_deg is not None:
+            _real("ellipsoid_half_width_deg", self.ellipsoid_half_width_deg, "[0, inf)")
         _check_count("ellipsoid_num_samples", self.ellipsoid_num_samples, 2)
         _check_count("failure_budget", self.failure_budget, 0)
         if not self.output_dir:
             raise DomainError("output_dir must not be empty")
+        _real("mismatch_deg", self.mismatch_deg)
         _check_direction("steering direction", self.steer_deg)
         if any(m in self.methods for m in ("rmvb", "rwsc")):
             for edge in (-self.effective_half_width_deg, self.effective_half_width_deg):

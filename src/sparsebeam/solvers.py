@@ -52,13 +52,14 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 import scipy
 
-from .arrays import ArrayGeometry, _check_count, _checked, _numeric, steering_matrix, steering_vector
-from .covariance import diagonal_load, ensure_covariance
+from .arrays import (ArrayGeometry, _check_count, _check_direction, _checked, _numeric, _real, steering_matrix,
+                     steering_vector)
+from .covariance import _loaded, ensure_covariance
 from .errors import DomainError, SolverError
 
 __all__ = [
@@ -114,7 +115,9 @@ class SolverOptions:
     selects the penalty norm; irls_epsilon smooths |u|^(p-2) at the
     origin and is annealed by 0.1 every 10 iterations down to 1e-12.
     diagonal_loading is the relative loading applied to R before any
-    factorization. Every option must be finite; NaN or inf raises
+    factorization. gamma and diagonal_loading lie in [0, inf),
+    objective_tolerance and irls_epsilon in (0, inf), and max_iterations
+    is an integer >= 1; anything else, NaN or inf included, raises
     DomainError.
     """
 
@@ -126,22 +129,12 @@ class SolverOptions:
     diagonal_loading: float = 1e-6
 
     def __post_init__(self):
-        for option in fields(self):
-            value = getattr(self, option.name)
-            # Exact for ints of any size, and false for NaN.
-            if not -math.inf < value < math.inf:
-                raise DomainError(f"{option.name} must be finite, got {value}")
-        if not 0 < self.p <= 1:
-            raise DomainError(f"p must lie in (0, 1], got {self.p}")
-        if self.gamma < 0:
-            raise DomainError(f"gamma must be nonnegative, got {self.gamma}")
+        _real("gamma", self.gamma, "[0, inf)")
+        _real("p", self.p, "(0, 1]")
         _check_count("max_iterations", self.max_iterations, 1)
-        if not self.objective_tolerance > 0:
-            raise DomainError("objective_tolerance must be positive")
-        if not self.irls_epsilon > 0:
-            raise DomainError("irls_epsilon must be positive")
-        if self.diagonal_loading < 0:
-            raise DomainError("diagonal_loading must be nonnegative")
+        _real("objective_tolerance", self.objective_tolerance, "(0, inf)")
+        _real("irls_epsilon", self.irls_epsilon, "(0, inf)")
+        _real("diagonal_loading", self.diagonal_loading, "[0, inf)")
 
 
 @dataclass(frozen=True)
@@ -322,12 +315,13 @@ def build_ellipsoid(
     Samples a(theta) for theta in [theta0 - half_width, theta0 + half_width],
     takes the sample mean as the center, and scales the principal
     components of the centered samples so every sample satisfies
-    ||E^+ (a - c)|| <= 1. half_width_deg = 0 returns the degenerate point
+    ||E^+ (a - c)|| <= 1. theta0_deg lies in [-90, 90] and half_width_deg
+    in [0, inf); half_width_deg = 0 returns the degenerate point
     ellipsoid at a(theta0).
     """
+    _check_direction("theta0_deg", theta0_deg)
+    _real("half_width_deg", half_width_deg, "[0, inf)")
     _check_count("num_samples", num_samples, 2)
-    if half_width_deg < 0:
-        raise DomainError(f"half_width_deg must be nonnegative, got {half_width_deg}")
     m = geometry.num_elements
     if half_width_deg == 0:
         return Ellipsoid(steering_vector(geometry, theta0_deg), np.zeros((m, 0), dtype=complex))
@@ -463,7 +457,7 @@ def _loaded_covariance(covariance, loading: float) -> np.ndarray:
     key = (arr.shape, float(loading).hex(), arr.tobytes())
     last_key, loaded = _last_loaded
     if last_key != key:
-        loaded = diagonal_load(ensure_covariance(arr), loading)
+        loaded = _loaded(ensure_covariance(arr), loading)
         loaded.flags.writeable = False
         _last_loaded = key, loaded
     return loaded

@@ -265,6 +265,16 @@ class TestOutputSinr:
         scaled = sb.output_sinr((2.0 - 3.0j) * w, scenario, geometry)
         assert abs(base - scaled) <= 1e-10
 
+    def test_scale_free_at_the_float_limits(self, scenario, geometry, sample_r, a0):
+        # |w^H a|^2 and ||w||^2 once read the -200 dB floor for weights
+        # times 1e-170 and overflowed for weights times 1e160.
+        w = sb.mvdr(sample_r, a0).w
+        base = sb.output_sinr(w, scenario, geometry)
+        for k in (-1000, -600, 600, 1000):  # exact scalings: the same bits
+            assert sb.output_sinr(2.0**k * w, scenario, geometry) == base
+        for factor in (1e-300, 1e-170, 1e160, 1e300):
+            assert sb.output_sinr(factor * w, scenario, geometry) == pytest.approx(base, abs=1e-9)
+
     def test_interference_lowers_sinr(self, scenario, geometry, a0):
         quiet = sb.Scenario(0.0, 10.0, ())
         assert sb.output_sinr(a0 / 8.0, scenario, geometry) < sb.output_sinr(

@@ -129,6 +129,71 @@ def test_bool_counts_rejected_when_built(geometry, name):
         BOOL_COUNTS[name](geometry)
 
 
+def _pattern(geometry):
+    return sb.beam_pattern(sb.steering_vector(geometry, 0.0), geometry, 1.0)
+
+
+def _config(geometry, **fields):
+    return sb.ExperimentConfig(geometry, sb.Scenario(0.0, 10.0), ("rmvb",), **fields)
+
+
+# Every public scalar parameter: the name its DomainError gives, and a
+# call that sets it to v. Each once let a str, a bool, NaN or an int too
+# large for a float through, or leaked a bare TypeError, ValueError or
+# OverflowError.
+SCALARS = {
+    "ArrayGeometry.spacing_wavelengths": ("spacing_wavelengths", lambda g, v: sb.ArrayGeometry(8, v)),
+    "Scenario.soi_doa_deg": ("soi_doa_deg", lambda g, v: sb.Scenario(v, 10.0)),
+    "Scenario.soi_snr_db": ("soi_snr_db", lambda g, v: sb.Scenario(0.0, v)),
+    "Scenario.noise_power": ("noise_power", lambda g, v: sb.Scenario(0.0, 10.0, noise_power=v)),
+    "Scenario.interferer_doa": ("interferer DOA", lambda g, v: sb.Scenario(0.0, 10.0, ((v, 20.0),))),
+    "Scenario.interferer_inr": ("interferer INR", lambda g, v: sb.Scenario(0.0, 10.0, ((30.0, v),))),
+    "steering_vector.theta_deg": ("theta_deg", lambda g, v: sb.steering_vector(g, v)),
+    "interference_grid.steer_deg": ("steer_deg", lambda g, v: sb.interference_grid(v)),
+    "interference_grid.step_deg": ("step_deg", lambda g, v: sb.interference_grid(0.0, v)),
+    "diagonal_load.epsilon": ("epsilon", lambda g, v: sb.diagonal_load(np.eye(2), v)),
+    "SolverOptions.gamma": ("gamma", lambda g, v: sb.SolverOptions(gamma=v)),
+    "SolverOptions.p": ("p", lambda g, v: sb.SolverOptions(p=v)),
+    "SolverOptions.objective_tolerance": (
+        "objective_tolerance", lambda g, v: sb.SolverOptions(objective_tolerance=v)),
+    "SolverOptions.irls_epsilon": ("irls_epsilon", lambda g, v: sb.SolverOptions(irls_epsilon=v)),
+    "SolverOptions.diagonal_loading": ("diagonal_loading", lambda g, v: sb.SolverOptions(diagonal_loading=v)),
+    "build_ellipsoid.theta0_deg": ("theta0_deg", lambda g, v: sb.build_ellipsoid(g, v, 3.0)),
+    "build_ellipsoid.half_width_deg": ("half_width_deg", lambda g, v: sb.build_ellipsoid(g, 0.0, v)),
+    "beam_pattern.resolution_deg": (
+        "resolution_deg", lambda g, v: sb.beam_pattern(sb.steering_vector(g, 0.0), g, v)),
+    "null_depth.theta_deg": ("theta_deg", lambda g, v: sb.null_depth(_pattern(g), v)),
+    "null_depth.window_deg": ("window_deg", lambda g, v: sb.null_depth(_pattern(g), 30.0, v)),
+    "sidelobe_level.mainlobe_center_deg": (
+        "mainlobe_center_deg", lambda g, v: sb.sidelobe_level(_pattern(g), v)),
+    "pointing_error.true_doa_deg": ("true_doa_deg", lambda g, v: sb.pointing_error(_pattern(g), v)),
+    "ExperimentConfig.mismatch_deg": ("mismatch_deg", lambda g, v: _config(g, mismatch_deg=v)),
+    "ExperimentConfig.grid_resolution_deg": (
+        "grid_resolution_deg", lambda g, v: _config(g, grid_resolution_deg=v)),
+    "ExperimentConfig.ellipsoid_half_width_deg": (
+        "ellipsoid_half_width_deg", lambda g, v: _config(g, ellipsoid_half_width_deg=v)),
+}
+
+
+@pytest.mark.parametrize("value", ["x", "1", True, float("nan"), 10**400], ids=repr)
+@pytest.mark.parametrize("parameter", SCALARS)
+def test_scalar_that_is_not_a_finite_real_names_its_parameter(geometry, parameter, value):
+    name, call = SCALARS[parameter]
+    with pytest.raises(DomainError, match=f"^{name} must be finite and lie in "):
+        call(geometry, value)
+
+
+def test_scalar_interval_ends(geometry):
+    # Square brackets close an end, round ones open it.
+    assert sb.SolverOptions(p=1).p == 1
+    assert sb.beam_pattern(sb.steering_vector(geometry, 0.0), geometry, 1).angles_deg.size == 181
+    np.testing.assert_array_equal(sb.diagonal_load(np.eye(2), 0), np.eye(2))
+    with pytest.raises(DomainError, match=r"p must be finite and lie in \(0, 1\], got 0"):
+        sb.SolverOptions(p=0)
+    with pytest.raises(DomainError, match=r"resolution_deg must be finite and lie in \(0, 1\], got 0"):
+        sb.beam_pattern(sb.steering_vector(geometry, 0.0), geometry, 0)
+
+
 def _nan_snapshots(geometry):
     x = sb.generate_snapshots(sb.Scenario(0.0, 10.0, num_snapshots=20), geometry)
     x[0, 0] = np.nan

@@ -65,7 +65,7 @@ def test_diagonal_load_zero_is_identity(sample_r):
 def test_diagonal_load_rejects_negative(sample_r):
     # NaN and inf once loaded R into a NaN or an infinite matrix.
     for epsilon in (-1e-6, np.nan, np.inf):
-        with pytest.raises(DomainError, match="finite and nonnegative"):
+        with pytest.raises(DomainError, match=r"epsilon must be finite and lie in \[0, inf\)"):
             sb.diagonal_load(sample_r, epsilon)
 
 

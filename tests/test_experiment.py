@@ -191,7 +191,8 @@ class TestParseConfig:
         [
             ("solver.gamma = abc", "solver.gamma: invalid value: expected a number"),
             ("solver.gamma = inf", "solver.gamma: invalid value: must be finite"),
-            ("ellipsoid.half_width_deg = -1", "experiment: .*ellipsoid_half_width_deg must be nonnegative"),
+            ("ellipsoid.half_width_deg = -1",
+             r"experiment: .*ellipsoid_half_width_deg must be finite and lie in \[0, inf\)"),
         ],
     )
     def test_bad_value_names_its_key_or_section(self, tmp_path, line, message):

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparsebeam as sb
+import sparsebeam.covariance as covariance
 import sparsebeam.solvers as solvers
 from sparsebeam import DomainError, SolverError, SolverOptions
+from sparsebeam.arrays import _checked
 
 from _oracles import (
     constraint_parameterization,
@@ -427,7 +429,8 @@ def test_indefinite_covariance_fails_factorization(geometry, a_grid, a0, method)
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("name", [option.name for option in dataclasses.fields(SolverOptions)])
 def test_solver_options_reject_non_finite(name, value):
-    with pytest.raises(DomainError, match=f"{name} must be finite"):
+    rule = "an integer" if name == "max_iterations" else "finite"
+    with pytest.raises(DomainError, match=f"{name} must be {rule}"):
         SolverOptions(**{name: value})
 
 
@@ -447,7 +450,7 @@ def test_solver_options_validation():
 
 
 def test_solver_options_reject_zero_irls_epsilon():
-    with pytest.raises(DomainError, match="irls_epsilon must be positive"):
+    with pytest.raises(DomainError, match=r"irls_epsilon must be finite and lie in \(0, inf\)"):
         SolverOptions(irls_epsilon=0)
 
 
@@ -516,6 +519,20 @@ def test_a_study_checks_each_covariance_once(tmp_path, covariance_checks):
     report = sb.run_experiment(config)
     assert sum(report.failures.values()) == 0
     assert len(covariance_checks) == 2
+
+
+def test_a_memo_miss_checks_the_covariance_once(sample_r, a0, monkeypatch):
+    # A miss once checked R in ensure_covariance, then again in diagonal_load.
+    names = []
+
+    def counted(name, *args, **kwargs):
+        names.append(name)
+        return _checked(name, *args, **kwargs)
+
+    monkeypatch.setattr(covariance, "_checked", counted)
+    monkeypatch.setattr(solvers, "_last_loaded", (None, None))
+    sb.mvdr(sample_r, a0)
+    assert names == ["covariance"]
 
 
 def test_a_covariance_changed_in_place_is_checked_again(sample_r, a_grid, a0, covariance_checks, monkeypatch):
