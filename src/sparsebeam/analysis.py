@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arrays import (ArrayGeometry, Scenario, _angle_grid, _check_direction, _checked, _real, steering_matrix,
-                     steering_vector)
+from .arrays import (ArrayGeometry, Scenario, _angle_grid, _check_direction, _checked, _real, _source_steering,
+                     steering_matrix)
 from .errors import DomainError, SolverError
 
 __all__ = [
@@ -60,14 +60,6 @@ def _pattern_steering(geometry: ArrayGeometry, resolution_deg: float) -> np.ndar
     matrix = steering_matrix(geometry, _angle_grid(resolution_deg))
     matrix.flags.writeable = False
     return matrix
-
-
-@lru_cache(maxsize=64)
-def _source_steering(geometry: ArrayGeometry, theta_deg: float) -> np.ndarray:
-    """Steering vector of one source direction, built once per key and read-only."""
-    vector = steering_vector(geometry, theta_deg)
-    vector.flags.writeable = False
-    return vector
 
 
 def _weight_vector(weights, geometry: ArrayGeometry) -> np.ndarray:
@@ -193,11 +185,11 @@ def output_sinr(weights, scenario: Scenario, geometry: ArrayGeometry) -> float:
     # power of two that puts max |w| in [1/2, 1): exact, and no square
     # below underflows or overflows, whatever w's size.
     w_h = w.conj() * math.ldexp(1.0, -math.frexp(float(np.abs(w).max()))[1])
-    (soi_doa, soi_power), *interferers = scenario.sources
-    signal = soi_power * abs(w_h @ _source_steering(geometry, soi_doa)) ** 2
-    denom = scenario.noise_power * float(np.linalg.norm(w_h) ** 2)
-    for doa, power in interferers:
-        denom += power * abs(w_h @ _source_steering(geometry, doa)) ** 2
+    # Each source's power through w, the SOI's first; the denominator adds
+    # the interferers' to the noise's in listed order.
+    signal, *interference = [power * abs(w_h @ _source_steering(geometry, doa)) ** 2
+                             for doa, power in scenario.sources]
+    denom = sum(interference, scenario.noise_power * float(np.linalg.norm(w_h) ** 2))
     if signal <= 0:
         return DB_FLOOR
     return max(10.0 * float(np.log10(signal / denom)), DB_FLOOR)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,6 +82,15 @@ def _check_direction(name: str, theta_deg: float) -> float:
     return _real(name, theta_deg, "[-90, 90]")
 
 
+def _interferer(entry) -> tuple[float, float]:
+    """One ``Scenario.interferers`` entry as a checked (DOA, INR) pair."""
+    try:
+        doa, inr = entry
+    except (TypeError, ValueError):  # outside the checks below: DomainError is a ValueError
+        raise DomainError(f"interferers must be (DOA, INR) pairs, got {entry!r}") from None
+    return _check_direction("interferer DOA", doa), _real("interferer INR", inr)
+
+
 def _angle_grid(step_deg: float) -> np.ndarray:
     """[-90, 90] in round(180 / step_deg) equal steps; both ends are exact."""
     return np.linspace(-90.0, 90.0, int(round(180.0 / step_deg)) + 1)
@@ -129,8 +139,9 @@ class Scenario:
         _check_direction("soi_doa_deg", self.soi_doa_deg)
         _real("soi_snr_db", self.soi_snr_db)
         _real("noise_power", self.noise_power, "(0, inf)")
-        object.__setattr__(self, "interferers", tuple(
-            (_check_direction("interferer DOA", d), _real("interferer INR", p)) for d, p in self.interferers))
+        # A value that is not iterable, None say, is named like a bad entry.
+        entries = self.interferers if np.iterable(self.interferers) else (self.interferers,)
+        object.__setattr__(self, "interferers", tuple(map(_interferer, entries)))
         _check_count("rng_seed", self.rng_seed, 0)
         _check_count("num_snapshots", self.num_snapshots, 1)
         doas = [d for d, _ in self.interferers]
@@ -181,6 +192,18 @@ def steering_matrix(geometry: ArrayGeometry, angles_deg) -> np.ndarray:
     return _array_response(geometry, angles)
 
 
+@lru_cache(maxsize=64)
+def _source_steering(geometry: ArrayGeometry, theta_deg: float) -> np.ndarray:
+    """Steering vector of one source direction, built once per key and read-only.
+
+    The one lookup of the source model: snapshot synthesis, the analytic
+    covariance and the output SINR all take a(theta) from here.
+    """
+    vector = steering_vector(geometry, theta_deg)
+    vector.flags.writeable = False
+    return vector
+
+
 def _array_response(geometry: ArrayGeometry, angles: np.ndarray) -> np.ndarray:
     """a(theta) for each entry of the float array ``angles``, unchecked: the one formula."""
     phi = 2.0 * np.pi * geometry.spacing_wavelengths * np.sin(np.deg2rad(angles))
@@ -211,22 +234,14 @@ def generate_snapshots(scenario: Scenario, geometry: ArrayGeometry) -> np.ndarra
     deterministic function of ``scenario.rng_seed``.
     """
     rng = np.random.default_rng(scenario.rng_seed)
-    m, k = geometry.num_elements, scenario.num_snapshots
 
     def draw(power: float, size) -> np.ndarray:
-        # sqrt(power/2) * (re + 1j*im), written part by part: the same
-        # values, drawn in the same order, without three complex passes.
-        scale = math.sqrt(power / 2.0)
-        z = np.empty(size, dtype=complex)
-        np.multiply(rng.standard_normal(size), scale, out=z.real)
-        np.multiply(rng.standard_normal(size), scale, out=z.imag)
-        return z
+        return math.sqrt(power / 2.0) * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
 
     # Draw order is fixed (SOI, interferers in listed order, noise) so a
     # given seed always produces the same matrix.
-    (soi_doa, soi_power), *interferers = scenario.sources
-    x = np.outer(steering_vector(geometry, soi_doa), draw(soi_power, k))
-    for doa, power in interferers:
-        x += np.outer(steering_vector(geometry, doa), draw(power, k))
-    x += draw(scenario.noise_power, (m, k))
+    x = np.zeros((geometry.num_elements, scenario.num_snapshots), dtype=complex)
+    for doa, power in scenario.sources:
+        x += np.outer(_source_steering(geometry, doa), draw(power, x.shape[1]))
+    x += draw(scenario.noise_power, x.shape)
     return x

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arrays import ArrayGeometry, Scenario, _checked, _real, steering_vector
+from .arrays import ArrayGeometry, Scenario, _checked, _real, _source_steering
 from .errors import DomainError
 
 __all__ = [
@@ -47,7 +47,7 @@ def analytic_covariance(scenario: Scenario, geometry: ArrayGeometry) -> np.ndarr
     m = geometry.num_elements
     r = scenario.noise_power * np.eye(m, dtype=complex)
     for doa, power in scenario.sources:
-        a = steering_vector(geometry, doa)
+        a = _source_steering(geometry, doa)
         r += power * np.outer(a, a.conj())
     return _hermitian_part(r)
 

@@ -296,6 +296,19 @@ class TestScenario:
         scen = sb.Scenario(0.0, 10.0, ((30, 20),))
         assert scen.interferers == ((30.0, 20.0),)
 
+    @pytest.mark.parametrize(
+        "interferers, bad",
+        [((30.0, 20.0), 30.0), ((None,), None), (((30.0,),), (30.0,)), (((30.0, 20.0, 1.0),), (30.0, 20.0, 1.0)),
+         (None, None)],
+        ids=["flat-pair", "none-entry", "one-value", "three-values", "none"],
+    )
+    def test_interferers_that_are_not_pairs_name_the_bad_entry(self, interferers, bad):
+        # Each once leaked a TypeError or the unpack's ValueError.
+        with pytest.raises(DomainError) as info:
+            sb.Scenario(0.0, 10.0, interferers)
+        message = str(info.value)
+        assert "\n" not in message and message.startswith("interferers ") and message.endswith(repr(bad))
+
     def test_geometry_validation(self):
         with pytest.raises(DomainError):
             sb.ArrayGeometry(1)
@@ -334,8 +347,9 @@ class TestGenerateSnapshots:
     (32, 1000, ((-20.0, 30.0), (40.0, 25.0))),
 ])
 def test_snapshots_match_the_complex_product_draw_bit_for_bit(m, k, interferers):
-    # The draws fill the real and imaginary parts in place; the values
-    # and the generator's draw order must stay those of the product form.
+    # The library sums every source into zeros, where the reference starts
+    # from the SOI term; 0 + x is x exactly, so the values and the
+    # generator's draw order must stay those of the reference.
     geometry = sb.ArrayGeometry(m)
     for seed in (0, 1, 12345, 2**40 + 7):
         scenario = sb.Scenario(5.0, 10.0, interferers, k, noise_power=0.5, rng_seed=seed)

@@ -1,6 +1,6 @@
 import dataclasses
 import errno
-import hashlib
+import importlib.util
 import json
 import re
 import tempfile
@@ -19,8 +19,8 @@ from sparsebeam.experiment import ExperimentConfig, _metric_names, _summaries, p
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CLI_DIGESTS = Path(__file__).resolve().parent / "data" / "cli_digests.json"
 SOLVE_DIGESTS = Path(__file__).resolve().parent / "data" / "solve_digests.json"
-# The benchmark's wide study (32 elements, 12 runs), read where it lives.
-WIDE_CONFIG = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "wide.cfg"
+# The digest tests and the script that re-records tests/data share its digest functions.
+RECORDER = Path(__file__).resolve().parent.parent / ".github" / "scripts" / "record_digests.py"
 
 MINIMAL = """
 array.num_elements = 4
@@ -347,8 +347,17 @@ class TestRunExperiment:
         assert np.isnan(row.median)
 
 
+@pytest.fixture
+def record_digests():
+    """The recorder script, loaded here so that only the digest tests depend on it."""
+    spec = importlib.util.spec_from_file_location("record_digests", RECORDER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.mark.parametrize("name", ["fig1", "fig2", "wide"])
-def test_bundled_configs_write_recorded_csv_bytes(tmp_path, name):
+def test_bundled_configs_write_recorded_csv_bytes(tmp_path, record_digests, name):
     """fig1's and fig2's CSV bytes (20 runs each) and wide's equal the recorded SHA-256s.
 
     These bytes are the CLI's contract; wide's are the first to move
@@ -356,41 +365,14 @@ def test_bundled_configs_write_recorded_csv_bytes(tmp_path, name):
     single-threaded OpenBLAS on x86-64. Like the benchmark's
     csv_identical, the check assumes the same BLAS kernels: another
     BLAS, CPU kernel or thread count may round the last bits of a
-    product differently.
+    product differently. Re-record them with .github/scripts/record_digests.py.
     """
-    path = WIDE_CONFIG if name == "wide" else CONFIG_DIR / f"{name}.cfg"
-    config = dataclasses.replace(parse_config(path), output_dir=str(tmp_path))
-    run_experiment(config)
-    written = {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(tmp_path.iterdir())
-    }
+    written = record_digests.csv_digests(name, tmp_path)
     assert written == json.loads(CLI_DIGESTS.read_text(encoding="utf-8"))[name]
 
 
-def _solve_digests(path, output_dir, monkeypatch) -> dict[str, str]:
-    """SHA-256 of each solve's w bytes and Diagnostics repr in the first 2 runs of a config.
-
-    Keyed "<run>/<method>". A float's repr round-trips exactly, so the
-    digest moves when any bit of w or of a Diagnostics field moves.
-    """
-    digests: dict[str, str] = {}
-    for method, solve in experiment._SOLVES.items():
-
-        def recorded(*args, method=method, solve=solve):
-            result = solve(*args)
-            run = sum(key.endswith(f"/{method}") for key in digests)
-            payload = result.w.tobytes() + repr(result.diagnostics).encode()
-            digests[f"{run}/{method}"] = hashlib.sha256(payload).hexdigest()
-            return result
-
-        monkeypatch.setitem(experiment._SOLVES, method, recorded)
-    config = dataclasses.replace(parse_config(path), output_dir=str(output_dir), monte_carlo_runs=2)
-    run_experiment(config)
-    return digests
-
-
 @pytest.mark.parametrize("name", ["fig1", "fig2", "wide"])
-def test_bundled_configs_solve_recorded_bits(tmp_path, monkeypatch, name):
+def test_bundled_configs_solve_recorded_bits(tmp_path, record_digests, name):
     """Every solve of the first 2 runs of fig1, fig2 and wide equals its recorded digest.
 
     A CSV rounds to six decimals, so an inner-loop change that moves a
@@ -398,9 +380,8 @@ def test_bundled_configs_solve_recorded_bits(tmp_path, monkeypatch, name):
     above unchanged; this pins the solves themselves. Recorded like
     them, with single-threaded OpenBLAS on x86-64.
     """
-    path = WIDE_CONFIG if name == "wide" else CONFIG_DIR / f"{name}.cfg"
     recorded = json.loads(SOLVE_DIGESTS.read_text(encoding="utf-8"))[name]
-    assert _solve_digests(path, tmp_path, monkeypatch) == recorded
+    assert record_digests.solve_digests(name, tmp_path) == recorded
 
 
 # Metric values with ties, signed zeros, the -200 dB floor and values
