@@ -9,8 +9,14 @@ favour one side. It prints the machine line of the first run, then one
 JSON object: for every metric of the chosen ``--trace`` level, each
 side's runs, median and quartiles, the pairs the change won (by the
 metric's direction in CHANGE_DIR's BENCHMARK.json, ties counting for
-neither) and the change of the median. A run that fails stops the
-script with the run's standard error.
+neither) and the change of the median. Two verdicts follow:
+``claim_met`` is the rule for claiming a gain (the change won at least
+nine tenths of the pairs, and its median is better than the parent's by
+more than the parent's IQR, ``parent_iqr``), and ``outside_bound`` says
+whether the change's median is worse than the parent's by more than the
+metric's ``bound`` in BENCHMARK.json, a fraction of the parent's median
+(null for a metric with no bound). A run that fails stops the script
+with the run's standard error.
 """
 
 from __future__ import annotations
@@ -42,15 +48,22 @@ def summary(runs: list[float]) -> dict:
     return {"median": median(runs), "q1": q1, "q3": q3, "runs": runs}
 
 
-def compare(parent: list[float], change: list[float], better: str) -> dict:
+def compare(parent: list[float], change: list[float], better: str, bound: float | None = None) -> dict:
     wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
     base = median(parent)
     move = f"{100.0 * (median(change) - base) / base:+.1f}%" if base else "n/a"
+    before, after = summary(parent), summary(change)
+    iqr = before["q3"] - before["q1"]
+    # How far the change's median is better than the parent's (negative: worse).
+    gain = (base - after["median"]) if better == "lower" else (after["median"] - base)
     return {
-        "parent": summary(parent),
-        "change": summary(change),
+        "parent": before,
+        "change": after,
         "change_better_pairs": f"{wins}/{len(parent)}",
         "median_change": move,
+        "parent_iqr": iqr,
+        "claim_met": 10 * wins >= 9 * len(parent) and gain > iqr,
+        "outside_bound": None if bound is None else -gain > bound * abs(base),
     }
 
 
@@ -67,7 +80,9 @@ def main(argv: list[str] | None = None) -> None:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in spec["per_layer" if args.trace else "end_to_end"]}
+    declared = spec["per_layer" if args.trace else "end_to_end"]
+    better = {m["name"]: m["better"] for m in declared}
+    bounds = {m["name"]: m.get("bound") for m in declared}
 
     sides = {"parent": args.parent, "change": args.change}
     values: dict[str, dict[str, list[float]]] = {side: {} for side in sides}
@@ -89,7 +104,7 @@ def main(argv: list[str] | None = None) -> None:
         "seconds": args.seconds,
         "trace": args.trace,
         "metrics": {
-            name: compare(values["parent"][name], values["change"][name], better[name])
+            name: compare(values["parent"][name], values["change"][name], better[name], bounds[name])
             for name in better
             if name in values["parent"] and name in values["change"]
         },

@@ -58,6 +58,13 @@ def _check_count(name: str, value, minimum: int) -> None:
         raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+@lru_cache(maxsize=None)
+def _interval(text: str) -> tuple[float, float, bool, bool]:
+    """(low, high, low closed, high closed) of an interval written like ``"(0, 1]"``."""
+    low, high = map(float, text[1:-1].split(","))
+    return low, high, text[0] == "[", text[-1] == "]"
+
+
 def _real(name: str, value, interval: str = "(-inf, inf)") -> float:
     """``value`` as a float in ``interval``, written like ``"(0, 1]"``: square brackets close an end.
 
@@ -65,14 +72,14 @@ def _real(name: str, value, interval: str = "(-inf, inf)") -> float:
     +-inf, an int too large for a float, or a value outside ``interval``
     raises DomainError naming ``name`` and quoting ``interval``.
     """
-    low, high = map(float, interval[1:-1].split(","))
+    low, high, low_closed, high_closed = _interval(interval)
     try:
         # float and int first: they skip numbers.Real's slower ABC check.
         x = float(value) if isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool) else math.nan
     except OverflowError:  # beyond the float range, so inf as a float (and 10**5000 has no repr)
         x = value = math.inf
     # No interval closes at an infinite end, and NaN fails every comparison.
-    if not (low < x < high or x == low and interval[0] == "[" or x == high and interval[-1] == "]"):
+    if not (low < x < high or x == low and low_closed or x == high and high_closed):
         raise DomainError(f"{name} must be finite and lie in {interval}, got {value!r}")
     return x
 

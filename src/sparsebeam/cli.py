@@ -4,7 +4,7 @@ Two subcommands: ``run`` executes a config end to end and writes CSVs;
 ``validate`` only parses. ``run``'s flags are the config keys they
 override, parsed and validated as those keys. Exit codes: 0 success, 1
 configuration error (a bad flag value included) or an output directory
-that cannot be created or written, 2 solver failures exceeding the
+that cannot be created or written, 2 failed runs exceeding the
 configured failure budget; argparse's own usage errors exit 2 too.
 """
 
@@ -65,7 +65,7 @@ def main(argv=None) -> int:
     print(f"wrote {len(report.methods)} pattern file(s) and metrics.csv to {config.output_dir}")
     if report.total_failures > config.failure_budget:
         print(
-            f"solver failures ({report.total_failures}) exceed the failure budget "
+            f"failed runs ({report.total_failures}) exceed the failure budget "
             f"({config.failure_budget})",
             file=sys.stderr,
         )

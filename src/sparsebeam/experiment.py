@@ -65,7 +65,7 @@ class ExperimentConfig:
     ellipsoid_half_width_deg = None selects the default
     max(|mismatch_deg|, 3 deg). The steering direction, and for rmvb and
     rwsc the ellipsoid's span around it, must lie in [-90, 90] deg.
-    failure_budget bounds how many per-run solver failures the CLI
+    failure_budget bounds how many failed runs (see run_experiment) the CLI
     tolerates before reporting an error exit. output_dir must not be
     empty.
     """
@@ -285,26 +285,42 @@ def _metric_names(scenario: Scenario) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _run_metrics(w, config: ExperimentConfig) -> list[float]:
-    """The metrics of one run's weights, in _metric_names order."""
-    scenario = config.scenario
-    pattern = beam_pattern(w, config.geometry)
-    values = [null_depth(pattern, doa) for doa, _ in scenario.interferers]
-    # Centering on the observed peak keeps the mainlobe search valid for
-    # mis-steered patterns whose peak drifts away from the nominal DOA.
-    values.append(sidelobe_level(pattern, pattern.peak_angle_deg).level_db)
-    values.append(pointing_error(pattern, scenario.soi_doa_deg))
-    values.append(output_sinr(w, scenario, config.geometry))
-    return values
+def _run_metrics(weights: list[np.ndarray], config: ExperimentConfig) -> tuple[list[np.ndarray], np.ndarray]:
+    """The weights whose beam pattern is not identically zero, and their metrics.
+
+    The metrics are one row per kept run, in _metric_names order. All runs
+    are scored through one stacked pattern, whose rows have the bits of
+    each run's own pattern, so each value is the one run's alone.
+    """
+    if not weights:
+        return [], np.empty(0)
+    scenario, geometry = config.scenario, config.geometry
+    try:
+        pattern = beam_pattern(weights, geometry)
+    except DomainError:
+        # Some run's pattern is identically zero: it fails, and the others are scored.
+        nonzero = []
+        for w in weights:
+            with contextlib.suppress(DomainError):
+                beam_pattern(w, geometry)
+                nonzero.append(w)
+        return _run_metrics(nonzero, config)
+    columns = [null_depth(pattern, doa) for doa, _ in scenario.interferers]
+    # Centering on each run's observed peak keeps the mainlobe search valid
+    # for mis-steered patterns whose peak drifts away from the nominal DOA.
+    columns.append(sidelobe_level(pattern, pattern.peak_angle_deg).level_db)
+    columns.append(pointing_error(pattern, scenario.soi_doa_deg))
+    columns.append([output_sinr(w, scenario, geometry) for w in weights])
+    return weights, np.column_stack(columns)
 
 
-def _summaries(runs: list[list[float]], count: int) -> tuple[list[float], list[float]]:
+def _summaries(runs, count: int) -> tuple[list[float], list[float]]:
     """Median and IQR of each of ``count`` metrics over ``runs``.
 
-    ``runs`` holds one list of metric values per run. With no run, both
+    ``runs`` holds one row of metric values per run. With no run, both
     are NaN for every metric.
     """
-    if not runs:
+    if len(runs) == 0:
         return [math.nan] * count, [math.nan] * count
     samples = np.array(runs).T
     q25, q75 = np.percentile(samples, [25, 75], axis=1)
@@ -318,8 +334,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     each method's weights; a SolverError drops that (run, method) from
     all aggregates and counts as a failure in the report and the
     metrics CSV. The summary phase then computes the metrics and median
-    patterns from the kept weights. Outputs are deterministic functions
-    of the config.
+    patterns from the kept weights. It drops a run whose beam pattern is
+    identically zero the same way, and a method whose median pattern
+    collapses to zero loses all its runs; a method with no run left gets
+    NaN metrics and a header-only pattern file. Outputs are deterministic
+    functions of the config.
     """
     geometry, scenario = config.geometry, config.scenario
     steer = config.steer_deg
@@ -344,16 +363,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 weights.append(_SOLVES[method](r, a_grid, q, a0, ellipsoid, config.solver_options).w)
 
     metric_names = _metric_names(scenario)
-    failures = {m: len(seeds) - len(weights) for m, weights in kept.items()}
-    rows, patterns = [], {}
+    rows, patterns, failures = [], {}, {}
     for method, weights in kept.items():
-        medians, iqrs = _summaries([_run_metrics(w, config) for w in weights], len(metric_names))
+        weights, runs = _run_metrics(weights, config)
+        if weights:
+            try:
+                patterns[method] = _median_pattern(weights, geometry, config.grid_resolution_deg)
+            except SolverError:
+                runs = runs[:0]
+        failures[method] = len(seeds) - len(runs)
+        medians, iqrs = _summaries(runs, len(metric_names))
         rows += [
             MetricRow(method, name, median, iqr, failures[method])
             for name, median, iqr in zip(metric_names, medians, iqrs)
         ]
-        if weights:
-            patterns[method] = _median_pattern(weights, geometry, config.grid_resolution_deg)
     report = ExperimentReport(config.methods, patterns, tuple(rows), seeds, failures)
     # Every configured method yields exactly one artifact, even when all
     # of its runs failed: an empty (header-only) file.

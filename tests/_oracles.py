@@ -101,6 +101,51 @@ def sidelobe_level_walk(pattern, mainlobe_center_deg):
     return SidelobeLevel(float(outside.max()), False)
 
 
+def null_depth_reference(pattern, theta_deg, window_deg=1.0):
+    """Per-pattern reference for :func:`sparsebeam.null_depth` on one 1-D pattern."""
+    mask = np.abs(pattern.angles_deg - theta_deg) <= window_deg + 1e-12
+    if not mask.any():
+        raise DomainError("window contains no grid points")
+    return float(pattern.gain_db[mask].min())
+
+
+def sidelobe_level_reference(pattern, mainlobe_center_deg):
+    """Per-pattern reference for :func:`sparsebeam.sidelobe_level` on one 1-D pattern.
+
+    Finds the mainlobe's turns with np.flatnonzero on the pattern's own
+    rises and falls, where :func:`sidelobe_level_walk` steps one sample
+    at a time.
+    """
+    gains = pattern.gain_db
+    angles = pattern.angles_deg
+    # rises[j]: gains[j + 1] >= gains[j]; falls[j]: gains[j] >= gains[j + 1].
+    rises = gains[1:] >= gains[:-1]
+    falls = gains[:-1] >= gains[1:]
+    local_max = np.concatenate(([True], rises)) & np.concatenate((falls, [True]))
+    near = np.abs(angles - mainlobe_center_deg) <= 2.0 + 1e-12
+    candidates = np.flatnonzero(near & local_max)
+    if candidates.size == 0:
+        raise DomainError("no local maximum near the center")
+    # Nearest candidate; argmin keeps the lowest index among ties.
+    peak = int(candidates[np.argmin(np.abs(angles[candidates] - mainlobe_center_deg))])
+    left_turns = np.flatnonzero(~rises[:peak])
+    left = int(left_turns[-1]) + 1 if left_turns.size else 0
+    right_turns = np.flatnonzero(~falls[peak:])
+    right = peak + int(right_turns[0]) if right_turns.size else gains.size - 1
+    outside = np.concatenate([gains[:left], gains[right + 1 :]])
+    if outside.size == 0:
+        return SidelobeLevel(float(min(gains[0], gains[-1])), True)
+    return SidelobeLevel(float(outside.max()), False)
+
+
+def pointing_error_reference(pattern, true_doa_deg):
+    """Per-pattern reference for :func:`sparsebeam.pointing_error` on one 1-D pattern."""
+    raw = pattern.raw_gain
+    ties = np.nonzero(raw == raw.max())[0]
+    errors = pattern.angles_deg[ties] - true_doa_deg
+    return float(errors[np.argmin(np.abs(errors))])
+
+
 def cone_multiplier_bisect(sigma, cbar):
     """Doubling-plus-bisection reference for the Lorenz–Boyd multiplier.
 

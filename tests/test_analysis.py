@@ -7,7 +7,8 @@ import sparsebeam as sb
 from sparsebeam import BeamPattern, DomainError, SolverError
 from sparsebeam.analysis import _median_pattern, _pattern_steering
 
-from _oracles import sidelobe_level_walk
+from _oracles import (null_depth_reference, pointing_error_reference, sidelobe_level_reference,
+                      sidelobe_level_walk)
 
 NULL_ANGLE = float(np.degrees(np.arcsin(0.25)))  # first uniform-taper null, M=8
 
@@ -245,6 +246,157 @@ class TestPointingError:
         # These once returned NaN, -inf and -120.0.
         with pytest.raises(DomainError, match=r"\[-90, 90\]"):
             sb.pointing_error(taper_pattern, true_doa)
+
+
+def _bits(values) -> bytes:
+    """The bytes of ``values``, with -0.0 read as 0.0.
+
+    Rounded gains hold -0.0 beside 0.0, and a max or min over samples tied
+    at +-0 may return either sign. beam_pattern gives no -0.0 gain.
+    """
+    return (np.asarray(values, dtype=float) + 0.0).tobytes()
+
+
+def _row_gains(rng, kind, template):
+    """(gain_db, raw_gain) of one row shaped as ``kind``, on ``template``'s grid.
+
+    "beam" is a random beam pattern itself. Whole-dB rounding makes
+    plateaus and ties for the peak; integer noise puts crests and
+    troughs side by side, often at the grid edges; a ramp down from a
+    random sample, noisy or clean, puts sidelobes beside the mainlobe or
+    leaves none; "edge" peaks at either end of the grid, with no
+    sidelobes; "flat" is one plateau at 0 dB.
+    """
+    size = template.angles_deg.size
+    if kind == "beam":
+        return template.gain_db, template.raw_gain
+    if kind == "whole_db":
+        gains = np.round(template.gain_db)
+    elif kind == "noise":
+        gains = rng.integers(-4, 1, size) * 1.0
+    elif kind == "ramp":
+        offsets = np.abs(np.arange(size) - rng.integers(size))
+        gains = rng.standard_normal(size) * rng.choice([0.0, 1.0]) - 0.5 * offsets
+    elif kind == "edge":
+        gains = -0.25 * np.arange(size)[:: rng.choice([1, -1])]
+    else:
+        gains = np.zeros(size)
+    return gains, 10.0 ** (gains / 10.0)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    m=st.integers(2, 16),
+    resolution=st.sampled_from([0.1, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(["beam", "whole_db", "noise", "ramp", "edge", "flat"]), min_size=1, max_size=5),
+    centers=st.one_of(st.none(), st.floats(-90.0, 90.0), st.lists(st.floats(-90.0, 90.0), min_size=5, max_size=5)),
+    theta=st.floats(-90.0, 90.0),
+    window=st.sampled_from([0.0, 0.05, 1.0, 3.0]),
+)
+def test_run_axis_metrics_match_the_per_pattern_references(m, resolution, seed, kinds, centers, theta, window):
+    # Each row of a stacked pattern, and each row alone as a 1-D pattern,
+    # must score exactly as the per-pattern reference scores that row.
+    # centers None stands for each row's peak, always a mainlobe; an
+    # arbitrary center often has no local maximum within 2 deg of it.
+    rng = np.random.default_rng(seed)
+    geometry = sb.ArrayGeometry(m, 0.5)
+    singles = []
+    for kind in kinds:
+        w = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        template = sb.beam_pattern(w, geometry, resolution)
+        singles.append(BeamPattern(template.angles_deg, *_row_gains(rng, kind, template)))
+    stack = BeamPattern(singles[0].angles_deg, np.array([p.gain_db for p in singles]),
+                        np.array([p.raw_gain for p in singles]))
+    rows = len(singles)
+    if centers is None:
+        centers = [p.peak_angle_deg for p in singles]
+    elif isinstance(centers, list):
+        centers = centers[:rows]
+    row_centers = np.broadcast_to(centers, rows)
+
+    assert _bits(stack.peak_angle_deg) == _bits([p.peak_angle_deg for p in singles])
+    assert _bits(sb.pointing_error(stack, theta)) == _bits([pointing_error_reference(p, theta) for p in singles])
+    for p in singles:
+        assert _bits(sb.pointing_error(p, theta)) == _bits(pointing_error_reference(p, theta))
+
+    try:
+        depths = [null_depth_reference(p, theta, window) for p in singles]
+    except DomainError:
+        with pytest.raises(DomainError):
+            sb.null_depth(stack, theta, window)
+    else:
+        assert _bits(sb.null_depth(stack, theta, window)) == _bits(depths)
+        for p, depth in zip(singles, depths):
+            assert _bits(sb.null_depth(p, theta, window)) == _bits(depth)
+
+    expected = []
+    for p, center in zip(singles, row_centers):
+        try:
+            expected.append(sidelobe_level_reference(p, center))
+        except DomainError:
+            with pytest.raises(DomainError):
+                sb.sidelobe_level(p, center)
+            expected.append(None)
+        else:
+            level = sb.sidelobe_level(p, center)
+            assert _bits(level.level_db) == _bits(expected[-1].level_db)
+            assert level.no_sidelobes is expected[-1].no_sidelobes
+    if None in expected:
+        with pytest.raises(DomainError):
+            sb.sidelobe_level(stack, centers)
+        return
+    levels = sb.sidelobe_level(stack, centers)
+    assert _bits(levels.level_db) == _bits([e.level_db for e in expected])
+    assert levels.no_sidelobes.tolist() == [e.no_sidelobes for e in expected]
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(m=st.integers(2, 16), rows=st.integers(1, 6), resolution=st.sampled_from([0.1, 0.5, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_beam_pattern_rows_are_the_single_patterns(m, rows, resolution, seed):
+    rng = np.random.default_rng(seed)
+    geometry = sb.ArrayGeometry(m, 0.5)
+    w = rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))
+    stack = sb.beam_pattern(w, geometry, resolution)
+    assert stack.gain_db.shape == stack.raw_gain.shape == (rows, stack.angles_deg.size)
+    for i in range(rows):
+        single = sb.beam_pattern(w[i], geometry, resolution)
+        assert single.angles_deg.tobytes() == stack.angles_deg.tobytes()
+        assert single.gain_db.tobytes() == stack.gain_db[i].tobytes()
+        assert single.raw_gain.tobytes() == stack.raw_gain[i].tobytes()
+
+
+class TestStackedPatterns:
+    def test_a_zero_row_makes_the_stack_identically_zero(self, geometry, a0):
+        with pytest.raises(DomainError, match="identically zero"):
+            sb.beam_pattern(np.array([a0, np.zeros(8)]), geometry)
+
+    def test_stack_rows_must_match_the_array(self, geometry):
+        with pytest.raises(DomainError, match="weight vector has shape"):
+            sb.beam_pattern(np.ones((3, 5), dtype=complex), geometry)
+        with pytest.raises(DomainError, match="weight vector has shape"):
+            sb.beam_pattern(np.ones((0, 8), dtype=complex), geometry)
+        with pytest.raises(DomainError, match="weight vector has shape"):
+            sb.beam_pattern(np.ones((2, 2, 8), dtype=complex), geometry)
+
+    def test_one_center_per_row_is_checked(self, geometry, a0):
+        stack = sb.beam_pattern(np.array([a0, a0 / 2.0]), geometry)
+        with pytest.raises(DomainError, match="mainlobe_center_deg has shape"):
+            sb.sidelobe_level(stack, [0.0, 0.0, 0.0])
+        with pytest.raises(DomainError, match="mainlobe_center_deg must be finite"):
+            sb.sidelobe_level(stack, [0.0, np.nan])
+        with pytest.raises(DomainError, match="mainlobe_center_deg must be finite"):
+            sb.sidelobe_level(stack, np.inf)
+        with pytest.raises(DomainError, match="no local maximum within 2 deg of 10.0"):
+            sb.sidelobe_level(stack, [0.0, 10.0])
+
+    def test_single_pattern_metrics_stay_python_scalars(self, taper_pattern):
+        assert type(sb.null_depth(taper_pattern, 30.0)) is float
+        assert type(sb.pointing_error(taper_pattern, 0.0)) is float
+        assert type(taper_pattern.peak_angle_deg) is float
+        level = sb.sidelobe_level(taper_pattern, 0.0)
+        assert type(level.level_db) is float and type(level.no_sidelobes) is bool
 
 
 class TestOutputSinr:

@@ -60,8 +60,13 @@ def test_pairs_alternate_the_first_side_and_share_each_seed(tmp_path, capsys):
     metrics = json.loads(result)["metrics"]
     assert metrics["study_s"]["parent"]["runs"] == pytest.approx([0.207, 0.208, 0.209])
     assert metrics["study_s"]["change_better_pairs"] == "3/3"
+    assert metrics["study_s"]["parent_iqr"] == pytest.approx(0.001)
+    assert metrics["study_s"]["claim_met"] is True
+    assert metrics["study_s"]["outside_bound"] is False
     # Equal values are ties, which count for neither side.
     assert metrics["solved_frac"]["change_better_pairs"] == "0/3"
+    assert metrics["solved_frac"]["claim_met"] is False
+    assert metrics["solved_frac"]["outside_bound"] is False
 
 
 def test_summary_quartiles_are_numpys_linear_percentiles():
@@ -76,6 +81,33 @@ def test_compare_counts_wins_by_the_metric_direction(better, wins):
     result = bench_pairs.compare([1.0, 2.0, 3.0], [0.5, 2.0, 4.0], better)
     assert result["change_better_pairs"] == wins
     assert result["median_change"] == "+0.0%"
+
+
+# Ten parent runs with quartiles 1.0 and 1.1 (IQR 0.1, median 1.05).
+PARENT = [1.0, 1.0, 1.0, 1.0, 1.05, 1.05, 1.1, 1.1, 1.1, 1.1]
+
+
+@pytest.mark.parametrize("change, met", [
+    ([x - 0.2 for x in PARENT[:9]] + [2.0], True),  # 9/10 pairs, median 0.2 better
+    ([x - 0.2 for x in PARENT[:8]] + [2.0, 2.0], False),  # 8/10 pairs
+    ([x - 0.05 for x in PARENT], False),  # 10/10 pairs, median moved less than the IQR
+])
+def test_claim_needs_nine_tenths_of_the_pairs_and_a_move_past_the_parent_iqr(change, met):
+    result = bench_pairs.compare(PARENT, change, "lower", 0.25)
+    assert result["parent_iqr"] == pytest.approx(0.1)
+    assert result["claim_met"] is met
+
+
+@pytest.mark.parametrize("better, bound, parent, change, outside", [
+    ("lower", 0.25, [1.0, 1.0], [1.2, 1.2], False),
+    ("lower", 0.25, [1.0, 1.0], [1.3, 1.3], True),
+    ("lower", 0.25, [1.0, 1.0], [0.5, 0.5], False),
+    ("higher", 0.01, [1.0, 1.0], [0.0, 0.0], True),
+    ("higher", 0.01, [1.0, 1.0], [1.0, 1.0], False),
+    ("lower", None, [1.0, 1.0], [9.0, 9.0], None),
+])
+def test_outside_bound_is_a_worse_median_by_more_than_the_bound(better, bound, parent, change, outside):
+    assert bench_pairs.compare(parent, change, better, bound)["outside_bound"] is outside
 
 
 def test_a_failed_run_stops_with_its_error(tmp_path):

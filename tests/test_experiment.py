@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import sparsebeam as sb
 from sparsebeam import ConfigError, experiment
+from sparsebeam.analysis import _median_pattern
 from sparsebeam.experiment import ExperimentConfig, _metric_names, _summaries, parse_config, run_experiment
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -345,6 +346,77 @@ class TestRunExperiment:
         assert (Path(cfg.output_dir) / "pattern_mvdr.csv").read_text() == "theta_deg,gain_db,raw_gain\n"
         row = next(iter(report.metrics))
         assert np.isnan(row.median)
+
+
+    def test_an_identically_zero_pattern_fails_only_its_run(self, tmp_path, monkeypatch):
+        # Zero weights from the second solve once aborted the study with
+        # DomainError; that run now counts as failed, exactly as a
+        # SolverError from the same solve does.
+        import sparsebeam.experiment as exp
+
+        real = exp.mvdr
+
+        def second_solve(outcome):
+            calls = {"n": 0}
+
+            def solve(r, a0, opts=None):
+                calls["n"] += 1
+                result = real(r, a0, opts)
+                return outcome(result) if calls["n"] == 2 else result
+
+            return solve
+
+        def zero(result):
+            return dataclasses.replace(result, w=np.zeros_like(result.w))
+
+        def fail(result):
+            raise sb.SolverError("synthetic failure")
+
+        cfg = parse_config(_fast_config(tmp_path, methods="mvdr", extra="experiment.monte_carlo_runs = 3\n"))
+        reports = {}
+        for name, outcome in (("zero", zero), ("fail", fail)):
+            monkeypatch.setattr(exp, "mvdr", second_solve(outcome))
+            reports[name] = run_experiment(dataclasses.replace(cfg, output_dir=str(tmp_path / name)))
+        assert reports["zero"].failures == {"mvdr": 1}
+        assert reports["zero"].metrics == reports["fail"].metrics
+        for csv in ("metrics.csv", "pattern_mvdr.csv"):
+            assert (tmp_path / "zero" / csv).read_bytes() == (tmp_path / "fail" / csv).read_bytes()
+
+    def test_all_patterns_identically_zero_yield_header_only_pattern(self, tmp_path, monkeypatch):
+        import sparsebeam.experiment as exp
+
+        real = exp.mvdr
+        monkeypatch.setattr(exp, "mvdr", lambda r, a0, opts=None: dataclasses.replace(
+            real(r, a0, opts), w=np.zeros(4, dtype=complex)))
+        cfg = parse_config(_fast_config(tmp_path, methods="mvdr,sc", extra="experiment.monte_carlo_runs = 2\n"))
+        report = run_experiment(cfg)
+        assert report.failures == {"mvdr": 2, "sc": 0}
+        assert (Path(cfg.output_dir) / "pattern_mvdr.csv").read_text() == "theta_deg,gain_db,raw_gain\n"
+        assert all(np.isnan(row.median) for row in report.metrics if row.method == "mvdr")
+        assert not any(np.isnan(row.median) for row in report.metrics if row.method == "sc")
+
+    def test_a_collapsed_median_pattern_fails_every_run_of_its_method(self, tmp_path, monkeypatch):
+        # Weights this small keep only their own mainlobe's peak above the
+        # float range's bottom: each run's pattern is nonzero, yet at every
+        # grid angle at least two of the three are 0, and so is the median.
+        import sparsebeam.experiment as exp
+
+        geometry = sb.ArrayGeometry(4)
+        weights = [4e-163 * sb.steering_vector(geometry, doa) for doa in (-60.0, 0.0, 60.0)]
+        for w in weights:
+            sb.beam_pattern(w, geometry)  # not identically zero
+        with pytest.raises(sb.SolverError, match="collapsed"):
+            _median_pattern(weights, geometry, 1.0)
+        tiny = iter(weights)
+        real = exp.mvdr
+        monkeypatch.setattr(exp, "mvdr", lambda r, a0, opts=None: dataclasses.replace(
+            real(r, a0, opts), w=next(tiny)))
+        cfg = parse_config(_fast_config(tmp_path, methods="mvdr,sc", extra="experiment.monte_carlo_runs = 3\n"))
+        report = run_experiment(cfg)
+        assert report.failures == {"mvdr": 3, "sc": 0}
+        assert "mvdr" not in report.patterns
+        assert (Path(cfg.output_dir) / "pattern_mvdr.csv").read_text() == "theta_deg,gain_db,raw_gain\n"
+        assert all(np.isnan(row.median) and row.failures == 3 for row in report.metrics if row.method == "mvdr")
 
 
 @pytest.fixture
