@@ -17,6 +17,12 @@ whether the change's median is worse than the parent's by more than the
 metric's ``bound`` in BENCHMARK.json, a fraction of the parent's median
 (null for a metric with no bound). A run that fails stops the script
 with the run's standard error.
+
+Both checkouts must have the same bytecode cache state: when exactly one
+has ``src/sparsebeam/__pycache__`` the script stops before any run.
+Under ``PYTHONDONTWRITEBYTECODE=1`` a checkout without the cache compiles
+``src/`` at every set-up sample, which alone moves fig1's ``setup_s`` by
+~15 %. Remove both caches, or compile both checkouts, first.
 """
 
 from __future__ import annotations
@@ -41,6 +47,15 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     machine_line, result_line = proc.stdout.strip().splitlines()[-2:]
     metrics = json.loads(result_line)["metrics"]
     return json.loads(machine_line), {name: entry["value"] for name, entry in metrics.items()}
+
+
+def check_bytecode(parent: Path, change: Path) -> None:
+    """Stop when exactly one of the two checkouts has a src/sparsebeam/__pycache__."""
+    cached = [(side / "src" / "sparsebeam" / "__pycache__").is_dir() for side in (parent, change)]
+    if cached[0] != cached[1]:
+        with_cache, without = (parent, change) if cached[0] else (change, parent)
+        sys.exit(f"bench_pairs: {with_cache} has src/sparsebeam/__pycache__ and {without} does not; "
+                 "remove it or compile both, since compiling at set-up moves setup_s")
 
 
 def summary(runs: list[float]) -> dict:
@@ -79,6 +94,7 @@ def main(argv: list[str] | None = None) -> None:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    check_bytecode(args.parent, args.change)
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     declared = spec["per_layer" if args.trace else "end_to_end"]
     better = {m["name"]: m["better"] for m in declared}

@@ -237,29 +237,32 @@ def _run_irls(r, aq, opts: SolverOptions, inner):
     counts the finite steps.
 
     Each step is R_eff = (R + gamma A Q D Q A^H + its conjugate
-    transpose) / 2, assembled in place in two buffers allocated once per
-    solve. Both halves are taken before the transpose is added, so a
-    finite R cannot overflow it: R/2 once per solve, and the penalty
-    term's 1/2 folded into gamma's one multiply, together with D's
-    factor p/2 when that is a power of two. |u|^2 + eps of the step's
-    response u = (A Q)^H w serves both its penalty and the next
-    reweighting, unless eps was just annealed. A power-of-two factor
-    commutes with rounding for normal floats, and otherwise the
-    floating-point operations and their order are those of the plain
-    expressions, so the results are the same to the bit
-    (tests/_oracles.py keeps the plain loop as the reference).
+    transpose) / 2, with D = diag(p/2 (|u|^2 + eps)^((p-2)/2)). Both
+    halves are taken before the transpose is added, so a finite R cannot
+    overflow it: R/2 once per solve, and the penalty term's 1/2 in the
+    N-vector d, together with D's p/2 and with gamma when gamma is a
+    power of two; any other gamma multiplies the M x N product A Q D
+    once. A step writes that product once and allocates no array of its
+    own: every buffer, d and the M x M conjugate included, is allocated
+    once per solve. |u|^2 + eps of the step's response u = (A Q)^H w
+    serves both its penalty and the next reweighting, unless eps was
+    just annealed. A power-of-two factor commutes with rounding for
+    normal floats, and otherwise the floating-point operations and their
+    order are those of the plain expressions, so the results are the
+    same to the bit (tests/_oracles.py keeps the plain loop as the
+    reference).
     """
     w = inner(r)
     if opts.gamma == 0 or not aq.any():
         return w, 1, float((w.conj() @ r @ w).real), True, ()
     gamma = opts.gamma
-    # Powers stay ``**``: numpy computes a scalar exponent of 2 or 0.5 as
-    # square or sqrt, which np.power does not.
     power, half_p = (opts.p - 2.0) / 2.0, opts.p / 2.0
-    # D = smoothed**power * p/2 enters R_eff only as gamma A Q D / 2; a
-    # p/2 that is a power of two joins that one multiply.
-    fold_p = math.frexp(half_p)[0] == 0.5
-    term_scale = gamma * 0.5 * half_p if fold_p else gamma * 0.5
+    # d takes every power-of-two factor of gamma A Q D / 2, so the
+    # M x N product is scaled in a second pass only for any other gamma.
+    fold_gamma = math.frexp(gamma)[0] == 0.5
+    d_scale = half_p * 0.5 * gamma if fold_gamma else half_p * 0.5
+    # numpy computes x**0.5 as np.sqrt(x), which np.power need not match.
+    penalty_power = np.sqrt if half_p == 0.5 else lambda x, out: np.power(x, half_p, out=out)
     r_half = r * 0.5
     eps = opts.irls_epsilon
     history: list[float] = []
@@ -268,27 +271,32 @@ def _run_irls(r, aq, opts: SolverOptions, inner):
     # A view, not a copy: a contiguous copy changes the matvec's last bits.
     aq_h = aq.conj().T
     # Filled in place by every step; inner solves copy what they factor.
-    weighted, r_eff = np.empty_like(aq), np.empty_like(r)
+    weighted, r_eff, r_conj = np.empty_like(aq), np.empty_like(r), np.empty_like(r)
+    # Complex with a zero imaginary part: the cast numpy's complex times
+    # real multiply makes.
+    d = np.zeros(aq.shape[1], dtype=complex)
+    d_real, response, w_h, w_h_r = d.real, np.empty_like(d), np.empty_like(w), np.empty_like(w)
     u2 = np.abs(aq_h @ w) ** 2
-    smoothed = u2 + eps
+    smoothed, powered = u2 + eps, np.empty_like(u2)
     for step in range(opts.max_iterations):
         if step > 0 and step % 10 == 0:
             eps = max(eps * 0.1, _IRLS_EPS_FLOOR)
             np.add(u2, eps, out=smoothed)
-        d = smoothed**power
-        if not fold_p:
-            d *= half_p
+        # power lies in (-1, -1/2], where ``**`` takes no scalar fast path.
+        np.power(smoothed, power, out=d_real)
+        d_real *= d_scale
         np.multiply(aq, d, out=weighted)
-        weighted *= term_scale
+        if not fold_gamma:
+            weighted *= gamma
         np.matmul(weighted, aq_h, out=r_eff)
         r_eff += r_half
-        r_eff += r_eff.conj().T
+        r_eff += np.conjugate(r_eff, out=r_conj).T
         w = inner(r_eff)
-        np.square(np.abs(aq_h @ w, out=u2), out=u2)
-        quad = float((w.conj() @ r @ w).real)
+        np.square(np.abs(np.matmul(aq_h, w, out=response), out=u2), out=u2)
+        quad = float((np.matmul(np.conjugate(w, out=w_h), r, out=w_h_r) @ w).real)
         # u2 + eps serves both this penalty and the next reweighting.
         np.add(u2, eps, out=smoothed)
-        objective = quad + gamma * float(np.add.reduce(smoothed**half_p))
+        objective = quad + gamma * float(np.add.reduce(penalty_power(smoothed, out=powered)))
         # Non-finite weights make every entry of u, and so the objective,
         # non-finite: the array test runs only when the scalar one fails.
         if not math.isfinite(objective) and not np.isfinite(w).all():
@@ -364,13 +372,13 @@ def _cone_multiplier(sigma: np.ndarray, cbar: np.ndarray) -> float:
     """
     cbar2 = np.abs(cbar) ** 2
     s2 = sigma**2
-    if np.sum(cbar2 / s2) <= 1.0:
+    if np.add.reduce(cbar2 / s2) <= 1.0:
         return np.inf
     weight = s2 * cbar2
     terms = list(zip(s2.tolist(), weight.tolist()))
     lo, hi = 0.0, math.inf
     # Every denominator is >= 1, so h(nu) <= nu^2 sum(weight) = 1 here.
-    nu = float(1.0 / np.sqrt(np.sum(weight)))
+    nu = float(1.0 / np.sqrt(np.add.reduce(weight)))
     while True:
         total = slope = 0.0
         for s, wt in terms:

@@ -116,3 +116,28 @@ def test_a_failed_run_stops_with_its_error(tmp_path):
     change = _checkout(tmp_path, "change", 0.1, log)
     with pytest.raises(SystemExit, match="no such workload"):
         bench_pairs.main([str(parent), str(change), "--workload", "broken", "--pairs", "1", "--seconds", "1"])
+
+
+@pytest.mark.parametrize("cached", ["parent", "change"])
+def test_a_bytecode_cache_in_one_checkout_only_stops_before_any_run(tmp_path, cached):
+    log = tmp_path / "order.log"
+    parent = _checkout(tmp_path, "parent", 0.2, log)
+    change = _checkout(tmp_path, "change", 0.1, log)
+    (tmp_path / cached / "src" / "sparsebeam" / "__pycache__").mkdir(parents=True)
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main([str(parent), str(change), "--workload", "fig1", "--pairs", "1", "--seconds", "1"])
+    message = str(stop.value.code)
+    assert "\n" not in message
+    assert str(parent) in message and str(change) in message
+    assert message.index(str(tmp_path / cached)) < message.index(" does not")
+    assert not log.exists()
+
+
+def test_a_bytecode_cache_in_both_checkouts_runs(tmp_path):
+    log = tmp_path / "order.log"
+    parent = _checkout(tmp_path, "parent", 0.2, log)
+    change = _checkout(tmp_path, "change", 0.1, log)
+    for side in ("parent", "change"):
+        (tmp_path / side / "src" / "sparsebeam" / "__pycache__").mkdir(parents=True)
+    bench_pairs.main([str(parent), str(change), "--workload", "fig1", "--pairs", "1", "--seconds", "1"])
+    assert log.read_text().split("\n")[:-1] == ["parent 0", "change 0"]

@@ -305,9 +305,10 @@ def test_irls_stops_at_the_first_non_finite_step(geometry, a_grid, a0, method, m
 @given(
     m=st.integers(2, 16),
     n=st.integers(1, 200),
-    # p/2 = 1/2, 1/4 and 1/8 fold into gamma's multiply; 1/20 does not.
+    # p/2 = 1/2 takes the square-root penalty; 1/4, 1/8 and 1/20 do not.
     p=st.sampled_from([1.0, 0.5, 0.25, 0.1]),
-    gamma=st.sampled_from([0.0, 1e-3, 2.0, 50.0]),
+    # Powers of two (0.25, 2, 64) ride on d; 1e-3 and 50 scale the product.
+    gamma=st.sampled_from([0.0, 1e-3, 0.25, 2.0, 50.0, 64.0]),
     zero_fraction=st.sampled_from([0.0, 0.5, 1.0]),
     max_iterations=st.integers(1, 100),
     half_width=st.sampled_from([0.0, 2.0]),
@@ -316,6 +317,17 @@ def test_irls_stops_at_the_first_non_finite_step(geometry, a_grid, a0, method, m
 def test_irls_matches_the_reference_loop_bit_for_bit(
     m, n, p, gamma, zero_fraction, max_iterations, half_width, seed
 ):
+    _assert_irls_matches_reference(m, n, p, gamma, zero_fraction, max_iterations, half_width, seed)
+
+
+# The draws above need not meet every pair; here each p meets each gamma.
+@pytest.mark.parametrize("p", [1.0, 0.5, 0.25, 0.1])
+@pytest.mark.parametrize("gamma", [1e-3, 0.25, 2.0, 50.0, 64.0])
+def test_irls_matches_the_reference_loop_for_every_p_and_gamma(p, gamma):
+    _assert_irls_matches_reference(8, 60, p, gamma, 0.5, 30, 2.0, 7)
+
+
+def _assert_irls_matches_reference(m, n, p, gamma, zero_fraction, max_iterations, half_width, seed):
     rng = np.random.default_rng(seed)
 
     def complex_normal(*shape):
