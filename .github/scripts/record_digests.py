@@ -6,7 +6,8 @@ tests/data/cli_digests.json holds the SHA-256 of every file a full study
 of each bundled config writes (configs/fig1.cfg, configs/fig2.cfg and
 the benchmark's perfbench/configs/wide.cfg). tests/data/solve_digests.json
 holds, for each solve of each config's first 2 runs, the SHA-256 of w's
-bytes and the Diagnostics repr. The digest tests in
+bytes and the Diagnostics repr, read from the study's
+ExperimentReport.solves. The digest tests in
 tests/test_experiment.py compute theirs with this script's functions.
 
 The script prints, per file, how many digests changed and one line per
@@ -25,8 +26,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from sparsebeam import experiment
-from sparsebeam.experiment import parse_config, run_experiment
+from sparsebeam import parse_config, run_experiment
 
 ROOT = Path(__file__).resolve().parents[2]
 CONFIGS = {
@@ -49,28 +49,16 @@ def solve_digests(name: str, output_dir: Path) -> dict[str, str]:
     """"<run>/<method>" -> SHA-256 of w's bytes and the Diagnostics repr, first 2 runs of config ``name``.
 
     A float's repr round-trips exactly, so the digest moves when any bit
-    of w or of a Diagnostics field moves. Each solver is wrapped in
-    ``experiment._SOLVES`` for the study and restored after it.
+    of w or of a Diagnostics field moves. A solve that failed has no
+    digest.
     """
-    digests: dict[str, str] = {}
-    solves = dict(experiment._SOLVES)
-
-    def recorded(method, solve):
-        def call(*args):
-            result = solve(*args)
-            run = sum(key.endswith(f"/{method}") for key in digests)
-            payload = result.w.tobytes() + repr(result.diagnostics).encode()
-            digests[f"{run}/{method}"] = hashlib.sha256(payload).hexdigest()
-            return result
-        return call
-
     config = dataclasses.replace(parse_config(CONFIGS[name]), output_dir=str(output_dir), monte_carlo_runs=SOLVE_RUNS)
-    try:
-        experiment._SOLVES.update({method: recorded(method, solve) for method, solve in solves.items()})
-        run_experiment(config)
-    finally:
-        experiment._SOLVES.update(solves)
-    return digests
+    return {
+        f"{run}/{method}": hashlib.sha256(solve.w.tobytes() + repr(solve.diagnostics).encode()).hexdigest()
+        for method, solves in run_experiment(config).solves.items()
+        for run, solve in enumerate(solves)
+        if solve is not None
+    }
 
 
 def changes(old: dict, new: dict) -> list[str]:

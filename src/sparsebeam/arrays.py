@@ -130,7 +130,8 @@ class Scenario:
 
     ``soi_snr_db`` and each interferer's INR are powers relative to
     ``noise_power``, so with the default unit noise power the dB values
-    map directly to source variances. Every DOA lies in [-90, 90] deg.
+    map directly to source variances; a source power beyond the float
+    range raises DomainError. Every DOA lies in [-90, 90] deg.
     ``rng_seed``, a non-negative integer, makes snapshot generation
     reproducible; Monte-Carlo harnesses derive per-run seeds from it.
     """
@@ -151,6 +152,14 @@ class Scenario:
         object.__setattr__(self, "interferers", tuple(map(_interferer, entries)))
         _check_count("rng_seed", self.rng_seed, 0)
         _check_count("num_snapshots", self.num_snapshots, 1)
+        # Every source's power must be a float, as sources computes it.
+        for name, db in (("soi_snr_db", self.soi_snr_db), *(("interferer INR", inr) for _, inr in self.interferers)):
+            try:
+                power = self.noise_power * 10.0 ** (db / 10.0)
+            except OverflowError:
+                power = math.inf
+            if power == math.inf:
+                raise DomainError(f"{name} must give a finite source power noise_power * 10^(dB/10), got {db!r}")
         doas = [d for d, _ in self.interferers]
         if len(set(doas)) != len(doas):
             raise DomainError("interferer DOAs must be distinct")

@@ -3,8 +3,9 @@
 Two subcommands: ``run`` executes a config end to end and writes CSVs;
 ``validate`` only parses. ``run``'s flags are the config keys they
 override, parsed and validated as those keys. Exit codes: 0 success, 1
-configuration error (a bad flag value included) or an output directory
-that cannot be created or written, 2 failed runs exceeding the
+configuration error (a bad flag value included), an output directory
+that cannot be created or written, or a study whose data leaves the
+domain (a covariance that overflows, say), 2 failed runs exceeding the
 configured failure budget; argparse's own usage errors exit 2 too.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .experiment import _from_section, _read_pairs, run_experiment
 
 __all__ = ["main"]
@@ -58,6 +59,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         # mkdir's error and the CSV writers' errors name the path.
         print(f"output error: {exc}", file=sys.stderr)
+        return 1
+    except DomainError as exc:
+        print(f"study error: {exc}", file=sys.stderr)
         return 1
     for method in report.methods:
         print(f"{method}: {config.monte_carlo_runs - report.failures[method]} run(s) ok, "

@@ -23,7 +23,8 @@ from .arrays import (ArrayGeometry, Scenario, _check_count, _check_direction, _r
                      interference_grid, steering_matrix, steering_vector)
 from .covariance import sample_covariance
 from .errors import ConfigError, DomainError, SolverError
-from .solvers import SolverOptions, build_ellipsoid, mvdr, solve_rmvb, solve_rwsc, solve_sc, solve_wsc
+from .solvers import (BeamformerWeights, SolverOptions, build_ellipsoid, mvdr, solve_rmvb, solve_rwsc, solve_sc,
+                      solve_wsc)
 from .weighting import build_q
 
 __all__ = [
@@ -133,7 +134,9 @@ class ExperimentReport:
 
     patterns hold the per-method pointwise-median beam pattern on the
     export grid, renormalized to a 0 dB peak. run_seeds allows replaying
-    any single run by constructing its Scenario directly.
+    any single run by constructing its Scenario directly. solves holds,
+    per method, each run's solve in run_seeds order, or None where that
+    solve raised SolverError.
     """
 
     methods: tuple[str, ...]
@@ -141,6 +144,7 @@ class ExperimentReport:
     metrics: tuple[MetricRow, ...]
     run_seeds: tuple[int, ...]
     failures: dict[str, int] = field(default_factory=dict)
+    solves: dict[str, tuple[BeamformerWeights | None, ...]] = field(default_factory=dict)
 
     @property
     def total_failures(self) -> int:
@@ -331,14 +335,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute every Monte-Carlo run and write the CSV artifacts.
 
     Run i re-seeds the scenario with rng_seed + i. The solve phase keeps
-    each method's weights; a SolverError drops that (run, method) from
+    each method's solves, which the report returns as ``solves``; a
+    SolverError leaves None in that (run, method)'s place, drops it from
     all aggregates and counts as a failure in the report and the
     metrics CSV. The summary phase then computes the metrics and median
-    patterns from the kept weights. It drops a run whose beam pattern is
-    identically zero the same way, and a method whose median pattern
-    collapses to zero loses all its runs; a method with no run left gets
-    NaN metrics and a header-only pattern file. Outputs are deterministic
-    functions of the config.
+    patterns from the kept solves' weights. It drops a run whose beam
+    pattern is identically zero the same way, and a method whose median
+    pattern collapses to zero loses all its runs; a method with no run
+    left gets NaN metrics and a header-only pattern file. Outputs are
+    deterministic functions of the config.
     """
     geometry, scenario = config.geometry, config.scenario
     steer = config.steer_deg
@@ -352,20 +357,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    kept: dict[str, list[np.ndarray]] = {m: [] for m in config.methods}
+    solves: dict[str, list[BeamformerWeights | None]] = {m: [] for m in config.methods}
     seeds = tuple(scenario.rng_seed + i for i in range(config.monte_carlo_runs))
     for seed in seeds:
         snapshots = generate_snapshots(dataclasses.replace(scenario, rng_seed=seed), geometry)
         r = sample_covariance(snapshots)
         q = build_q(a_grid, snapshots) if needs_q else None
-        for method, weights in kept.items():
+        for method, results in solves.items():
+            results.append(None)
             with contextlib.suppress(SolverError):
-                weights.append(_SOLVES[method](r, a_grid, q, a0, ellipsoid, config.solver_options).w)
+                results[-1] = _SOLVES[method](r, a_grid, q, a0, ellipsoid, config.solver_options)
 
     metric_names = _metric_names(scenario)
     rows, patterns, failures = [], {}, {}
-    for method, weights in kept.items():
-        weights, runs = _run_metrics(weights, config)
+    for method, results in solves.items():
+        weights, runs = _run_metrics([s.w for s in results if s is not None], config)
         if weights:
             try:
                 patterns[method] = _median_pattern(weights, geometry, config.grid_resolution_deg)
@@ -377,7 +383,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             MetricRow(method, name, median, iqr, failures[method])
             for name, median, iqr in zip(metric_names, medians, iqrs)
         ]
-    report = ExperimentReport(config.methods, patterns, tuple(rows), seeds, failures)
+    report = ExperimentReport(
+        config.methods, patterns, tuple(rows), seeds, failures, {m: tuple(s) for m, s in solves.items()}
+    )
     # Every configured method yields exactly one artifact, even when all
     # of its runs failed: an empty (header-only) file.
     empty = BeamPattern(*[np.empty(0)] * 3)

@@ -166,8 +166,8 @@ class BeamformerWeights:
 class Ellipsoid:
     """Steering-vector uncertainty set {center + shape @ u : ||u|| <= 1}.
 
-    ``shape`` is M x r with full column rank; r = 0 denotes a degenerate
-    point ellipsoid.
+    ``shape`` is M x r; r = 0, like an all-zero shape, denotes a
+    degenerate point ellipsoid.
     """
 
     center: np.ndarray
@@ -420,7 +420,9 @@ def _cone_solve(r, center, shape):
     L^-H (c_perp + U cbar / (1 + nu sigma^2)); the margin is
     1-homogeneous, so dividing by it makes the constraint active. At the
     apex (nu = inf, E^H w = 0) only c_perp is left, and a rank-0 point
-    ellipsoid gives R^-1 c / (c^H R^-1 c).
+    ellipsoid gives R^-1 c / (c^H R^-1 c). Only the singular directions
+    with sigma^2 > 0 enter, so a shape with zero columns solves, to
+    rounding, as the same shape without them.
     """
     # LAPACK's zpotrf and ztrtrs, the routines cho_factor and
     # solve_triangular wrap, called directly. R is finite (checked by
@@ -431,6 +433,10 @@ def _cone_solve(r, center, shape):
     white_c, _ = ztrtrs(chol, center, lower=1)
     white_e, _ = ztrtrs(chol, shape, lower=1)
     u, sigma, _ = np.linalg.svd(white_e, full_matrices=False)
+    if sigma.size and not sigma[-1] ** 2:
+        # sigma is sorted: keep the leading directions with sigma^2 > 0.
+        rank = np.count_nonzero(sigma**2)
+        u, sigma = u[:, :rank], sigma[:rank]
     cbar = u.conj().T @ white_c
     nu = _cone_multiplier(sigma, cbar)
     x = white_c - u @ cbar + u @ (cbar / (1.0 + nu * sigma**2))

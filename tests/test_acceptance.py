@@ -1,8 +1,10 @@
 """Acceptance gate: every shipped claim, one pass/fail line each.
 
-Runs the two bundled study scenarios over 20 Monte-Carlo seeds and
-checks the algebraic, feasibility, and qualitative-behavior claims at
-their stated tolerances. Criteria are asserted as stated even where the
+Runs the two bundled study configs (configs/fig1.cfg and
+configs/fig2.cfg, 20 Monte-Carlo runs each) through run_experiment,
+scores each run's solve from the report, and checks the algebraic,
+feasibility, and qualitative-behavior claims at their stated
+tolerances. Criteria are asserted as stated even where the
 implementation is known to land elsewhere; failures here are findings,
 not tolerances to tune.
 """
@@ -19,7 +21,6 @@ from sparsebeam import SolverOptions
 from _oracles import constraint_parameterization, quadratic_objective, zoom_minimize
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
-SEEDS = 20
 
 
 def _report(capsys, label, ok, detail=""):
@@ -29,52 +30,33 @@ def _report(capsys, label, ok, detail=""):
         print(f"\n[acceptance] {label}: {status}{suffix}")
 
 
-def _study(geometry, scenario, mismatch, methods):
-    steer = scenario.soi_doa_deg + mismatch
-    a0 = sb.steering_vector(geometry, steer)
-    grid = sb.interference_grid(steer, 1.0)
-    a_mat = sb.steering_matrix(geometry, grid)
-    ellipsoid = None
-    if "rmvb" in methods or "rwsc" in methods:
-        ellipsoid = sb.build_ellipsoid(geometry, steer, max(abs(mismatch), 3.0), 61)
-    results = {m: {"nd70": [], "sll": [], "pe": [], "gain0": [], "residual": [], "w": []}
-               for m in methods}
-    for i in range(SEEDS):
-        scen = dataclasses.replace(scenario, rng_seed=scenario.rng_seed + i)
-        x = sb.generate_snapshots(scen, geometry)
-        r = sb.sample_covariance(x)
-        q = sb.build_q(a_mat, x)
-        solved = {}
-        if "mvdr" in methods:
-            solved["mvdr"] = sb.mvdr(r, a0)
-        if "sc" in methods:
-            solved["sc"] = sb.solve_sc(r, a_mat, a0)
-        if "wsc" in methods:
-            solved["wsc"] = sb.solve_wsc(r, a_mat, q, a0)
-        if "rmvb" in methods:
-            solved["rmvb"] = sb.solve_rmvb(r, ellipsoid)
-        if "rwsc" in methods:
-            solved["rwsc"] = sb.solve_rwsc(r, a_mat, q, ellipsoid)
-        for name, result in solved.items():
-            pattern = sb.beam_pattern(result.w, geometry, 0.1)
-            bucket = results[name]
-            bucket["nd70"].append(sb.null_depth(pattern, 70.0))
-            bucket["sll"].append(sb.sidelobe_level(pattern, pattern.peak_angle_deg).level_db)
-            bucket["pe"].append(sb.pointing_error(pattern, scenario.soi_doa_deg))
-            bucket["gain0"].append(float(pattern.gain_db[900]))  # grid point at 0 deg
-            bucket["residual"].append(result.diagnostics.constraint_residual)
-            bucket["w"].append(result.w)
+def _study(name, tmp_path_factory):
+    """Per-run metrics of each method of the bundled config ``name``, from run_experiment's solves."""
+    config = sb.parse_config(CONFIG_DIR / f"{name}.cfg")
+    report = sb.run_experiment(dataclasses.replace(config, output_dir=str(tmp_path_factory.mktemp(name))))
+    results = {}
+    for method, solves in report.solves.items():
+        weights = [solve.w for solve in solves]
+        pattern = sb.beam_pattern(weights, config.geometry, 0.1)
+        results[method] = {
+            "nd70": sb.null_depth(pattern, 70.0),
+            "sll": sb.sidelobe_level(pattern, pattern.peak_angle_deg).level_db,
+            "pe": sb.pointing_error(pattern, config.scenario.soi_doa_deg),
+            "gain0": pattern.gain_db[:, 900],  # grid point at 0 deg
+            "residual": [solve.diagnostics.constraint_residual for solve in solves],
+            "w": weights,
+        }
     return results
 
 
 @pytest.fixture(scope="module")
-def baseline_study(geometry, scenario):
-    return _study(geometry, scenario, 0.0, ("mvdr", "sc", "wsc"))
+def baseline_study(tmp_path_factory):
+    return _study("fig1", tmp_path_factory)
 
 
 @pytest.fixture(scope="module")
-def mismatch_study(geometry, scenario):
-    return _study(geometry, scenario, 3.0, ("mvdr", "sc", "wsc", "rmvb", "rwsc"))
+def mismatch_study(tmp_path_factory):
+    return _study("fig2", tmp_path_factory)
 
 
 def test_criterion_1_reduction_chain(capsys, sample_r, a_grid, a0, q_weights):

@@ -45,7 +45,7 @@ SIGNATURES = {
         "grid_resolution_deg", "output_dir", "ellipsoid_half_width_deg", "ellipsoid_num_samples",
         "failure_budget",
     ),
-    "ExperimentReport": ("methods", "patterns", "metrics", "run_seeds", "failures"),
+    "ExperimentReport": ("methods", "patterns", "metrics", "run_seeds", "failures", "solves"),
     "MetricRow": ("method", "metric", "median", "iqr", "failures"),
     "Scenario": ("soi_doa_deg", "soi_snr_db", "interferers", "num_snapshots", "noise_power", "rng_seed"),
     "SidelobeLevel": ("level_db", "no_sidelobes"),

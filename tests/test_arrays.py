@@ -284,8 +284,14 @@ class TestScenario:
             ("noise_power", np.inf),
             ("interferers", ((np.nan, 20.0),)),
             ("interferers", ((30.0, np.inf),)),
+            # Finite, but the source power overflows: 3100 dB once passed
+            # here, and sources raised a bare OverflowError.
+            ("soi_snr_db", 3100.0),
+            ("interferers", ((30.0, 3100.0),)),
+            ("noise_power", 1.7e308),
         ],
-        ids=["doa-nan", "snr-inf", "snr-minus-inf", "noise-inf", "jammer-doa-nan", "jammer-inr-inf"],
+        ids=["doa-nan", "snr-inf", "snr-minus-inf", "noise-inf", "jammer-doa-nan", "jammer-inr-inf",
+             "snr-power-overflows", "inr-power-overflows", "noise-times-power-overflows"],
     )
     def test_non_finite_values_rejected(self, field, value):
         kwargs = {"soi_doa_deg": 0.0, "soi_snr_db": 10.0, field: value}

@@ -209,3 +209,23 @@ def test_unwritable_csv_is_an_output_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("output error: ") and err.count("\n") == 1 and "metrics.csv" in err
     assert "Traceback" not in err
+
+
+def test_a_source_power_beyond_the_float_range_is_a_config_error(tmp_path, capsys):
+    # validate once printed "config OK", and run died with an OverflowError traceback.
+    path = _write(tmp_path, SMALL.replace("soi_snr_db = 10", "soi_snr_db = 3100"))
+    assert main(["validate", path]) == 1
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("config error: ") == 2 and err.count("soi_snr_db") == 2 and err.count("\n") == 2
+
+
+def test_a_domain_error_in_the_study_is_a_study_error(tmp_path, capsys):
+    # Each source power is finite at 3080 dB, but X X^H overflows: the
+    # covariance's DomainError once escaped as a traceback.
+    path = _write(tmp_path, SMALL.replace("soi_snr_db = 10", "soi_snr_db = 3080"))
+    assert main(["validate", path]) == 0
+    capsys.readouterr()
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("study error: ") and err.count("\n") == 1 and "overflows" in err

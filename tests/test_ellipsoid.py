@@ -127,6 +127,19 @@ class TestSolveRmvb:
             if margin >= 1.0:
                 assert float((w.conj() @ r @ w).real) >= opt_obj - 1e-9
 
+    def test_a_zero_column_leaves_the_solve_unchanged(self, sample_r, ellipsoid3):
+        # Its singular value is 0; it once made the cone multiplier divide by 0.
+        padded = Ellipsoid(ellipsoid3.center, np.column_stack([ellipsoid3.shape, np.zeros(8)]))
+        w = sb.solve_rmvb(sample_r, ellipsoid3).w
+        np.testing.assert_allclose(sb.solve_rmvb(sample_r, padded).w, w, rtol=1e-12, atol=0)
+
+    def test_an_all_zero_shape_is_the_point(self, sample_r, a0, point_ellipsoid):
+        # Once "ellipsoid constraint is infeasible", though the set is {a0}.
+        zero = sb.solve_rmvb(sample_r, Ellipsoid(a0, np.zeros((8, 2), dtype=complex)))
+        point = sb.solve_rmvb(sample_r, point_ellipsoid)
+        assert zero.w.tobytes() == point.w.tobytes()
+        assert repr(zero.diagnostics) == repr(point.diagnostics)
+
     def test_infeasible_ellipsoid_raises(self, sample_r, a0):
         # ||a0|| = sqrt(8) < 3, so the ball of radius 3 around a0
         # contains the origin and no weight vector can hold the floor.

@@ -332,6 +332,14 @@ class TestRunExperiment:
         # medians computed over the two surviving runs only
         lines = (Path(cfg.output_dir) / "metrics.csv").read_text().splitlines()
         assert all(line.endswith(",1") for line in lines[1:])
+        # The report keeps each run's solve, in run_seeds order; the failed one is None.
+        solves = report.solves["mvdr"]
+        assert len(solves) == len(report.run_seeds) == 3 and solves[0] is None
+        a0 = sb.steering_vector(cfg.geometry, cfg.steer_deg)
+        for seed, solve in zip(report.run_seeds[1:], solves[1:]):
+            snapshots = sb.generate_snapshots(dataclasses.replace(cfg.scenario, rng_seed=seed), cfg.geometry)
+            direct = sb.mvdr(sb.sample_covariance(snapshots), a0, cfg.solver_options)
+            assert solve.w.tobytes() == direct.w.tobytes()
 
     def test_all_runs_failed_yields_header_only_pattern(self, tmp_path, monkeypatch):
         import sparsebeam.experiment as exp
@@ -379,6 +387,11 @@ class TestRunExperiment:
             reports[name] = run_experiment(dataclasses.replace(cfg, output_dir=str(tmp_path / name)))
         assert reports["zero"].failures == {"mvdr": 1}
         assert reports["zero"].metrics == reports["fail"].metrics
+        # The zero-weight run keeps its solve in the report; the raised one has None.
+        assert not reports["zero"].solves["mvdr"][1].w.any()
+        assert reports["fail"].solves["mvdr"][1] is None
+        for name in reports:
+            assert len(reports[name].solves["mvdr"]) == len(reports[name].run_seeds)
         for csv in ("metrics.csv", "pattern_mvdr.csv"):
             assert (tmp_path / "zero" / csv).read_bytes() == (tmp_path / "fail" / csv).read_bytes()
 

@@ -24,6 +24,9 @@ from _oracles import (
 )
 
 
+FIG1 = Path(__file__).resolve().parent.parent / "configs" / "fig1.cfg"
+
+
 def _null_depth_at(w, geometry, doa):
     return sb.null_depth(sb.beam_pattern(w, geometry, 0.1), doa)
 
@@ -170,20 +173,15 @@ class TestSolveWsc:
         with pytest.raises(DomainError):
             sb.solve_wsc(sample_r, a_grid, np.ones(5), a0)
 
-    def test_deepens_strongest_null_over_sc(self, geometry, a_grid, a0, scenario):
+    def test_deepens_strongest_null_over_sc(self, tmp_path):
         # Data-derived weights concentrate the penalty at 70 deg, which
         # should buy at least 5 dB of median null depth over the
-        # unweighted penalty (margin fixed from a baseline run).
-        deltas = []
-        for i in range(20):
-            scen = dataclasses.replace(scenario, rng_seed=scenario.rng_seed + i)
-            x = sb.generate_snapshots(scen, geometry)
-            r = sb.sample_covariance(x)
-            q = sb.build_q(a_grid, x)
-            nd_sc = _null_depth_at(sb.solve_sc(r, a_grid, a0).w, geometry, 70.0)
-            nd_wsc = _null_depth_at(sb.solve_wsc(r, a_grid, q, a0).w, geometry, 70.0)
-            deltas.append(nd_wsc - nd_sc)
-        assert np.median(deltas) <= -5.0
+        # unweighted penalty across fig1's 20 runs (margin fixed from a
+        # baseline run).
+        config = sb.parse_config(FIG1)
+        solves = sb.run_experiment(dataclasses.replace(config, output_dir=str(tmp_path))).solves
+        sc, wsc = ([solve.w for solve in solves[m]] for m in ("sc", "wsc"))
+        assert np.median(_null_depth_at(wsc, config.geometry, 70.0) - _null_depth_at(sc, config.geometry, 70.0)) <= -5.0
 
 
 def _every_solver(geometry, a_grid, a0, q=None, opts=None):
@@ -526,8 +524,7 @@ def covariance_checks(monkeypatch):
 def test_a_study_checks_each_covariance_once(tmp_path, covariance_checks):
     # fig1 solves mvdr, sc and wsc on each run's covariance: 2 checks,
     # where every solve once checked and loaded R again (6).
-    config = sb.parse_config(Path(__file__).resolve().parent.parent / "configs" / "fig1.cfg")
-    config = dataclasses.replace(config, output_dir=str(tmp_path), monte_carlo_runs=2)
+    config = dataclasses.replace(sb.parse_config(FIG1), output_dir=str(tmp_path), monte_carlo_runs=2)
     report = sb.run_experiment(config)
     assert sum(report.failures.values()) == 0
     assert len(covariance_checks) == 2
