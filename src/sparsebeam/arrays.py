@@ -28,9 +28,14 @@ __all__ = [
 
 
 def _numeric(name: str, value, dtype=complex) -> np.ndarray:
-    """``value`` as an array of ``dtype``; DomainError naming ``name`` if numpy cannot convert it."""
+    """``value`` as a C-ordered array of ``dtype``; DomainError naming ``name`` if numpy cannot convert it.
+
+    C order copies only an array in another layout, and gives every
+    product one layout: BLAS routines take a Fortran-ordered or strided
+    operand with another kernel, whose last bits can differ.
+    """
     try:
-        return np.asarray(value, dtype=dtype)
+        return np.asarray(value, dtype=dtype, order="C")
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{name} is not a numeric array: {exc}") from None
 

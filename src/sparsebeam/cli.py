@@ -2,17 +2,22 @@
 
 Two subcommands: ``run`` executes a config end to end and writes CSVs;
 ``validate`` only parses. ``run``'s flags are the config keys they
-override, parsed and validated as those keys. Exit codes: 0 success, 1
-configuration error (a bad flag value included), an output directory
-that cannot be created or written, or a study whose data leaves the
-domain (a covariance that overflows, say), 2 failed runs exceeding the
-configured failure budget; argparse's own usage errors exit 2 too.
+override, parsed and validated as those keys. ``run`` prints one line
+per method: its runs ok and failed, then how many of the solves that
+returned report convergence, and their median iteration count. Exit
+codes: 0 success, 1 configuration error (a bad flag value included), an
+output directory that cannot be created or written, or a study whose
+data leaves the domain (a covariance that overflows, say), 2 failed runs
+exceeding the configured failure budget; argparse's own usage errors
+exit 2 too.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+
+import numpy as np
 
 from .errors import ConfigError, DomainError
 from .experiment import _from_section, _read_pairs, run_experiment
@@ -64,8 +69,12 @@ def main(argv=None) -> int:
         print(f"study error: {exc}", file=sys.stderr)
         return 1
     for method in report.methods:
+        # Counted over the solves that returned, failed runs' kept solves included.
+        returned = [s.diagnostics for s in report.solves[method] if s is not None]
+        iterations = f" (median {np.median([d.iterations for d in returned]):g} iterations)" if returned else ""
         print(f"{method}: {config.monte_carlo_runs - report.failures[method]} run(s) ok, "
-              f"{report.failures[method]} failed")
+              f"{report.failures[method]} failed, "
+              f"{sum(d.converged for d in returned)}/{len(returned)} converged{iterations}")
     print(f"wrote {len(report.methods)} pattern file(s) and metrics.csv to {config.output_dir}")
     if report.total_failures > config.failure_budget:
         print(

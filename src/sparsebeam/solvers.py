@@ -34,11 +34,20 @@ finite Hermitian matrix, raw snapshots included, raises DomainError
 diagonally loaded before factorization; a trace that is not finite
 raises DomainError. The last R checked and loaded is kept, read-only,
 so the methods of one Monte-Carlo run check their shared R once
-(:func:`_loaded_covariance`). An inner solve whose matrix has a mean
-diagonal outside [2^-64, 2^64) first scales it by a power of four, so a
+(:func:`_loaded_covariance`). A matrix with a mean diagonal outside
+[2^-64, 2^64) is scaled by a power of four before an inner solve, so a
 covariance of any scale whose trace is finite solves, with the weights
 of the unit-scale solve bit for bit; inside that window the scale would
-move no bit and is skipped (:func:`_unit_scaled`).
+move no bit and is skipped (:func:`_unit_scaled`). :func:`_run_irls` is
+the one place that decides it: the inner solves take the matrix they
+are given. It tests the unpenalized start, and tests each IRLS step's
+matrix only when one bound per solve cannot prove that every step's
+lies in the window.
+Every per-step product goes through ``np.dot``, not ``@``: for these
+operands both make the same BLAS call (zgemm, zgemv or zdotu), and
+``np.dot`` skips ``matmul``'s ufunc dispatch, about 1 us a call. The
+bit-identity claims here hold for normal floats: a power of two
+commutes with rounding only while no value is subnormal or overflows.
 A, q, a0 or an ellipsoid that is not numeric, does not match R's size,
 or holds NaN or inf, raises DomainError before any factorization, as do
 negative q entries and a zero a0. A and q may be empty, and an
@@ -184,6 +193,11 @@ def _check_factorization(info: int) -> None:
         raise SolverError(f"covariance factorization failed: zpotrf info={info} ({reason})")
 
 
+def _mean_diagonal(r: np.ndarray) -> float:
+    # A Python sum over the diagonal costs a third of numpy's trace here.
+    return sum(r.real.diagonal().tolist()) / r.shape[0]
+
+
 def _unit_scaled(r: np.ndarray) -> np.ndarray:
     """``r``, scaled by a power of four only if its mean diagonal is outside [2^-64, 2^64).
 
@@ -199,8 +213,7 @@ def _unit_scaled(r: np.ndarray) -> np.ndarray:
     underflow a solve. The factor is applied as two halves, each finite
     even where 4^k is not.
     """
-    # A Python sum over the diagonal costs a third of numpy's trace here.
-    exponent = math.frexp(sum(r.real.diagonal().tolist()) / r.shape[0])[1]
+    exponent = math.frexp(_mean_diagonal(r))[1]
     if -63 <= exponent <= 64:
         return r
     half = math.ldexp(1.0, -((exponent + 1) // 2))
@@ -211,12 +224,14 @@ def _mvdr_direction(r: np.ndarray, a0: np.ndarray, a0_h: np.ndarray) -> np.ndarr
     """R^-1 a0 / (a0_h R^-1 a0), where a0_h is a0.conj().
 
     One LAPACK zposv call, which is zpotrf followed by zpotrs; a failed
-    factorization reports zpotrf's info. R passes through _unit_scaled
-    first.
+    factorization reports zpotrf's info. R is factored as given:
+    :func:`_run_irls` has already put it in _unit_scaled's window.
+    a0_h x is ``np.dot``'s zdotu, the call ``@`` makes, with less
+    dispatch.
     """
-    _, x, info = zposv(_unit_scaled(r), a0, lower=1)
+    _, x, info = zposv(r, a0, lower=1)
     _check_factorization(info)
-    denom = a0_h @ x
+    denom = np.dot(a0_h, x)
     if abs(denom) < 1e-300:
         raise SolverError("steering vector annihilated by the covariance inverse")
     # Dividing by the complex scalar makes w^H a0 = 1 exact in floating point.
@@ -239,28 +254,53 @@ def _run_irls(r, aq, opts: SolverOptions, inner):
     Each step is R_eff = (R + gamma A Q D Q A^H + its conjugate
     transpose) / 2, with D = diag(p/2 (|u|^2 + eps)^((p-2)/2)). Both
     halves are taken before the transpose is added, so a finite R cannot
-    overflow it: R/2 once per solve, and the penalty term's 1/2 in the
-    N-vector d, together with D's p/2 and with gamma when gamma is a
-    power of two; any other gamma multiplies the M x N product A Q D
-    once. A step writes that product once and allocates no array of its
-    own: every buffer, d and the M x M conjugate included, is allocated
-    once per solve. |u|^2 + eps of the step's response u = (A Q)^H w
-    serves both its penalty and the next reweighting, unless eps was
-    just annealed. A power-of-two factor commutes with rounding for
-    normal floats, and otherwise the floating-point operations and their
-    order are those of the plain expressions, so the results are the
-    same to the bit (tests/_oracles.py keeps the plain loop as the
-    reference).
+    overflow it: R/2 once per solve, and the penalty term's 1/2 in
+    d_scale, together with D's p/2 and with gamma when gamma is a power
+    of two; any other gamma multiplies the M x N product A Q D once a
+    step. A power-of-two d_scale rides on a copy of A Q made once per
+    solve, so a step only raises the N-vector d to its power; any other
+    d_scale multiplies d. A step writes the M x N product once and
+    allocates no array of its own: every buffer, d and the M x M
+    conjugate included, is allocated once per solve. |u|^2 + eps of the
+    step's response u = (A Q)^H w serves both its penalty and the next
+    reweighting, unless eps was just annealed. Every product is
+    ``np.dot``, which makes the BLAS call ``@`` makes with less
+    dispatch.
+
+    This loop, not the inner solve, decides scaling
+    (:func:`_unit_scaled`). The unpenalized start is always tested. The
+    steps' matrices are not tested when one bound proves them all inside
+    the window: every R_eff's diagonal is at least R's, since the
+    penalty's diagonal sums nonnegative products, and at most R's plus
+    gamma p/2 d_max ||A Q||_F^2 / M on average, where d_max =
+    min(irls_epsilon, 1e-12)^((p-2)/2) bounds (|u|^2 + eps)^((p-2)/2).
+    The bound is taken with a factor of two to spare below 2^63. When it
+    fails, every step's matrix is tested as the start's is.
+
+    A power-of-two factor commutes with rounding for normal floats, and
+    otherwise the floating-point operations and their order are those of
+    the plain expressions, so the results are the same to the bit
+    (tests/_oracles.py keeps the plain loop as the reference).
     """
-    w = inner(r)
+    w = inner(_unit_scaled(r))
     if opts.gamma == 0 or not aq.any():
         return w, 1, float((w.conj() @ r @ w).real), True, ()
     gamma = opts.gamma
     power, half_p = (opts.p - 2.0) / 2.0, opts.p / 2.0
-    # d takes every power-of-two factor of gamma A Q D / 2, so the
+    # d_scale takes every power-of-two factor of gamma A Q D / 2, so the
     # M x N product is scaled in a second pass only for any other gamma.
     fold_gamma = math.frexp(gamma)[0] == 0.5
     d_scale = half_p * 0.5 * gamma if fold_gamma else half_p * 0.5
+    scale_on_aq = math.frexp(d_scale)[0] == 0.5
+    aq_scaled = aq * d_scale if scale_on_aq else aq
+    # ||A Q||_F^2, plus what squares that underflow (each < 2^-1074) lose.
+    aq_norm2 = float(np.vdot(aq, aq).real) + aq.size * 2.0**-1072
+    r_mean = _mean_diagonal(r)
+    # gamma p/2 d_max ||A Q||_F^2 / M < (2^63 - mean(R)) / 2, with d_max's
+    # reciprocal on the right, where it cannot overflow.
+    d_max_reciprocal = min(opts.irls_epsilon, _IRLS_EPS_FLOOR) ** -power
+    scale_each_step = not (math.frexp(r_mean)[1] >= -63
+                           and gamma * opts.p * aq_norm2 / r.shape[0] < (2.0**63 - r_mean) * d_max_reciprocal)
     # numpy computes x**0.5 as np.sqrt(x), which np.power need not match.
     penalty_power = np.sqrt if half_p == 0.5 else lambda x, out: np.power(x, half_p, out=out)
     r_half = r * 0.5
@@ -276,7 +316,7 @@ def _run_irls(r, aq, opts: SolverOptions, inner):
     # real multiply makes.
     d = np.zeros(aq.shape[1], dtype=complex)
     d_real, response, w_h, w_h_r = d.real, np.empty_like(d), np.empty_like(w), np.empty_like(w)
-    u2 = np.abs(aq_h @ w) ** 2
+    u2 = np.abs(np.dot(aq_h, w)) ** 2
     smoothed, powered = u2 + eps, np.empty_like(u2)
     for step in range(opts.max_iterations):
         if step > 0 and step % 10 == 0:
@@ -284,16 +324,17 @@ def _run_irls(r, aq, opts: SolverOptions, inner):
             np.add(u2, eps, out=smoothed)
         # power lies in (-1, -1/2], where ``**`` takes no scalar fast path.
         np.power(smoothed, power, out=d_real)
-        d_real *= d_scale
-        np.multiply(aq, d, out=weighted)
+        if not scale_on_aq:
+            d_real *= d_scale
+        np.multiply(aq_scaled, d, out=weighted)
         if not fold_gamma:
             weighted *= gamma
-        np.matmul(weighted, aq_h, out=r_eff)
+        np.dot(weighted, aq_h, out=r_eff)
         r_eff += r_half
         r_eff += np.conjugate(r_eff, out=r_conj).T
-        w = inner(r_eff)
-        np.square(np.abs(np.matmul(aq_h, w, out=response), out=u2), out=u2)
-        quad = float((np.matmul(np.conjugate(w, out=w_h), r, out=w_h_r) @ w).real)
+        w = inner(_unit_scaled(r_eff) if scale_each_step else r_eff)
+        np.square(np.abs(np.dot(aq_h, w, out=response), out=u2), out=u2)
+        quad = float(np.dot(np.dot(np.conjugate(w, out=w_h), r, out=w_h_r), w).real)
         # u2 + eps serves both this penalty and the next reweighting.
         np.add(u2, eps, out=smoothed)
         objective = quad + gamma * float(np.add.reduce(penalty_power(smoothed, out=powered)))
@@ -351,8 +392,8 @@ def build_ellipsoid(
 
 def _margin(w: np.ndarray, center: np.ndarray, shape: np.ndarray) -> float:
     # np.linalg.norm's own formula for a complex vector, without its wrapper.
-    v = shape.conj().T @ w
-    return float((w.conj() @ center).real - math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag)))
+    v = np.dot(shape.conj().T, w)
+    return float(np.dot(w.conj(), center).real - math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag)))
 
 
 def _cone_multiplier(sigma: np.ndarray, cbar: np.ndarray) -> float:
@@ -423,12 +464,16 @@ def _cone_solve(r, center, shape):
     ellipsoid gives R^-1 c / (c^H R^-1 c). Only the singular directions
     with sigma^2 > 0 enter, so a shape with zero columns solves, to
     rounding, as the same shape without them.
+
+    R is factored as given: :func:`_run_irls` has already put it in
+    _unit_scaled's window. The products with U go through ``np.dot``,
+    the zgemv ``@`` calls, with less dispatch.
     """
     # LAPACK's zpotrf and ztrtrs, the routines cho_factor and
     # solve_triangular wrap, called directly. R is finite (checked by
     # ensure_covariance before the solve), and the factor's diagonal is
     # positive, so ztrtrs cannot fail.
-    chol, info = zpotrf(_unit_scaled(r), lower=1, clean=0)
+    chol, info = zpotrf(r, lower=1, clean=0)
     _check_factorization(info)
     white_c, _ = ztrtrs(chol, center, lower=1)
     white_e, _ = ztrtrs(chol, shape, lower=1)
@@ -437,9 +482,9 @@ def _cone_solve(r, center, shape):
         # sigma is sorted: keep the leading directions with sigma^2 > 0.
         rank = np.count_nonzero(sigma**2)
         u, sigma = u[:, :rank], sigma[:rank]
-    cbar = u.conj().T @ white_c
+    cbar = np.dot(u.conj().T, white_c)
     nu = _cone_multiplier(sigma, cbar)
-    x = white_c - u @ cbar + u @ (cbar / (1.0 + nu * sigma**2))
+    x = white_c - np.dot(u, cbar) + np.dot(u, cbar / (1.0 + nu * sigma**2))
     w, _ = ztrtrs(chol, x, lower=1, trans=2)
     margin = _margin(w, center, shape)
     if not margin > 0:
@@ -513,7 +558,7 @@ def _solve(method, covariance, a, q, constraint, opts) -> BeamformerWeights:
         inner = lambda r_eff: _mvdr_direction(r_eff, a0, a0_h)
         residual = lambda w: float(abs(w.conj() @ a0 - 1.0))
     w, iterations, objective, converged, history = _run_irls(r, aq, opts, inner)
-    # The inner solves scale away R's size, but no solver may return NaN
+    # _run_irls scales away R's size, but no solver may return NaN
     # or inf weights, so they are checked once more.
     if not np.isfinite(w).all():
         raise SolverError(f"{method} produced non-finite weights")

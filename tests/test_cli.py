@@ -1,3 +1,5 @@
+import dataclasses
+import statistics
 from pathlib import Path
 
 import pytest
@@ -105,6 +107,35 @@ def test_failures_within_budget_exit_0(tmp_path, monkeypatch):
         SMALL + f"experiment.output_dir = {tmp_path / 'o'}\n" + "experiment.failure_budget = 1\n",
     )
     assert main(["run", path]) == 0
+
+
+def test_run_prints_converged_counts_over_the_solves_that_returned(tmp_path, monkeypatch, capsys):
+    # The summary once printed only "sc: 4 run(s) ok, 0 failed", whatever
+    # the solves' diagnostics said.
+    import sparsebeam.experiment as exp
+
+    calls = []
+
+    def second_run_fails(r, a0, opts=None):
+        calls.append(1)
+        if len(calls) == 2:
+            raise sb.SolverError("synthetic failure")
+        return sb.mvdr(r, a0, opts)
+
+    monkeypatch.setattr(exp, "mvdr", second_run_fails)
+    path = _write(tmp_path, SMALL.replace("mvdr", "mvdr,sc,wsc") + "experiment.failure_budget = 1\n")
+    assert main(["run", path, "--runs", "4", "--out", str(tmp_path / "o")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # The failed run's solve did not return, so it is not counted.
+    assert lines[0] == "mvdr: 3 run(s) ok, 1 failed, 3/3 converged (median 1 iterations)"
+    report = sb.run_experiment(dataclasses.replace(sb.parse_config(path), monte_carlo_runs=4,
+                                                   output_dir=str(tmp_path / "p")))
+    for method, line in zip(("sc", "wsc"), lines[1:3]):
+        diagnostics = [solve.diagnostics for solve in report.solves[method]]
+        assert min(d.iterations for d in diagnostics) > 1
+        converged = sum(d.converged for d in diagnostics)
+        iterations = statistics.median(d.iterations for d in diagnostics)
+        assert line == f"{method}: 4 run(s) ok, 0 failed, {converged}/4 converged (median {iterations:g} iterations)"
 
 
 def test_bad_seed_rejected_at_every_boundary(tmp_path, capsys):

@@ -390,27 +390,100 @@ def _window_power(sample_r, edge):
     }[edge]
 
 
+def _assert_always_scaled_reference_bits(result, method, r, a, q, a0, opts):
+    """``result`` has the bits of the reference loop whose every inner solve scales its matrix."""
+    ellipsoid = sb.build_ellipsoid(sb.ArrayGeometry(r.shape[0]), 0.0, 3.0, 13)
+    center, shape = ellipsoid.center, ellipsoid.shape
+    loaded = sb.diagonal_load(sb.ensure_covariance(r), opts.diagonal_loading)
+    aq = {"mvdr": a[:, :0], "sc": a, "rmvb": a[:, :0]}.get(method, a * q[None, :])
+    if method in ("rmvb", "rwsc"):
+        inner = lambda r_eff: solvers._cone_solve(unit_scaled_reference(r_eff), center, shape)
+    else:
+        inner = lambda r_eff: mvdr_direction_reference(unit_scaled_reference(r_eff), a0)
+    w, iterations, objective, converged, history = run_irls_reference(loaded, aq, opts, inner)
+    diagnostics = result.diagnostics
+    assert result.w.tobytes() == w.tobytes()
+    assert (diagnostics.iterations, diagnostics.final_objective, diagnostics.converged) == (
+        iterations, objective, converged)
+    assert diagnostics.objective_history == history
+
+
 @pytest.mark.parametrize("method", ["mvdr", "sc", "wsc", "rmvb", "rwsc"])
 @pytest.mark.parametrize("edge", ["below_low", "low", "high", "above_high"])
-def test_skipped_scaling_keeps_the_bits_at_the_window_edges(
-    geometry, a_grid, sample_r, a0, monkeypatch, method, edge
-):
-    # Inside [2^-64, 2^64) the inner solves factor R_eff unscaled. They
-    # must return what they return when every R_eff is scaled into
-    # [1/4, 1), and for the scale-free mvdr and rmvb, what R itself
-    # gives. gamma is scaled with R, so every IRLS step's R_eff is 4^j
-    # times the unit-scale one.
+def test_skipped_scaling_keeps_the_bits_at_the_window_edges(geometry, a_grid, sample_r, q_weights, a0, method, edge):
+    # Inside [2^-64, 2^64) the IRLS steps factor R_eff unscaled. They
+    # must give the bits of the reference loop, whose every inner solve
+    # scales its matrix into [1/4, 1), and for the scale-free mvdr and
+    # rmvb, what R itself gives. gamma is scaled with R, so every IRLS
+    # step's R_eff is 4^j times the unit-scale one.
     power = _window_power(sample_r, edge)
     opts = SolverOptions(gamma=4.0**power * SolverOptions().gamma)
-    solve = _every_solver(geometry, a_grid, a0, opts=opts)[method]
     scaled_r = 4.0**power * sample_r
-    result = solve(scaled_r)
-    monkeypatch.setattr(solvers, "_unit_scaled", unit_scaled_reference)
-    always_scaled = solve(scaled_r)
-    assert result.w.tobytes() == always_scaled.w.tobytes()
-    assert result.diagnostics == always_scaled.diagnostics
+    result = _every_solver(geometry, a_grid, a0, q_weights, opts)[method](scaled_r)
+    _assert_always_scaled_reference_bits(result, method, scaled_r, a_grid, q_weights, a0, opts)
     if method in ("mvdr", "rmvb"):
         assert result.w.tobytes() == _every_solver(geometry, a_grid, a0)[method](sample_r).w.tobytes()
+
+
+# The bound must refuse the first two, so every step's matrix is tested.
+# Subnormal A Q columns lose bits in the scaled copy of A Q that a
+# power-of-two d scale rides on; they must still give the reference bits.
+BOUND_CASES = {
+    "gamma_2^200": (None, SolverOptions(gamma=2.0**200)),
+    "irls_epsilon_1e-300": (None, SolverOptions(irls_epsilon=1e-300)),
+    "q_1e-310": (1e-310, SolverOptions()),
+    "q_5e-324": (5e-324, SolverOptions()),
+}
+
+
+@pytest.mark.parametrize("method", ["wsc", "rwsc"])
+@pytest.mark.parametrize("case", BOUND_CASES)
+def test_refused_bounds_and_subnormal_weights_keep_the_reference_bits(
+    geometry, a_grid, sample_r, q_weights, a0, method, case
+):
+    tiny, opts = BOUND_CASES[case]
+    q = q_weights.copy()
+    if tiny is not None:
+        q[::3] = tiny
+    result = _every_solver(geometry, a_grid, a0, q, opts)[method](sample_r)
+    assert result.diagnostics.iterations > 1
+    _assert_always_scaled_reference_bits(result, method, sample_r, a_grid, q, a0, opts)
+
+
+@pytest.mark.parametrize("case", ["in_window", "gamma_2^200", "irls_epsilon_1e-300"])
+def test_scaling_is_tested_each_step_only_where_the_bound_refuses(sample_r, a_grid, a0, monkeypatch, case):
+    # fig1's sc solve: its steps' matrices provably stay inside the
+    # window, so only the unpenalized start is tested, where every step
+    # once tested its own. gamma = 2^200 and irls_epsilon = 1e-300 admit
+    # an R_eff outside it, so there every step is tested again.
+    calls = []
+    unit_scaled = solvers._unit_scaled
+    monkeypatch.setattr(solvers, "_unit_scaled", lambda r: calls.append(1) or unit_scaled(r))
+    opts = SolverOptions() if case == "in_window" else BOUND_CASES[case][1]
+    iterations = sb.solve_sc(sample_r, a_grid, a0, opts).diagnostics.iterations
+    assert iterations > 1
+    assert len(calls) == (1 if case == "in_window" else 1 + iterations)
+
+
+def _layouts(x):
+    """``x`` in Fortran order, and as every other column of a wider array."""
+    wider = np.zeros(x.shape[:-1] + (2 * x.shape[-1],), dtype=x.dtype)
+    wider[..., ::2] = x
+    return {"F": np.asfortranarray(x), "strided": wider[..., ::2]}
+
+
+@pytest.mark.parametrize("method", ["mvdr", "sc", "wsc", "rmvb", "rwsc"])
+@pytest.mark.parametrize("layout", ["F", "strided"])
+def test_input_layout_moves_no_bit(geometry, a_grid, sample_r, q_weights, a0, method, layout):
+    # np.dot and @ make one BLAS call only for operands BLAS can take,
+    # and BLAS takes a Fortran-ordered or strided operand with another
+    # kernel: a Fortran-ordered A once moved sc's, wsc's and rwsc's
+    # weights, and a strided a0 the constraint residual.
+    expected = _every_solver(geometry, a_grid, a0, q_weights)[method](sample_r)
+    a, q, steer, r = (_layouts(x)[layout] for x in (a_grid, q_weights, a0, sample_r))
+    result = _every_solver(geometry, a, steer, q)[method](r)
+    assert result.w.tobytes() == expected.w.tobytes()
+    assert result.diagnostics == expected.diagnostics
 
 
 @pytest.mark.parametrize("method", ["mvdr", "sc", "wsc", "rmvb", "rwsc"])
