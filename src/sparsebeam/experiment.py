@@ -23,8 +23,8 @@ from .arrays import (ArrayGeometry, Scenario, _check_count, _check_direction, _r
                      interference_grid, steering_matrix, steering_vector)
 from .covariance import sample_covariance
 from .errors import ConfigError, DomainError, SolverError
-from .solvers import (BeamformerWeights, SolverOptions, build_ellipsoid, mvdr, solve_rmvb, solve_rwsc, solve_sc,
-                      solve_wsc)
+from .solvers import (BeamformerWeights, SolverOptions, _Problem, build_ellipsoid, mvdr, solve_rmvb, solve_rwsc,
+                      solve_sc, solve_wsc)
 from .weighting import build_q
 
 __all__ = [
@@ -334,15 +334,20 @@ def _summaries(runs, count: int) -> tuple[list[float], list[float]]:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute every Monte-Carlo run and write the CSV artifacts.
 
-    Run i re-seeds the scenario with rng_seed + i. The solve phase keeps
-    each method's solves, which the report returns as ``solves``; a
-    SolverError leaves None in that (run, method)'s place, drops it from
-    all aggregates and counts as a failure in the report and the
-    metrics CSV. The summary phase then computes the metrics and median
-    patterns from the kept solves' weights. It drops a run whose beam
-    pattern is identically zero the same way, and a method whose median
-    pattern collapses to zero loses all its runs; a method with no run
-    left gets NaN metrics and a header-only pattern file. Outputs are
+    Run i re-seeds the scenario with rng_seed + i. A data pass draws each
+    run's snapshots and keeps only its q and its covariance, checked and
+    loaded once into the run's private solver problem. A solve pass then
+    runs each method over every run back to back, in ``config.methods``
+    order. sc and wsc start from the run's mvdr solve and rwsc from its
+    rmvb solve: the unpenalized solve each would make itself, so no bit
+    moves. The report returns each method's solves, in run order, as
+    ``solves``; a SolverError leaves None in that (run, method)'s place,
+    drops it from all aggregates and counts as a failure in the report
+    and the metrics CSV. The summary phase then computes the metrics and
+    median patterns from the kept solves' weights. It drops a run whose
+    beam pattern is identically zero the same way, and a method whose
+    median pattern collapses to zero loses all its runs; a method with no
+    run left gets NaN metrics and a header-only pattern file. Outputs are
     deterministic functions of the config.
     """
     geometry, scenario = config.geometry, config.scenario
@@ -357,16 +362,25 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    solves: dict[str, list[BeamformerWeights | None]] = {m: [] for m in config.methods}
     seeds = tuple(scenario.rng_seed + i for i in range(config.monte_carlo_runs))
-    for seed in seeds:
+    opts = config.solver_options
+
+    def draw(seed: int) -> tuple[_Problem, np.ndarray | None]:
+        # Only the problem and q outlive the run's snapshots.
         snapshots = generate_snapshots(dataclasses.replace(scenario, rng_seed=seed), geometry)
-        r = sample_covariance(snapshots)
-        q = build_q(a_grid, snapshots) if needs_q else None
-        for method, results in solves.items():
-            results.append(None)
-            with contextlib.suppress(SolverError):
-                results[-1] = _SOLVES[method](r, a_grid, q, a0, ellipsoid, config.solver_options)
+        problem = _Problem(sample_covariance(snapshots), opts.diagonal_loading)
+        return problem, (build_q(a_grid, snapshots) if needs_q else None)
+
+    drawn = [draw(seed) for seed in seeds]
+    solves: dict[str, list[BeamformerWeights | None]] = {}
+    for method in config.methods:
+        solve = _SOLVES[method]
+        results = solves[method] = []
+        for problem, q in drawn:
+            try:
+                results.append(solve(problem, a_grid, q, a0, ellipsoid, opts))
+            except SolverError:
+                results.append(None)
 
     metric_names = _metric_names(scenario)
     rows, patterns, failures = [], {}, {}

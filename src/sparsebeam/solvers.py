@@ -32,20 +32,25 @@ Every solver takes a covariance R and nothing else: anything but a
 finite Hermitian matrix, raw snapshots included, raises DomainError
 (:func:`sparsebeam.covariance.ensure_covariance`). R is symmetrized and
 diagonally loaded before factorization; a trace that is not finite
-raises DomainError. The last R checked and loaded is kept, read-only,
-so the methods of one Monte-Carlo run check their shared R once
-(:func:`_loaded_covariance`). A matrix with a mean diagonal outside
-[2^-64, 2^64) is scaled by a power of four before an inner solve, so a
-covariance of any scale whose trace is finite solves, with the weights
-of the unit-scale solve bit for bit; inside that window the scale would
-move no bit and is skipped (:func:`_unit_scaled`). :func:`_run_irls` is
-the one place that decides it: the inner solves take the matrix they
-are given. It tests the unpenalized start, and tests each IRLS step's
-matrix only when one bound per solve cannot prove that every step's
-lies in the window.
-Every per-step product goes through ``np.dot``, not ``@``: for these
-operands both make the same BLAS call (zgemm, zgemv or zdotu), and
-``np.dot`` skips ``matmul``'s ufunc dispatch, about 1 us a call. The
+raises DomainError. Each solve checks and loads R once, into a private
+problem (:class:`_Problem`) that also keeps its unpenalized solve under
+each constraint. ``run_experiment`` builds one problem per Monte-Carlo
+run and passes it to every method in the covariance slot, so a run's R
+is checked once, and sc and wsc start from the run's mvdr solve and
+rwsc from its rmvb solve, with the bits of a solve of their own.
+A matrix with a mean diagonal outside [2^-64, 2^64) is scaled by a
+power of four before an inner solve, so a covariance of any scale whose
+trace is finite solves, with the weights of the unit-scale solve bit
+for bit; inside that window the scale would move no bit and is skipped
+(:func:`_unit_scaled`). :func:`_run_irls` is the one place that decides
+it: the inner solves take the matrix they are given. It tests the
+unpenalized start, and tests each IRLS step's matrix only when one
+bound per solve cannot prove that every step's lies in the window.
+Every per-step product goes through the array method ``x.dot(y)``,
+not ``@`` or ``np.dot``: for these operands all three make the same
+BLAS call (zgemm, zgemv or zdotu). ``np.dot`` skips ``matmul``'s ufunc
+dispatch, about 1 us a call, and the method also skips ``np.dot``'s
+``__array_function__`` dispatch, about 0.4 us more. The
 bit-identity claims here hold for normal floats: a power of two
 commutes with rounding only while no value is subnormal or overflows.
 A, q, a0 or an ellipsoid that is not numeric, does not match R's size,
@@ -66,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .arrays import (ArrayGeometry, _check_count, _check_direction, _checked, _numeric, _real, steering_matrix,
+from .arrays import (ArrayGeometry, _check_count, _check_direction, _checked, _real, steering_matrix,
                      steering_vector)
 from .covariance import _loaded, ensure_covariance
 from .errors import DomainError, SolverError
@@ -226,20 +231,24 @@ def _mvdr_direction(r: np.ndarray, a0: np.ndarray, a0_h: np.ndarray) -> np.ndarr
     One LAPACK zposv call, which is zpotrf followed by zpotrs; a failed
     factorization reports zpotrf's info. R is factored as given:
     :func:`_run_irls` has already put it in _unit_scaled's window.
-    a0_h x is ``np.dot``'s zdotu, the call ``@`` makes, with less
+    a0_h x is ``a0_h.dot(x)``'s zdotu, the call ``@`` makes, with less
     dispatch.
     """
     _, x, info = zposv(r, a0, lower=1)
     _check_factorization(info)
-    denom = np.dot(a0_h, x)
+    denom = a0_h.dot(x)
     if abs(denom) < 1e-300:
         raise SolverError("steering vector annihilated by the covariance inverse")
     # Dividing by the complex scalar makes w^H a0 = 1 exact in floating point.
     return x / denom
 
 
-def _run_irls(r, aq, opts: SolverOptions, inner):
+def _run_irls(problem: _Problem, constraint, aq, opts: SolverOptions, inner):
     """Shared IRLS loop. ``inner(R_eff) -> w`` solves the reweighted subproblem.
+
+    The loop starts from the unpenalized solve ``inner`` gives under
+    ``constraint`` on the problem's R, made once per problem and
+    constraint (:meth:`_Problem.start`).
 
     Returns (w, iterations, final_objective, converged, history). The
     recorded objective is the epsilon-smoothed one, which the
@@ -258,13 +267,14 @@ def _run_irls(r, aq, opts: SolverOptions, inner):
     d_scale, together with D's p/2 and with gamma when gamma is a power
     of two; any other gamma multiplies the M x N product A Q D once a
     step. A power-of-two d_scale rides on a copy of A Q made once per
-    solve, so a step only raises the N-vector d to its power; any other
-    d_scale multiplies d. A step writes the M x N product once and
-    allocates no array of its own: every buffer, d and the M x M
+    solve, so a step only raises the N-vector d to its power, if every
+    nonzero part of that copy is a normal float (tested once per solve);
+    any other d_scale multiplies d. A step writes the M x N product once
+    and allocates no array of its own: every buffer, d and the M x M
     conjugate included, is allocated once per solve. |u|^2 + eps of the
     step's response u = (A Q)^H w serves both its penalty and the next
-    reweighting, unless eps was just annealed. Every product is
-    ``np.dot``, which makes the BLAS call ``@`` makes with less
+    reweighting, unless eps was just annealed. Every product is the
+    ``dot`` method, which makes the BLAS call ``@`` makes with less
     dispatch.
 
     This loop, not the inner solve, decides scaling
@@ -282,7 +292,8 @@ def _run_irls(r, aq, opts: SolverOptions, inner):
     the plain expressions, so the results are the same to the bit
     (tests/_oracles.py keeps the plain loop as the reference).
     """
-    w = inner(_unit_scaled(r))
+    r = problem.r
+    w = problem.start(constraint, lambda: inner(_unit_scaled(r)))
     if opts.gamma == 0 or not aq.any():
         return w, 1, float((w.conj() @ r @ w).real), True, ()
     gamma = opts.gamma
@@ -291,7 +302,16 @@ def _run_irls(r, aq, opts: SolverOptions, inner):
     # M x N product is scaled in a second pass only for any other gamma.
     fold_gamma = math.frexp(gamma)[0] == 0.5
     d_scale = half_p * 0.5 * gamma if fold_gamma else half_p * 0.5
-    scale_on_aq = math.frexp(d_scale)[0] == 0.5
+    # A power-of-two d_scale = 2^j rides on a copy of A Q only if every
+    # nonzero real or imaginary part of the copy is a normal float, whose
+    # frexp exponent lies in [-1021, 1024]: a part with exponent e has
+    # e + j there. A zero part's exponent, 0, can only refuse a scale.
+    mantissa, exponent = math.frexp(d_scale)
+    scale_on_aq = False
+    if mantissa == 0.5:
+        j = exponent - 1
+        exponents = np.frexp(aq.view(float))[1]
+        scale_on_aq = -1021 <= int(exponents.min()) + j and int(exponents.max()) + j <= 1024
     aq_scaled = aq * d_scale if scale_on_aq else aq
     # ||A Q||_F^2, plus what squares that underflow (each < 2^-1074) lose.
     aq_norm2 = float(np.vdot(aq, aq).real) + aq.size * 2.0**-1072
@@ -316,7 +336,7 @@ def _run_irls(r, aq, opts: SolverOptions, inner):
     # real multiply makes.
     d = np.zeros(aq.shape[1], dtype=complex)
     d_real, response, w_h, w_h_r = d.real, np.empty_like(d), np.empty_like(w), np.empty_like(w)
-    u2 = np.abs(np.dot(aq_h, w)) ** 2
+    u2 = np.abs(aq_h.dot(w)) ** 2
     smoothed, powered = u2 + eps, np.empty_like(u2)
     for step in range(opts.max_iterations):
         if step > 0 and step % 10 == 0:
@@ -329,12 +349,12 @@ def _run_irls(r, aq, opts: SolverOptions, inner):
         np.multiply(aq_scaled, d, out=weighted)
         if not fold_gamma:
             weighted *= gamma
-        np.dot(weighted, aq_h, out=r_eff)
+        weighted.dot(aq_h, out=r_eff)
         r_eff += r_half
         r_eff += np.conjugate(r_eff, out=r_conj).T
         w = inner(_unit_scaled(r_eff) if scale_each_step else r_eff)
-        np.square(np.abs(np.dot(aq_h, w, out=response), out=u2), out=u2)
-        quad = float(np.dot(np.dot(np.conjugate(w, out=w_h), r, out=w_h_r), w).real)
+        np.square(np.abs(aq_h.dot(w, out=response), out=u2), out=u2)
+        quad = float(np.conjugate(w, out=w_h).dot(r, out=w_h_r).dot(w).real)
         # u2 + eps serves both this penalty and the next reweighting.
         np.add(u2, eps, out=smoothed)
         objective = quad + gamma * float(np.add.reduce(penalty_power(smoothed, out=powered)))
@@ -392,8 +412,8 @@ def build_ellipsoid(
 
 def _margin(w: np.ndarray, center: np.ndarray, shape: np.ndarray) -> float:
     # np.linalg.norm's own formula for a complex vector, without its wrapper.
-    v = np.dot(shape.conj().T, w)
-    return float(np.dot(w.conj(), center).real - math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag)))
+    v = shape.conj().T.dot(w)
+    return float(w.conj().dot(center).real - math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag)))
 
 
 def _cone_multiplier(sigma: np.ndarray, cbar: np.ndarray) -> float:
@@ -466,8 +486,8 @@ def _cone_solve(r, center, shape):
     rounding, as the same shape without them.
 
     R is factored as given: :func:`_run_irls` has already put it in
-    _unit_scaled's window. The products with U go through ``np.dot``,
-    the zgemv ``@`` calls, with less dispatch.
+    _unit_scaled's window. The products with U go through the ``dot``
+    method, the zgemv ``@`` calls, with less dispatch.
     """
     # LAPACK's zpotrf and ztrtrs, the routines cho_factor and
     # solve_triangular wrap, called directly. R is finite (checked by
@@ -482,9 +502,9 @@ def _cone_solve(r, center, shape):
         # sigma is sorted: keep the leading directions with sigma^2 > 0.
         rank = np.count_nonzero(sigma**2)
         u, sigma = u[:, :rank], sigma[:rank]
-    cbar = np.dot(u.conj().T, white_c)
+    cbar = u.conj().T.dot(white_c)
     nu = _cone_multiplier(sigma, cbar)
-    x = white_c - np.dot(u, cbar) + np.dot(u, cbar / (1.0 + nu * sigma**2))
+    x = white_c - u.dot(cbar) + u.dot(cbar / (1.0 + nu * sigma**2))
     w, _ = ztrtrs(chol, x, lower=1, trans=2)
     margin = _margin(w, center, shape)
     if not margin > 0:
@@ -495,31 +515,39 @@ def _cone_solve(r, center, shape):
     return w / margin
 
 
-# (key, loaded R) of the last covariance checked; see _loaded_covariance.
-_last_loaded: tuple = (None, None)
+class _Problem:
+    """One covariance, checked and loaded once, and its unpenalized solves.
 
-
-def _loaded_covariance(covariance, loading: float) -> np.ndarray:
-    """``diagonal_load(ensure_covariance(covariance), loading)``, read-only.
-
-    Every method of a Monte-Carlo run solves the same R, so the result
-    for the last (R, loading) is kept and returned again while R's bytes
-    are the same: an array changed in place is checked again. The kept
-    array is read-only and only the solvers read it, and the slot is one
-    tuple, replaced whole, so no caller sees another's R.
+    R is ``diagonal_load(ensure_covariance(covariance), loading)``, a new
+    array that no caller holds and no solve writes. ``run_experiment``
+    builds one problem per Monte-Carlo run and hands it to every method's
+    solver in the covariance slot; a public solver given a covariance
+    builds its own. The methods of a run that share a constraint share
+    its unpenalized solve (:meth:`start`), so sc and wsc start from
+    mvdr's solve and rwsc from rmvb's.
     """
-    global _last_loaded
-    # A hit's bytes are those of an R already checked, so only a miss
-    # checks; a value numpy cannot convert has no bytes to compare.
-    arr = _numeric("covariance", covariance)
-    # hex() tells -0.0 from 0.0: they load the signed zeros of R differently.
-    key = (arr.shape, float(loading).hex(), arr.tobytes())
-    last_key, loaded = _last_loaded
-    if last_key != key:
-        loaded = _loaded(ensure_covariance(arr), loading)
-        loaded.flags.writeable = False
-        _last_loaded = key, loaded
-    return loaded
+
+    __slots__ = ("r", "_starts")
+
+    def __init__(self, covariance, loading: float):
+        self.r = _loaded(ensure_covariance(covariance), loading)
+        self._starts: list[tuple[object, np.ndarray]] = []
+
+    def start(self, constraint, solve) -> np.ndarray:
+        """``solve()`` at the first call for ``constraint``; a copy of it at every later one.
+
+        A constraint is the same one when it is the same object: the a0
+        or Ellipsoid a study passes to every method. The copies keep the
+        method that made the solve and every later one from sharing a
+        weight vector. A solve that raises keeps nothing, so each method
+        that asks raises again.
+        """
+        for kept, w in self._starts:
+            if kept is constraint:
+                return w.copy()
+        w = solve()
+        self._starts.append((constraint, w))
+        return w
 
 
 def _solve(method, covariance, a, q, constraint, opts) -> BeamformerWeights:
@@ -529,12 +557,13 @@ def _solve(method, covariance, a, q, constraint, opts) -> BeamformerWeights:
     steering vector a0 of w^H a0 = 1, or, for rmvb and rwsc, the
     Ellipsoid of the worst-case gain floor. a = None drops the penalty:
     an M x 0 penalty matrix makes _run_irls return the unpenalized
-    solve. q = None means unit weights. Every input is checked against
-    R's size before the first factorization.
+    solve. q = None means unit weights. ``covariance`` is R or a
+    :class:`_Problem` loaded with ``opts.diagonal_loading``. Every input
+    is checked against R's size before the first factorization.
     """
     opts = opts or SolverOptions()
-    r = _loaded_covariance(covariance, opts.diagonal_loading)
-    m = r.shape[0]
+    problem = covariance if isinstance(covariance, _Problem) else _Problem(covariance, opts.diagonal_loading)
+    m = problem.r.shape[0]
     if a is None:
         aq = np.zeros((m, 0), dtype=complex)
     else:
@@ -557,7 +586,7 @@ def _solve(method, covariance, a, q, constraint, opts) -> BeamformerWeights:
         # _mvdr_direction is looked up at call time, so it can be swapped.
         inner = lambda r_eff: _mvdr_direction(r_eff, a0, a0_h)
         residual = lambda w: float(abs(w.conj() @ a0 - 1.0))
-    w, iterations, objective, converged, history = _run_irls(r, aq, opts, inner)
+    w, iterations, objective, converged, history = _run_irls(problem, constraint, aq, opts, inner)
     # _run_irls scales away R's size, but no solver may return NaN
     # or inf weights, so they are checked once more.
     if not np.isfinite(w).all():

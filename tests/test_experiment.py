@@ -4,6 +4,7 @@ import importlib.util
 import json
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -430,6 +431,25 @@ class TestRunExperiment:
         assert "mvdr" not in report.patterns
         assert (Path(cfg.output_dir) / "pattern_mvdr.csv").read_text() == "theta_deg,gain_db,raw_gain\n"
         assert all(np.isnan(row.median) and row.failures == 3 for row in report.metrics if row.method == "mvdr")
+
+
+def test_a_study_outgrows_its_runs_only_by_their_covariances_and_q(tmp_path):
+    # The data pass keeps each run's loaded R (8 x 8) and q (180 entries);
+    # no run's M x K snapshots, 2.4 MiB at K = 20000, may outlive it.
+    config = parse_config(CONFIG_DIR / "fig1.cfg")
+    config = dataclasses.replace(config, scenario=dataclasses.replace(config.scenario, num_snapshots=20000))
+    snapshot_bytes = 8 * 20000 * 16
+    # The first study fills the module caches (steering matrices, grids).
+    run_experiment(dataclasses.replace(config, monte_carlo_runs=1, output_dir=str(tmp_path / "warm")))
+    peaks = {}
+    for runs in (2, 6):
+        tracemalloc.start()
+        try:
+            run_experiment(dataclasses.replace(config, monte_carlo_runs=runs, output_dir=str(tmp_path / str(runs))))
+            peaks[runs] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[6] - peaks[2] < snapshot_bytes
 
 
 @pytest.fixture

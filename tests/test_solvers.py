@@ -408,15 +408,21 @@ def _assert_always_scaled_reference_bits(result, method, r, a, q, a0, opts):
     assert diagnostics.objective_history == history
 
 
+# Powers of four near the bottom of the float range, where d's scale
+# would turn parts of the scaled A Q copy subnormal: at 2^-1020 the copy
+# once lost bits and moved sc's and wsc's weights.
+FLOAT_FLOOR = {"2^-1018": -509, "2^-1020": -510}
+
+
 @pytest.mark.parametrize("method", ["mvdr", "sc", "wsc", "rmvb", "rwsc"])
-@pytest.mark.parametrize("edge", ["below_low", "low", "high", "above_high"])
+@pytest.mark.parametrize("edge", ["below_low", "low", "high", "above_high", *FLOAT_FLOOR])
 def test_skipped_scaling_keeps_the_bits_at_the_window_edges(geometry, a_grid, sample_r, q_weights, a0, method, edge):
     # Inside [2^-64, 2^64) the IRLS steps factor R_eff unscaled. They
     # must give the bits of the reference loop, whose every inner solve
     # scales its matrix into [1/4, 1), and for the scale-free mvdr and
     # rmvb, what R itself gives. gamma is scaled with R, so every IRLS
     # step's R_eff is 4^j times the unit-scale one.
-    power = _window_power(sample_r, edge)
+    power = FLOAT_FLOOR[edge] if edge in FLOAT_FLOOR else _window_power(sample_r, edge)
     opts = SolverOptions(gamma=4.0**power * SolverOptions().gamma)
     scaled_r = 4.0**power * sample_r
     result = _every_solver(geometry, a_grid, a0, q_weights, opts)[method](scaled_r)
@@ -577,19 +583,21 @@ def test_irls_iterations_count_the_history(geometry, sample_r, a_grid, q_weights
     assert diagnostics.iterations == len(diagnostics.objective_history) > 0
 
 
-# --- The one-slot covariance memo --------------------------------------
+# --- One checked problem per run ----------------------------------------
+
+
+FIG2 = FIG1.with_name("fig2.cfg")
 
 
 @pytest.fixture
 def covariance_checks(monkeypatch):
-    """Empty the memo and count calls of solvers.ensure_covariance."""
+    """Count calls of solvers.ensure_covariance."""
     calls = []
 
     def counted(data):
         calls.append(1)
         return sb.ensure_covariance(data)
 
-    monkeypatch.setattr(solvers, "_last_loaded", (None, None))
     monkeypatch.setattr(solvers, "ensure_covariance", counted)
     return calls
 
@@ -603,8 +611,9 @@ def test_a_study_checks_each_covariance_once(tmp_path, covariance_checks):
     assert len(covariance_checks) == 2
 
 
-def test_a_memo_miss_checks_the_covariance_once(sample_r, a0, monkeypatch):
-    # A miss once checked R in ensure_covariance, then again in diagonal_load.
+@pytest.mark.parametrize("method", ["mvdr", "sc", "wsc", "rmvb", "rwsc"])
+def test_a_public_solve_checks_the_covariance_once(geometry, sample_r, a_grid, a0, method, monkeypatch):
+    # A solve once checked R in ensure_covariance, then again in diagonal_load.
     names = []
 
     def counted(name, *args, **kwargs):
@@ -612,19 +621,18 @@ def test_a_memo_miss_checks_the_covariance_once(sample_r, a0, monkeypatch):
         return _checked(name, *args, **kwargs)
 
     monkeypatch.setattr(covariance, "_checked", counted)
-    monkeypatch.setattr(solvers, "_last_loaded", (None, None))
-    sb.mvdr(sample_r, a0)
+    _every_solver(geometry, a_grid, a0)[method](sample_r)
     assert names == ["covariance"]
 
 
-def test_a_covariance_changed_in_place_is_checked_again(sample_r, a_grid, a0, covariance_checks, monkeypatch):
+def test_a_covariance_changed_in_place_is_checked_again(sample_r, a_grid, a0, covariance_checks):
     r = sample_r.copy()
-    sb.solve_sc(r, a_grid, a0)
+    first = sb.solve_sc(r, a_grid, a0)
     r[0, 0] += 1.0
     changed = sb.solve_sc(r, a_grid, a0)
     assert len(covariance_checks) == 2
-    monkeypatch.setattr(solvers, "_last_loaded", (None, None))
-    assert changed.w.tobytes() == sb.solve_sc(r, a_grid, a0).w.tobytes()
+    assert changed.w.tobytes() != first.w.tobytes()
+    assert changed.w.tobytes() == sb.solve_sc(r.copy(), a_grid, a0).w.tobytes()
 
 
 @pytest.mark.parametrize("first, second", [(1e-6, 1e-3), (0.0, -0.0)])
@@ -633,11 +641,14 @@ def test_another_loading_loads_again(a0, covariance_checks, first, second):
     # that 0.0 turns into +0.0.
     r = np.diag(np.arange(1.0, 9.0)).astype(complex)
     r[0, 1] = r[1, 0] = -0.0
+    opts = SolverOptions(diagonal_loading=second)
     sb.mvdr(r, a0, SolverOptions(diagonal_loading=first))
-    sb.mvdr(r, a0, SolverOptions(diagonal_loading=second))
+    result = sb.mvdr(r, a0, opts)
     assert len(covariance_checks) == 2
     expected = sb.diagonal_load(sb.ensure_covariance(r), second)
-    assert solvers._last_loaded[1].tobytes() == expected.tobytes()
+    problem = solvers._Problem(r, second)
+    assert problem.r.tobytes() == expected.tobytes()
+    assert sb.mvdr(problem, a0, opts).w.tobytes() == result.w.tobytes()
 
 
 def test_a_non_hermitian_covariance_after_a_good_one_is_rejected(sample_r, a0, covariance_checks):
@@ -649,13 +660,76 @@ def test_a_non_hermitian_covariance_after_a_good_one_is_rejected(sample_r, a0, c
 
 
 @pytest.mark.parametrize("method", ["mvdr", "sc", "wsc", "rmvb", "rwsc"])
-def test_the_kept_covariance_is_read_only_and_never_returned(
-    geometry, sample_r, a_grid, a0, covariance_checks, method
-):
+def test_the_problem_covariance_is_never_shared(geometry, sample_r, a_grid, a0, method, monkeypatch):
+    problems = []
+    run_irls = solvers._run_irls
+
+    def recorded(problem, *args):
+        problems.append(problem)
+        return run_irls(problem, *args)
+
+    monkeypatch.setattr(solvers, "_run_irls", recorded)
     r = sample_r.copy()
     result = _every_solver(geometry, a_grid, a0)[method](r)
-    kept = solvers._last_loaded[1]
-    assert not kept.flags.writeable
-    assert not np.shares_memory(kept, r)
-    assert not np.shares_memory(kept, result.w)
+    [problem] = problems
+    assert not np.shares_memory(problem.r, r)
+    assert not np.shares_memory(problem.r, result.w)
     assert all(not isinstance(value, np.ndarray) for value in vars(result.diagnostics).values())
+
+
+def _counted(monkeypatch, name):
+    """Count the calls of solvers.<name>, which _solve looks up at call time."""
+    calls = []
+    original = getattr(solvers, name)
+    monkeypatch.setattr(solvers, name, lambda *args: calls.append(1) or original(*args))
+    return calls
+
+
+def _assert_no_shared_weights(report):
+    weights = [solve.w for solves in report.solves.values() for solve in solves]
+    assert len(weights) == len(report.methods) * len(report.run_seeds)
+    for i, w in enumerate(weights):
+        assert not any(np.shares_memory(w, other) for other in weights[i + 1:])
+
+
+@pytest.mark.parametrize("config, seam, methods", [
+    (FIG1, "_mvdr_direction", ("mvdr", "sc", "wsc")),
+    (FIG2, "_cone_solve", ("rmvb", "rwsc")),
+])
+def test_a_study_solves_each_unpenalized_problem_once_per_run(tmp_path, monkeypatch, config, seam, methods):
+    # sc and wsc start from the run's mvdr solve, and rwsc from its rmvb
+    # solve, where each once solved the unpenalized problem again: one
+    # inner solve per run, then one per IRLS step.
+    calls = _counted(monkeypatch, seam)
+    report = sb.run_experiment(dataclasses.replace(
+        sb.parse_config(config), methods=methods, monte_carlo_runs=2, output_dir=str(tmp_path)))
+    assert report.total_failures == 0
+    steps = sum(solve.diagnostics.iterations for method in methods[1:] for solve in report.solves[method])
+    assert len(calls) == 2 + steps
+    _assert_no_shared_weights(report)
+
+
+@pytest.mark.parametrize("methods", [("mvdr", "sc", "wsc"), ("sc", "wsc", "mvdr")])
+def test_a_shared_start_is_returned_as_a_copy(tmp_path, monkeypatch, methods):
+    # With gamma = 0 every method's weights are the run's one unpenalized
+    # solve: the method that solved it returns it, every other a copy.
+    calls = _counted(monkeypatch, "_mvdr_direction")
+    config = dataclasses.replace(sb.parse_config(FIG1), methods=methods, monte_carlo_runs=2,
+                                 solver_options=SolverOptions(gamma=0.0), output_dir=str(tmp_path))
+    report = sb.run_experiment(config)
+    assert len(calls) == 2
+    _assert_no_shared_weights(report)
+    for run in range(2):
+        assert len({report.solves[method][run].w.tobytes() for method in methods}) == 1
+
+
+def test_a_shared_start_kept_by_a_failed_first_step_is_a_copy(sample_r, a_grid, a0, monkeypatch):
+    # sc's first step is NaN, so sc keeps its start: mvdr's weights.
+    problem = solvers._Problem(sample_r, SolverOptions().diagonal_loading)
+    first = sb.mvdr(problem, a0)
+    monkeypatch.setattr(solvers, "_mvdr_direction", lambda *args: np.full(8, np.nan + 0j))
+    with np.errstate(all="ignore"):
+        kept = sb.solve_sc(problem, a_grid, a0)
+    assert kept.diagnostics.iterations == 0
+    assert kept.w.tobytes() == first.w.tobytes()
+    assert not np.shares_memory(kept.w, first.w)
