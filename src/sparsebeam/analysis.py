@@ -216,6 +216,7 @@ def sidelobe_level(pattern: BeamPattern, mainlobe_center_deg) -> SidelobeLevel:
     local_max[:, 1:] = rises
     local_max[:, :-1] &= falls
     rows, cols = _entries(local_max)
+    del local_max
     offset = np.abs(pattern.angles_deg[cols] - centers[rows])
     near = offset <= 2.0 + 1e-12
     found = np.zeros(count, dtype=bool)
@@ -228,12 +229,20 @@ def sidelobe_level(pattern: BeamPattern, mainlobe_center_deg) -> SidelobeLevel:
     peak = _nearest(rows[near], cols[near], offset[near])[:, None]
     # The mainlobe descends from the peak to the first turn on each side:
     # the last step before the peak that falls, and the first from it that rises.
+    # The k x G masks are formed in place, so a stack of every method's
+    # runs holds few of them at once.
     steps = np.broadcast_to(np.arange(size - 1), rises.shape)
     before = steps < peak
-    left = np.max(steps, axis=1, where=~rises & before, initial=-1) + 1
-    right = np.min(steps, axis=1, where=~(falls | before), initial=size - 1)
+    turns = np.logical_not(rises, out=rises)
+    turns &= before
+    left = np.max(steps, axis=1, where=turns, initial=-1) + 1
+    turns = np.logical_or(falls, before, out=falls)
+    np.logical_not(turns, out=turns)
+    right = np.min(steps, axis=1, where=turns, initial=size - 1)
+    del rises, falls, before, turns
     samples = np.arange(size)
-    outside = (samples < left[:, None]) | (samples > right[:, None])
+    outside = samples < left[:, None]
+    outside |= samples > right[:, None]
     no_sidelobes = ~outside.any(axis=1)
     # Without sidelobes, the lower edge gain, the first edge among equals.
     edge = np.where(gains[:, -1] < gains[:, 0], gains[:, -1], gains[:, 0])

@@ -9,7 +9,6 @@ table).
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import math
 from dataclasses import dataclass, field
@@ -23,8 +22,8 @@ from .arrays import (ArrayGeometry, Scenario, _check_count, _check_direction, _r
                      interference_grid, steering_matrix, steering_vector)
 from .covariance import sample_covariance
 from .errors import ConfigError, DomainError, SolverError
-from .solvers import (BeamformerWeights, SolverOptions, _Problem, build_ellipsoid, mvdr, solve_rmvb, solve_rwsc,
-                      solve_sc, solve_wsc)
+from .solvers import (BeamformerWeights, SolverOptions, _Problem, _Study, build_ellipsoid, mvdr, solve_rmvb,
+                      solve_rwsc, solve_sc, solve_wsc)
 from .weighting import build_q
 
 __all__ = [
@@ -289,33 +288,36 @@ def _metric_names(scenario: Scenario) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _run_metrics(weights: list[np.ndarray], config: ExperimentConfig) -> tuple[list[np.ndarray], np.ndarray]:
-    """The weights whose beam pattern is not identically zero, and their metrics.
+def _run_metrics(weights: list[np.ndarray], config: ExperimentConfig) -> tuple[list[int], np.ndarray]:
+    """The indices of the weights whose beam pattern is not identically zero, and their metrics.
 
-    The metrics are one row per kept run, in _metric_names order. All runs
-    are scored through one stacked pattern, whose rows have the bits of
-    each run's own pattern, so each value is the one run's alone.
+    The metrics are one row per kept weight vector, in _metric_names
+    order. All are scored through one stacked pattern, whose rows have
+    the bits of each vector's own pattern, so each value is the one
+    vector's alone.
     """
-    if not weights:
-        return [], np.empty(0)
+    kept = list(range(len(weights)))
     scenario, geometry = config.scenario, config.geometry
     try:
-        pattern = beam_pattern(weights, geometry)
+        pattern = beam_pattern(weights, geometry) if weights else None
     except DomainError:
         # Some run's pattern is identically zero: it fails, and the others are scored.
-        nonzero = []
-        for w in weights:
-            with contextlib.suppress(DomainError):
+        for i, w in enumerate(weights):
+            try:
                 beam_pattern(w, geometry)
-                nonzero.append(w)
-        return _run_metrics(nonzero, config)
+            except DomainError:
+                kept.remove(i)
+        weights = [weights[i] for i in kept]
+        pattern = beam_pattern(weights, geometry) if weights else None
+    if pattern is None:
+        return [], np.empty(0)
     columns = [null_depth(pattern, doa) for doa, _ in scenario.interferers]
     # Centering on each run's observed peak keeps the mainlobe search valid
     # for mis-steered patterns whose peak drifts away from the nominal DOA.
     columns.append(sidelobe_level(pattern, pattern.peak_angle_deg).level_db)
     columns.append(pointing_error(pattern, scenario.soi_doa_deg))
     columns.append([output_sinr(w, scenario, geometry) for w in weights])
-    return weights, np.column_stack(columns)
+    return kept, np.column_stack(columns)
 
 
 def _summaries(runs, count: int) -> tuple[list[float], list[float]]:
@@ -336,19 +338,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     Run i re-seeds the scenario with rng_seed + i. A data pass draws each
     run's snapshots and keeps only its q and its covariance, checked and
-    loaded once into the run's private solver problem. A solve pass then
-    runs each method over every run back to back, in ``config.methods``
-    order. sc and wsc start from the run's mvdr solve and rwsc from its
-    rmvb solve: the unpenalized solve each would make itself, so no bit
-    moves. The report returns each method's solves, in run order, as
-    ``solves``; a SolverError leaves None in that (run, method)'s place,
-    drops it from all aggregates and counts as a failure in the report
-    and the metrics CSV. The summary phase then computes the metrics and
-    median patterns from the kept solves' weights. It drops a run whose
-    beam pattern is identically zero the same way, and a method whose
-    median pattern collapses to zero loses all its runs; a method with no
-    run left gets NaN metrics and a header-only pattern file. Outputs are
-    deterministic functions of the config.
+    loaded once into the run's private solver problem, and ties the runs
+    to one study. A solve pass then calls each method's solver once per
+    run, in ``config.methods`` order. The first call of a method solves
+    it for every run of the study in lockstep batches, and each call
+    returns its own run's result (``solvers._Study``): the bits of a
+    solve of its own. sc and wsc start from the run's mvdr solve and
+    rwsc from its rmvb solve: the unpenalized solve each would make
+    itself, so no bit moves. The report returns each method's solves, in
+    run order, as ``solves``; a SolverError leaves None in that
+    (run, method)'s place, drops it from all aggregates and counts as a
+    failure in the report and the metrics CSV. The summary phase then
+    scores every method's kept solves in one stacked pass, picks out each
+    method's rows, and takes each method's median pattern. It drops a run
+    whose beam pattern is identically zero the same way, and a method
+    whose median pattern collapses to zero loses all its runs; a method
+    with no run left gets NaN metrics and a header-only pattern file.
+    Outputs are deterministic functions of the config.
     """
     geometry, scenario = config.geometry, config.scenario
     steer = config.steer_deg
@@ -365,30 +371,41 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     seeds = tuple(scenario.rng_seed + i for i in range(config.monte_carlo_runs))
     opts = config.solver_options
 
+    study = _Study()
+
     def draw(seed: int) -> tuple[_Problem, np.ndarray | None]:
         # Only the problem and q outlive the run's snapshots.
         snapshots = generate_snapshots(dataclasses.replace(scenario, rng_seed=seed), geometry)
         problem = _Problem(sample_covariance(snapshots), opts.diagonal_loading)
-        return problem, (build_q(a_grid, snapshots) if needs_q else None)
+        q = build_q(a_grid, snapshots) if needs_q else None
+        return study.add(problem, q), q
 
-    drawn = [draw(seed) for seed in seeds]
     solves: dict[str, list[BeamformerWeights | None]] = {}
-    for method in config.methods:
-        solve = _SOLVES[method]
-        results = solves[method] = []
-        for problem, q in drawn:
-            try:
-                results.append(solve(problem, a_grid, q, a0, ellipsoid, opts))
-            except SolverError:
-                results.append(None)
+    with study:
+        drawn = [draw(seed) for seed in seeds]
+        for method in config.methods:
+            solve = _SOLVES[method]
+            results = solves[method] = []
+            for problem, q in drawn:
+                try:
+                    results.append(solve(problem, a_grid, q, a0, ellipsoid, opts))
+                except SolverError:
+                    results.append(None)
 
+    # Every method's kept solves are scored in one pass; each method's
+    # rows are then picked out by the method that solved them.
+    weights = [solve.w for results in solves.values() for solve in results if solve is not None]
+    owners = [method for method, results in solves.items() for solve in results if solve is not None]
+    kept, values = _run_metrics(weights, config)
     metric_names = _metric_names(scenario)
     rows, patterns, failures = [], {}, {}
-    for method, results in solves.items():
-        weights, runs = _run_metrics([s.w for s in results if s is not None], config)
-        if weights:
+    for method in config.methods:
+        picked = [row for row, i in enumerate(kept) if owners[i] == method]
+        runs = values[picked]
+        if picked:
             try:
-                patterns[method] = _median_pattern(weights, geometry, config.grid_resolution_deg)
+                patterns[method] = _median_pattern([weights[kept[row]] for row in picked], geometry,
+                                                   config.grid_resolution_deg)
             except SolverError:
                 runs = runs[:0]
         failures[method] = len(seeds) - len(runs)

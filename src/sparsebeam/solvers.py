@@ -35,22 +35,30 @@ diagonally loaded before factorization; a trace that is not finite
 raises DomainError. Each solve checks and loads R once, into a private
 problem (:class:`_Problem`) that also keeps its unpenalized solve under
 each constraint. ``run_experiment`` builds one problem per Monte-Carlo
-run and passes it to every method in the covariance slot, so a run's R
-is checked once, and sc and wsc start from the run's mvdr solve and
-rwsc from its rmvb solve, with the bits of a solve of their own.
+run, ties the runs to one study (:class:`_Study`) and passes each run's
+problem to every method in the covariance slot, so a run's R is checked
+once, and sc and wsc start from the run's mvdr solve and rwsc from its
+rmvb solve, with the bits of a solve of their own. A method's first
+call in a study solves it for every run, in lockstep batches
+(:func:`_solve_runs`): one IRLS loop (:func:`_run_irls`) steps a stack
+of runs at once, and a public solver is its one-run case. Each run keeps
+the bits of its own solve. A batch holds as many runs as keep its
+stacked M x N arrays within 1 MiB (_BATCH_BYTES), and at least one.
 A matrix with a mean diagonal outside [2^-64, 2^64) is scaled by a
 power of four before an inner solve, so a covariance of any scale whose
 trace is finite solves, with the weights of the unit-scale solve bit
 for bit; inside that window the scale would move no bit and is skipped
 (:func:`_unit_scaled`). :func:`_run_irls` is the one place that decides
-it: the inner solves take the matrix they are given. It tests the
-unpenalized start, and tests each IRLS step's matrix only when one
-bound per solve cannot prove that every step's lies in the window.
-Every per-step product goes through the array method ``x.dot(y)``,
+it, for each run: the inner solves take the matrix they are given. It
+tests the unpenalized start, and tests each IRLS step's matrix only when
+one bound per run cannot prove that every step's lies in the window.
+The inner solves' products go through the array method ``x.dot(y)``,
 not ``@`` or ``np.dot``: for these operands all three make the same
 BLAS call (zgemm, zgemv or zdotu). ``np.dot`` skips ``matmul``'s ufunc
 dispatch, about 1 us a call, and the method also skips ``np.dot``'s
-``__array_function__`` dispatch, about 0.4 us more. The
+``__array_function__`` dispatch, about 0.4 us more. The IRLS step's
+products are stacked ``np.matmul`` calls, which make the same BLAS call
+once per matrix of the stack. The
 bit-identity claims here hold for normal floats: a power of two
 commutes with rounding only while no value is subnormal or overflows.
 A, q, a0 or an ellipsoid that is not numeric, does not match R's size,
@@ -119,6 +127,8 @@ _flapack = _load_flapack()
 zposv, zpotrf, ztrtrs = _flapack.zposv, _flapack.zpotrf, _flapack.ztrtrs
 
 _IRLS_EPS_FLOOR = 1e-12
+# A lockstep batch keeps its stacked M x N arrays within this many bytes.
+_BATCH_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -243,134 +253,273 @@ def _mvdr_direction(r: np.ndarray, a0: np.ndarray, a0_h: np.ndarray) -> np.ndarr
     return x / denom
 
 
-def _run_irls(problem: _Problem, constraint, aq, opts: SolverOptions, inner):
-    """Shared IRLS loop. ``inner(R_eff) -> w`` solves the reweighted subproblem.
+def _aq_exponents(aq: np.ndarray) -> tuple[int, int]:
+    """The least and the greatest frexp exponent of A Q's real and imaginary parts."""
+    exponents = np.frexp(aq.view(float))[1]
+    return int(exponents.min()), int(exponents.max())
 
-    The loop starts from the unpenalized solve ``inner`` gives under
-    ``constraint`` on the problem's R, made once per problem and
-    constraint (:meth:`_Problem.start`).
 
-    Returns (w, iterations, final_objective, converged, history). The
-    recorded objective is the epsilon-smoothed one, which the
-    majorize-minimize update never increases; annealing epsilon only
-    lowers it further. With gamma = 0 or an all-zero penalty matrix (an
-    M x 0 one included) the unpenalized solve is the answer: one
-    iteration, objective w^H R w and an empty history. A step whose
-    weights are not finite ends the loop, since every later step would
-    be NaN too; the best weights so far are returned, and iterations
-    counts the finite steps.
+class _Run:
+    """One run's row of an IRLS stack, with the bookkeeping that stays per run."""
+
+    __slots__ = ("index", "w", "scale_each_step", "best_w", "best_obj", "history", "converged")
+
+    def __init__(self, index: int, w: np.ndarray):
+        self.index, self.w, self.scale_each_step = index, w, False
+        self.best_w, self.best_obj, self.history, self.converged = w, np.inf, [], False
+
+    def result(self):
+        return self.best_w, len(self.history), self.best_obj, self.converged, tuple(self.history)
+
+
+def _run_irls(problems, constraint, aq, opts: SolverOptions, inner) -> list:
+    """The one IRLS loop, over a stack of runs. ``inner(R_eff) -> w`` solves a reweighted subproblem.
+
+    The runs share a penalty grid, ``constraint``, ``opts`` and ``inner``;
+    each has its own problem. ``aq`` is one M x N A Q that every run
+    shares, or a k x M x N stack of each run's own, which the loop owns
+    and scales in place. Each run starts from the unpenalized solve
+    ``inner`` gives under ``constraint`` on its problem's R, made once
+    per problem and constraint (:meth:`_Problem.start`).
+
+    Returns, for each run in order, (w, iterations, final_objective,
+    converged, history), or the SolverError its inner solve raised: a
+    run that fails leaves the stack and the others go on. The recorded
+    objective is the epsilon-smoothed one, which the majorize-minimize
+    update never increases; annealing epsilon only lowers it further.
+    With gamma = 0 or an all-zero penalty matrix (an M x 0 one included)
+    the unpenalized solve is the answer: one iteration, objective
+    w^H R w and an empty history. A step whose weights are not finite
+    ends that run, since every later step would be NaN too; its best
+    weights so far are returned, and iterations counts the finite steps.
 
     Each step is R_eff = (R + gamma A Q D Q A^H + its conjugate
-    transpose) / 2, with D = diag(p/2 (|u|^2 + eps)^((p-2)/2)). Both
-    halves are taken before the transpose is added, so a finite R cannot
-    overflow it: R/2 once per solve, and the penalty term's 1/2 in
-    d_scale, together with D's p/2 and with gamma when gamma is a power
-    of two; any other gamma multiplies the M x N product A Q D once a
-    step. A power-of-two d_scale rides on a copy of A Q made once per
-    solve, so a step only raises the N-vector d to its power, if every
-    nonzero part of that copy is a normal float (tested once per solve);
-    any other d_scale multiplies d. A step writes the M x N product once
-    and allocates no array of its own: every buffer, d and the M x M
-    conjugate included, is allocated once per solve. |u|^2 + eps of the
-    step's response u = (A Q)^H w serves both its penalty and the next
-    reweighting, unless eps was just annealed. Every product is the
-    ``dot`` method, which makes the BLAS call ``@`` makes with less
-    dispatch.
+    transpose) / 2, with D = diag(p/2 (|u|^2 + eps)^((p-2)/2)), taken in
+    lockstep: d, the M x N product A Q D, the Gram, the Hermitian
+    assembly, the response u = (A Q)^H w, |u|^2, the quadratic forms and
+    the penalty sums each make one numpy call for the whole stack, and
+    a stacked ``np.matmul`` makes the per-matrix zgemm, zgemv or zdotu
+    call that ``x.dot(y)`` makes for one run. Only the inner solve and
+    the objective bookkeeping run once per run. A run that converges,
+    stops non-finite or fails swaps its rows to the end of the stack,
+    which then shrinks by one. Both halves are taken before the
+    transpose is added, so a finite R cannot overflow it: R/2 once per
+    stack, and the penalty term's 1/2 in d_scale, together with D's p/2
+    and with gamma when gamma is a power of two; any other gamma
+    multiplies the M x N product once a step. A power-of-two d_scale
+    rides on a copy of a run's A Q, made once, so a step only raises d
+    to its power, if every nonzero part of that copy is a normal float
+    (tested once per distinct A Q); the rows whose copy does not take it
+    multiply d by d_scale, the others by 1.0, which is exact. Every
+    buffer a step fills is allocated once per stack; a step allocates
+    only the inner solves' arrays and k-entry sums. |u|^2 + eps of a step serves both its
+    penalty and the next reweighting, unless eps was just annealed.
 
     This loop, not the inner solve, decides scaling
-    (:func:`_unit_scaled`). The unpenalized start is always tested. The
-    steps' matrices are not tested when one bound proves them all inside
-    the window: every R_eff's diagonal is at least R's, since the
-    penalty's diagonal sums nonnegative products, and at most R's plus
-    gamma p/2 d_max ||A Q||_F^2 / M on average, where d_max =
-    min(irls_epsilon, 1e-12)^((p-2)/2) bounds (|u|^2 + eps)^((p-2)/2).
-    The bound is taken with a factor of two to spare below 2^63. When it
-    fails, every step's matrix is tested as the start's is.
+    (:func:`_unit_scaled`), once per run. The unpenalized start is
+    always tested. A run's step matrices are not tested when one bound
+    proves them all inside the window: every R_eff's diagonal is at
+    least R's, since the penalty's diagonal sums nonnegative products,
+    and at most R's plus gamma p/2 d_max ||A Q||_F^2 / M on average,
+    where d_max = min(irls_epsilon, 1e-12)^((p-2)/2) bounds
+    (|u|^2 + eps)^((p-2)/2). The bound is taken with a factor of two to
+    spare below 2^63. When it fails, every step's matrix is tested as
+    the start's is.
 
     A power-of-two factor commutes with rounding for normal floats, and
     otherwise the floating-point operations and their order are those of
-    the plain expressions, so the results are the same to the bit
+    the plain expressions, so each run has the bits of its own solve
     (tests/_oracles.py keeps the plain loop as the reference).
     """
-    r = problem.r
-    w = problem.start(constraint, lambda: inner(_unit_scaled(r)))
-    if opts.gamma == 0 or not aq.any():
-        return w, 1, float((w.conj() @ r @ w).real), True, ()
+    results: list = [None] * len(problems)
     gamma = opts.gamma
+    shared = aq.ndim == 2
+    if shared:
+        unpenalized = [gamma == 0 or not aq.any()] * len(problems)
+    else:
+        unpenalized = [gamma == 0 or not x.any() for x in aq]
+    runs: list[_Run] = []
+    for index, problem in enumerate(problems):
+        r = problem.r
+        try:
+            w = problem.start(constraint, lambda: inner(_unit_scaled(r)))
+        except SolverError as error:
+            results[index] = error
+            continue
+        if unpenalized[index]:
+            results[index] = (w, 1, float((w.conj() @ r @ w).real), True, ())
+        else:
+            runs.append(_Run(index, w))
+    k = len(runs)
+    if not k:
+        return results
+    if not shared:
+        # The penalized runs' rows move up, in order, so the stack is aq[:k].
+        for row, run in enumerate(runs):
+            if row != run.index:
+                aq[row] = aq[run.index]
+        aq = aq[:k]
+    m, n = aq.shape[-2:]
     power, half_p = (opts.p - 2.0) / 2.0, opts.p / 2.0
     # d_scale takes every power-of-two factor of gamma A Q D / 2, so the
     # M x N product is scaled in a second pass only for any other gamma.
     fold_gamma = math.frexp(gamma)[0] == 0.5
     d_scale = half_p * 0.5 * gamma if fold_gamma else half_p * 0.5
-    # A power-of-two d_scale = 2^j rides on a copy of A Q only if every
-    # nonzero real or imaginary part of the copy is a normal float, whose
-    # frexp exponent lies in [-1021, 1024]: a part with exponent e has
-    # e + j there. A zero part's exponent, 0, can only refuse a scale.
     mantissa, exponent = math.frexp(d_scale)
-    scale_on_aq = False
-    if mantissa == 0.5:
-        j = exponent - 1
-        exponents = np.frexp(aq.view(float))[1]
-        scale_on_aq = -1021 <= int(exponents.min()) + j and int(exponents.max()) + j <= 1024
-    aq_scaled = aq * d_scale if scale_on_aq else aq
-    # ||A Q||_F^2, plus what squares that underflow (each < 2^-1074) lose.
-    aq_norm2 = float(np.vdot(aq, aq).real) + aq.size * 2.0**-1072
-    r_mean = _mean_diagonal(r)
+
+    def rides(x: np.ndarray) -> bool:
+        # A power-of-two d_scale = 2^j rides on a copy of A Q only if every
+        # nonzero real or imaginary part of the copy is a normal float,
+        # whose frexp exponent lies in [-1021, 1024]: a part with exponent
+        # e has e + j there. A zero part's exponent, 0, can only refuse.
+        if mantissa != 0.5:
+            return False
+        low, high = _aq_exponents(x)
+        return -1021 <= low + exponent - 1 and high + exponent - 1 <= 1024
+
+    def norm2(x: np.ndarray) -> float:
+        # ||A Q||_F^2, plus what squares that underflow (each < 2^-1074) lose.
+        return float(np.vdot(x, x).real) + x.size * 2.0**-1072
+
+    # A view, not a copy: a contiguous copy changes the matvec's last bits.
+    if shared:
+        aq_h = aq.conj().T
+        ride, norms = [rides(aq)] * k, [norm2(aq)] * k
+        aq_scaled = aq * d_scale if ride[0] else aq
+    else:
+        aq_h = aq.conj().transpose(0, 2, 1)
+        ride, norms = [rides(x) for x in aq], [norm2(x) for x in aq]
+        for x, scaled in zip(aq, ride):
+            if scaled:
+                x *= d_scale
+        aq_scaled = aq
+    # Each row of d takes the scale its A Q copy does not.
+    factor = None if all(ride) else np.array([[1.0 if scaled else d_scale] for scaled in ride])
     # gamma p/2 d_max ||A Q||_F^2 / M < (2^63 - mean(R)) / 2, with d_max's
     # reciprocal on the right, where it cannot overflow.
     d_max_reciprocal = min(opts.irls_epsilon, _IRLS_EPS_FLOOR) ** -power
-    scale_each_step = not (math.frexp(r_mean)[1] >= -63
-                           and gamma * opts.p * aq_norm2 / r.shape[0] < (2.0**63 - r_mean) * d_max_reciprocal)
+    for run, norm in zip(runs, norms):
+        r_mean = _mean_diagonal(problems[run.index].r)
+        run.scale_each_step = not (math.frexp(r_mean)[1] >= -63
+                                   and gamma * opts.p * norm / m < (2.0**63 - r_mean) * d_max_reciprocal)
     # numpy computes x**0.5 as np.sqrt(x), which np.power need not match.
     penalty_power = np.sqrt if half_p == 0.5 else lambda x, out: np.power(x, half_p, out=out)
-    r_half = r * 0.5
+    r_stack = np.array([problems[run.index].r for run in runs])
+    r_half = r_stack * 0.5
     eps = opts.irls_epsilon
-    history: list[float] = []
-    best_w, best_obj = w, np.inf
-    converged = False
-    # A view, not a copy: a contiguous copy changes the matvec's last bits.
-    aq_h = aq.conj().T
     # Filled in place by every step; inner solves copy what they factor.
-    weighted, r_eff, r_conj = np.empty_like(aq), np.empty_like(r), np.empty_like(r)
+    weighted, r_eff, r_conj = np.empty((k, m, n), dtype=complex), np.empty_like(r_stack), np.empty_like(r_stack)
     # Complex with a zero imaginary part: the cast numpy's complex times
     # real multiply makes.
-    d = np.zeros(aq.shape[1], dtype=complex)
-    d_real, response, w_h, w_h_r = d.real, np.empty_like(d), np.empty_like(w), np.empty_like(w)
-    u2 = np.abs(aq_h.dot(w)) ** 2
+    d = np.zeros((k, n), dtype=complex)
+    ws = np.array([run.w for run in runs])
+    response, w_h, w_h_r, quad = np.empty_like(d), np.empty_like(ws), np.empty_like(ws), np.empty(k, dtype=complex)
+    np.matmul(aq_h, ws[:, :, None], out=response[:, :, None])
+    u2 = np.abs(response) ** 2
     smoothed, powered = u2 + eps, np.empty_like(u2)
+    r_eff_rows = list(r_eff)
+    # What a run carries from step to step; its rows swap when it leaves.
+    carried = [r_stack, r_half, ws, u2, smoothed] + ([] if shared else [aq_scaled, aq_h])
+    carried += [] if factor is None else [factor]
+
+    def views():
+        """The stack's first k rows, in the shapes the step's calls take.
+
+        Element-wise calls on k x N rows get them as one flat array, which
+        numpy iterates with less overhead than two strided dimensions.
+        """
+        rows = slice(0, k)
+        return (
+            aq_scaled if shared else aq_scaled[rows], aq_h if shared else aq_h[rows],
+            d[rows].reshape(-1).real, d.real[rows], None if factor is None else factor[rows], d[rows, None, :],
+            weighted[rows], r_eff[rows], r_half[rows], r_conj[rows], r_conj[rows].transpose(0, 2, 1),
+            ws[rows], ws[rows, :, None], response[rows].reshape(-1), response[rows, :, None],
+            u2[rows].reshape(-1), smoothed[rows].reshape(-1), powered[rows].reshape(-1), powered[rows],
+            w_h[rows], w_h[rows, None, :], r_stack[rows], w_h_r[rows, None, :], quad[rows, None, None],
+            quad.real[rows],
+        )
+
+    def leave(rows: list[int]) -> None:
+        """Swap each of ``rows``, last first, to the end of the stack, which shrinks by one each time."""
+        nonlocal k
+        for row in reversed(rows):
+            k -= 1
+            if row != k:
+                for x in carried:
+                    x[[row, k]] = x[[k, row]]
+                runs[row], runs[k] = runs[k], runs[row]
+
+    sliced = 0
     for step in range(opts.max_iterations):
+        if sliced != k:
+            (aq_k, aq_h_k, d_real_flat, d_real_k, factor_k, d_k, weighted_k, r_eff_k, r_half_k, r_conj_k,
+             r_conj_h_k, w_k, w_col_k, response_flat, response_col_k, u2_flat, smoothed_flat, powered_flat,
+             powered_k, w_h_k, w_h_row_k, r_k, w_h_r_row_k, quad_k, quad_real_k) = views()
+            sliced = k
         if step > 0 and step % 10 == 0:
             eps = max(eps * 0.1, _IRLS_EPS_FLOOR)
-            np.add(u2, eps, out=smoothed)
+            np.add(u2_flat, eps, out=smoothed_flat)
         # power lies in (-1, -1/2], where ``**`` takes no scalar fast path.
-        np.power(smoothed, power, out=d_real)
-        if not scale_on_aq:
-            d_real *= d_scale
-        np.multiply(aq_scaled, d, out=weighted)
+        np.power(smoothed_flat, power, out=d_real_flat)
+        if factor is not None:
+            d_real_k *= factor_k
+        np.multiply(aq_k, d_k, out=weighted_k)
         if not fold_gamma:
-            weighted *= gamma
-        weighted.dot(aq_h, out=r_eff)
-        r_eff += r_half
-        r_eff += np.conjugate(r_eff, out=r_conj).T
-        w = inner(_unit_scaled(r_eff) if scale_each_step else r_eff)
-        np.square(np.abs(aq_h.dot(w, out=response), out=u2), out=u2)
-        quad = float(np.conjugate(w, out=w_h).dot(r, out=w_h_r).dot(w).real)
+            weighted_k *= gamma
+        np.matmul(weighted_k, aq_h_k, out=r_eff_k)
+        r_eff_k += r_half_k
+        np.conjugate(r_eff_k, out=r_conj_k)
+        r_eff_k += r_conj_h_k
+        for row in range(k):
+            run, matrix = runs[row], r_eff_rows[row]
+            try:
+                run.w = inner(_unit_scaled(matrix) if run.scale_each_step else matrix)
+            except SolverError as error:
+                # The run leaves with this step's others; its stale row is
+                # computed on below and never read.
+                results[run.index], run.w = error, None
+            else:
+                w_k[row] = run.w
+        np.matmul(aq_h_k, w_col_k, out=response_col_k)
+        np.square(np.abs(response_flat, out=u2_flat), out=u2_flat)
+        np.conjugate(w_k, out=w_h_k)
+        np.matmul(w_h_row_k, r_k, out=w_h_r_row_k)
+        np.matmul(w_h_r_row_k, w_col_k, out=quad_k)
         # u2 + eps serves both this penalty and the next reweighting.
-        np.add(u2, eps, out=smoothed)
-        objective = quad + gamma * float(np.add.reduce(penalty_power(smoothed, out=powered)))
-        # Non-finite weights make every entry of u, and so the objective,
-        # non-finite: the array test runs only when the scalar one fails.
-        if not math.isfinite(objective) and not np.isfinite(w).all():
-            break
-        history.append(objective)
-        if objective < best_obj:
-            best_w, best_obj = w, objective
-        if len(history) > 1 and abs(objective - history[-2]) <= (
-            opts.objective_tolerance * max(1.0, abs(history[-2]))
-        ):
-            converged = True
-            break
-    return best_w, len(history), best_obj, converged, tuple(history)
+        np.add(u2_flat, eps, out=smoothed_flat)
+        penalty_power(smoothed_flat, out=powered_flat)
+        penalties = np.add.reduce(powered_k, axis=1).tolist()
+        leaving = []
+        for row, quad_value in enumerate(quad_real_k.tolist()):
+            run = runs[row]
+            if run.w is None:
+                leaving.append(row)
+                continue
+            objective = quad_value + gamma * penalties[row]
+            # Non-finite weights make every entry of u, and so the
+            # objective, non-finite: the array test runs only when the
+            # scalar one fails.
+            if not math.isfinite(objective) and not np.isfinite(run.w).all():
+                results[run.index] = run.result()
+                leaving.append(row)
+                continue
+            history = run.history
+            history.append(objective)
+            if objective < run.best_obj:
+                run.best_w, run.best_obj = run.w, objective
+            if len(history) > 1 and abs(objective - history[-2]) <= (
+                opts.objective_tolerance * max(1.0, abs(history[-2]))
+            ):
+                run.converged = True
+                results[run.index] = run.result()
+                leaving.append(row)
+        if leaving:
+            leave(leaving)
+            if not k:
+                break
+    for run in runs[:k]:
+        results[run.index] = run.result()
+    return results
 
 
 def build_ellipsoid(
@@ -520,18 +669,21 @@ class _Problem:
 
     R is ``diagonal_load(ensure_covariance(covariance), loading)``, a new
     array that no caller holds and no solve writes. ``run_experiment``
-    builds one problem per Monte-Carlo run and hands it to every method's
-    solver in the covariance slot; a public solver given a covariance
-    builds its own. The methods of a run that share a constraint share
-    its unpenalized solve (:meth:`start`), so sc and wsc start from
-    mvdr's solve and rwsc from rmvb's.
+    adds one problem per Monte-Carlo run to its study (:class:`_Study`)
+    and hands it to every method's solver in the covariance slot; a
+    public solver given a covariance builds its own, outside any study.
+    The methods of a run that share a constraint share its unpenalized
+    solve (:meth:`start`), so sc and wsc start from mvdr's solve and
+    rwsc from rmvb's.
     """
 
-    __slots__ = ("r", "_starts")
+    __slots__ = ("r", "_starts", "study", "run")
 
     def __init__(self, covariance, loading: float):
         self.r = _loaded(ensure_covariance(covariance), loading)
         self._starts: list[tuple[object, np.ndarray]] = []
+        self.study: _Study | None = None
+        self.run = 0
 
     def start(self, constraint, solve) -> np.ndarray:
         """``solve()`` at the first call for ``constraint``; a copy of it at every later one.
@@ -550,29 +702,93 @@ class _Problem:
         return w
 
 
-def _solve(method, covariance, a, q, constraint, opts) -> BeamformerWeights:
-    """Minimize w^H R w + gamma ||w^H A Q||_p^p under ``constraint``.
+class _Study:
+    """The runs of one Monte-Carlo study, each method solved for all of them at once.
 
-    The one solve behind every public solver. ``constraint`` is the
-    steering vector a0 of w^H a0 = 1, or, for rmvb and rwsc, the
-    Ellipsoid of the worst-case gain floor. a = None drops the penalty:
-    an M x 0 penalty matrix makes _run_irls return the unpenalized
-    solve. q = None means unit weights. ``covariance`` is R or a
-    :class:`_Problem` loaded with ``opts.diagonal_loading``. Every input
-    is checked against R's size before the first factorization.
+    ``run_experiment`` adds each run's problem and q (:meth:`add`) inside
+    a ``with`` block, which unties them at its end, and calls every method's public solver once per run, with the run's
+    problem in the covariance slot. The first such call of a method
+    solves it for every run of the study in lockstep batches
+    (:func:`_solve_runs`) and keeps each run's result or SolverError;
+    each later call takes its own run's. This is the study-level
+    counterpart of :meth:`_Problem.start`. A call with other inputs than
+    the first one's (another A, constraint or options, matched by
+    identity, options by value) solves for every run again, and a call
+    whose q is not its run's, or whose run's result was already taken,
+    is solved alone.
     """
-    opts = opts or SolverOptions()
-    problem = covariance if isinstance(covariance, _Problem) else _Problem(covariance, opts.diagonal_loading)
-    m = problem.r.shape[0]
+
+    __slots__ = ("problems", "qs", "_solved")
+
+    def __init__(self):
+        self.problems: list[_Problem] = []
+        self.qs: list[np.ndarray | None] = []
+        self._solved: list[tuple[tuple, list]] = []
+
+    def __enter__(self) -> _Study:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        # Untie the runs: a problem and its study refer to each other, and
+        # a cycle would keep every run's arrays until a garbage collection.
+        for problem in self.problems:
+            problem.study = None
+        self.problems, self.qs, self._solved = [], [], []
+
+    def add(self, problem: _Problem, q) -> _Problem:
+        """``problem``, tied to this study as its next run, whose q is ``q``."""
+        problem.study, problem.run = self, len(self.problems)
+        self.problems.append(problem)
+        self.qs.append(q)
+        return problem
+
+    def solve(self, method, problem: _Problem, a, q, constraint, opts):
+        """The run of ``problem``'s BeamformerWeights or SolverError."""
+        run = problem.run
+        qs = None if q is None else self.qs
+        if qs is not None and q is not qs[run]:
+            return _solve_runs(method, [problem], a, [q], constraint, opts)[0]
+        for (kept_method, kept_a, kept_qs, kept_constraint, kept_opts), results in self._solved:
+            if (kept_method == method and kept_a is a and kept_qs is qs and kept_constraint is constraint
+                    and kept_opts == opts):
+                break
+        else:
+            results = _solve_runs(method, self.problems, a, qs, constraint, opts)
+            self._solved.append(((method, a, qs, constraint, opts), results))
+        result, results[run] = results[run], None
+        if result is None:
+            return _solve_runs(method, [problem], a, None if q is None else [q], constraint, opts)[0]
+        return result
+
+
+def _solve_runs(method, problems, a, qs, constraint, opts) -> list:
+    """Each run's BeamformerWeights, or the SolverError its solve raised, in run order.
+
+    Minimizes w^H R w + gamma ||w^H A Q||_p^p under ``constraint`` for
+    every problem's R. ``constraint`` is the steering vector a0 of
+    w^H a0 = 1, or, for rmvb and rwsc, the Ellipsoid of the worst-case
+    gain floor. a = None drops the penalty: an M x 0 penalty matrix makes
+    _run_irls return the unpenalized solve. qs = None means unit
+    weights, and is otherwise one q per run. A, a0 or the ellipsoid is
+    checked once, and each q once, against R's size before the first
+    factorization; a bad one raises DomainError.
+
+    The runs are solved in lockstep batches (:func:`_run_irls`). A batch
+    holds as many runs as keep its stacked M x N arrays within
+    _BATCH_BYTES, and at least one: with a q per run those are each
+    run's A Q, scaled in place, its conjugate and the weighted product;
+    with unit weights every run shares A's copies, and only the weighted
+    product is stacked.
+    """
+    m = problems[0].r.shape[0]
     if a is None:
-        aq = np.zeros((m, 0), dtype=complex)
+        a = np.zeros((m, 0), dtype=complex)
     else:
-        aq = a = _checked("steering matrix A", a, (m, None), empty_ok=True)
-        if q is not None:
-            q = _checked("q", q, a.shape[1:], float, empty_ok=True)
-            if np.any(q < 0):
+        a = _checked("steering matrix A", a, (m, None), empty_ok=True)
+        if qs is not None:
+            qs = [_checked("q", q, a.shape[1:], float, empty_ok=True) for q in qs]
+            if any(np.any(q < 0) for q in qs):
                 raise DomainError("q entries must be nonnegative")
-            aq = a * q[None, :]
     if method in ("rmvb", "rwsc"):
         center = _checked("ellipsoid center", getattr(constraint, "center", None), (m,))
         shape = _checked("ellipsoid shape", getattr(constraint, "shape", None), (m, None), empty_ok=True)
@@ -586,13 +802,44 @@ def _solve(method, covariance, a, q, constraint, opts) -> BeamformerWeights:
         # _mvdr_direction is looked up at call time, so it can be swapped.
         inner = lambda r_eff: _mvdr_direction(r_eff, a0, a0_h)
         residual = lambda w: float(abs(w.conj() @ a0 - 1.0))
-    w, iterations, objective, converged, history = _run_irls(problem, constraint, aq, opts, inner)
-    # _run_irls scales away R's size, but no solver may return NaN
-    # or inf weights, so they are checked once more.
-    if not np.isfinite(w).all():
-        raise SolverError(f"{method} produced non-finite weights")
-    diagnostics = Diagnostics(iterations, objective, residual(w), converged, history)
-    return BeamformerWeights(w, method, diagnostics)
+    run_bytes = (1 if qs is None else 3) * a.nbytes
+    size = max(1, _BATCH_BYTES // run_bytes) if run_bytes else len(problems)
+    results = []
+    for first in range(0, len(problems), size):
+        batch = problems[first:first + size]
+        aq = a if qs is None else a * np.array(qs[first:first + size])[:, None, :]
+        for solved in _run_irls(batch, constraint, aq, opts, inner):
+            if isinstance(solved, SolverError):
+                results.append(solved)
+                continue
+            w, iterations, objective, converged, history = solved
+            # _run_irls scales away R's size, but no solver may return
+            # NaN or inf weights, so they are checked once more.
+            if not np.isfinite(w).all():
+                results.append(SolverError(f"{method} produced non-finite weights"))
+            else:
+                diagnostics = Diagnostics(iterations, objective, residual(w), converged, history)
+                results.append(BeamformerWeights(w, method, diagnostics))
+    return results
+
+
+def _solve(method, covariance, a, q, constraint, opts) -> BeamformerWeights:
+    """The one solve behind every public solver: :func:`_solve_runs` on one run.
+
+    ``covariance`` is R or a :class:`_Problem` loaded with
+    ``opts.diagonal_loading``; a problem of a study takes its run's
+    result from the study's solve of every run (:meth:`_Study.solve`).
+    A run's SolverError is raised here.
+    """
+    opts = opts or SolverOptions()
+    if isinstance(covariance, _Problem) and covariance.study is not None:
+        result = covariance.study.solve(method, covariance, a, q, constraint, opts)
+    else:
+        problem = covariance if isinstance(covariance, _Problem) else _Problem(covariance, opts.diagonal_loading)
+        [result] = _solve_runs(method, [problem], a, None if q is None else [q], constraint, opts)
+    if isinstance(result, SolverError):
+        raise result
+    return result
 
 
 def mvdr(covariance, a0, opts: SolverOptions | None = None) -> BeamformerWeights:

@@ -435,7 +435,10 @@ class TestRunExperiment:
 
 def test_a_study_outgrows_its_runs_only_by_their_covariances_and_q(tmp_path):
     # The data pass keeps each run's loaded R (8 x 8) and q (180 entries);
-    # no run's M x K snapshots, 2.4 MiB at K = 20000, may outlive it.
+    # no run's M x K snapshots, 2.4 MiB at K = 20000, may outlive it. The
+    # solve pass's lockstep batches add stacks bounded by 1 MiB whatever
+    # the run count (at 6 runs here, 6 stacked M x N products for sc and
+    # 3 per run for wsc: ~0.4 MiB), so the bound holds as it did.
     config = parse_config(CONFIG_DIR / "fig1.cfg")
     config = dataclasses.replace(config, scenario=dataclasses.replace(config.scenario, num_snapshots=20000))
     snapshot_bytes = 8 * 20000 * 16

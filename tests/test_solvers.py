@@ -664,9 +664,9 @@ def test_the_problem_covariance_is_never_shared(geometry, sample_r, a_grid, a0, 
     problems = []
     run_irls = solvers._run_irls
 
-    def recorded(problem, *args):
-        problems.append(problem)
-        return run_irls(problem, *args)
+    def recorded(stack, *args):
+        problems.extend(stack)
+        return run_irls(stack, *args)
 
     monkeypatch.setattr(solvers, "_run_irls", recorded)
     r = sample_r.copy()
@@ -733,3 +733,124 @@ def test_a_shared_start_kept_by_a_failed_first_step_is_a_copy(sample_r, a_grid, 
     assert kept.diagnostics.iterations == 0
     assert kept.w.tobytes() == first.w.tobytes()
     assert not np.shares_memory(kept.w, first.w)
+
+
+# --- Lockstep batches ---------------------------------------------------
+
+
+def _batch(method, covariances, a, qs, geometry, a0, opts=None):
+    """``_solve_runs`` on one problem per covariance, in one call, and each run's public solve."""
+    opts = opts or SolverOptions()
+    problems = [solvers._Problem(r, opts.diagonal_loading) for r in covariances]
+    constraint = sb.build_ellipsoid(geometry, 0.0, 3.0, 13) if method == "rwsc" else a0
+    batched = solvers._solve_runs(method, problems, a, None if method == "sc" else qs, constraint, opts)
+    solo = {
+        "sc": lambda r, q: sb.solve_sc(r, a, a0, opts),
+        "wsc": lambda r, q: sb.solve_wsc(r, a, q, a0, opts),
+        "rwsc": lambda r, q: sb.solve_rwsc(r, a, q, constraint, opts),
+    }[method]
+    return batched, solo
+
+
+def _assert_solo_bits(result, expected):
+    assert result.w.tobytes() == expected.w.tobytes()
+    assert repr(result.diagnostics) == repr(expected.diagnostics)
+
+
+@pytest.mark.parametrize("method", ["sc", "wsc", "rwsc"])
+def test_a_batch_keeps_each_runs_own_scale_decisions(geometry, sample_r, a_grid, q_weights, a0, method, monkeypatch):
+    # gamma = 2^-1019 puts d's scale at 2^-1021. It rides on the first
+    # run's A Q copy, with q times 2^100, and not on the others': as at
+    # FLOAT_FLOOR, it would turn parts of the second run's copy subnormal,
+    # and the last run's subnormal q entries refuse it too. R times
+    # 2^-1020 and 2^200 refuse the bound, so those runs' steps are tested
+    # for scaling and the first run's are not.
+    opts = SolverOptions(gamma=2.0**-1019)
+    tiny = q_weights.copy()
+    tiny[::3] = 1e-310
+    covariances = [sample_r, 2.0**-1020 * sample_r, 2.0**200 * sample_r]
+    qs = [2.0**100 * q_weights, q_weights, tiny]
+    stacks = []
+    run_irls = solvers._run_irls
+    monkeypatch.setattr(solvers, "_run_irls", lambda problems, *args: stacks.append(len(problems)) or run_irls(
+        problems, *args))
+    batched, solo = _batch(method, covariances, a_grid, qs, geometry, a0, opts)
+    assert stacks == [3]
+    for result, r, q in zip(batched, covariances, qs):
+        assert result.diagnostics.iterations > 1
+        _assert_solo_bits(result, solo(r, q))
+
+
+@pytest.mark.parametrize("method", ["sc", "wsc"])
+def test_a_run_that_fails_mid_batch_fails_alone(sample_r, geometry, a_grid, q_weights, a0, method, monkeypatch):
+    # Run 1's inner solve raises at its third IRLS step; the runs after it
+    # move up the stack, and every other run keeps its solo bits.
+    covariances = [sample_r + j * np.eye(8) for j in range(4)]
+    qs = [q_weights * (1.0 + j / 8) for j in range(4)]
+    inputs = []
+    direction = solvers._mvdr_direction
+    monkeypatch.setattr(solvers, "_mvdr_direction", lambda r, *args: inputs.append(r.tobytes()) or direction(r, *args))
+    solo = _batch(method, covariances[1:2], a_grid, qs[1:2], geometry, a0)[0][0]
+    assert solo.diagnostics.iterations > 3
+    third_step = inputs[3]  # after the unpenalized start and two steps
+
+    def failing(r, *args):
+        if r.tobytes() == third_step:
+            raise SolverError("injected")
+        return direction(r, *args)
+
+    monkeypatch.setattr(solvers, "_mvdr_direction", failing)
+    batched, solve = _batch(method, covariances, a_grid, qs, geometry, a0)
+    monkeypatch.setattr(solvers, "_mvdr_direction", direction)
+    assert isinstance(batched[1], SolverError)
+    for run in (0, 2, 3):
+        _assert_solo_bits(batched[run], solve(covariances[run], qs[run]))
+
+
+def test_batches_follow_the_byte_bound(tmp_path, monkeypatch):
+    # fig1's A is 8 x 180: sc stacks one 23 KiB product per run, so its 20
+    # runs are one batch, and wsc three (A Q, its conjugate and the
+    # product), so 15 fit in 1 MiB. wide's 32 x 720 A fits sc twice, wsc once.
+    stacks = []
+    run_irls = solvers._run_irls
+    monkeypatch.setattr(solvers, "_run_irls", lambda problems, *args: stacks.append(len(problems)) or run_irls(
+        problems, *args))
+    fig1 = sb.parse_config(FIG1)
+    report = sb.run_experiment(dataclasses.replace(fig1, output_dir=str(tmp_path / "fig1")))
+    assert report.total_failures == 0
+    assert stacks == [20, 20, 15, 5]
+    stacks.clear()
+    wide = sb.parse_config(FIG1.parent.parent / "perfbench" / "configs" / "wide.cfg")
+    sb.run_experiment(dataclasses.replace(wide, methods=("sc", "wsc"), monte_carlo_runs=3,
+                                          output_dir=str(tmp_path / "wide")))
+    assert stacks == [2, 1, 1, 1, 1]
+
+
+def test_a_study_checks_each_shared_input_once(tmp_path, monkeypatch):
+    # Every solve of a study once checked A, a0 and q, and tested the
+    # exponents of its A Q: 20 times per method on fig1, and for sc on the
+    # study-wide A each time.
+    names = []
+    exponents = []
+
+    def counted(name, *args, **kwargs):
+        names.append(name)
+        return _checked(name, *args, **kwargs)
+
+    aq_exponents = solvers._aq_exponents
+    monkeypatch.setattr(solvers, "_checked", counted)
+    monkeypatch.setattr(solvers, "_aq_exponents", lambda aq: exponents.append(1) or aq_exponents(aq))
+    sb.run_experiment(dataclasses.replace(sb.parse_config(FIG1), output_dir=str(tmp_path)))
+    assert {name: names.count(name) for name in names} == {"steering vector a0": 3, "steering matrix A": 2, "q": 20}
+    assert len(exponents) == 1 + 20
+
+
+def test_a_study_result_is_taken_once(sample_r, a_grid, a0):
+    # A later call for the same run solves alone: the same bits, its own weights.
+    with solvers._Study() as study:
+        problems = [study.add(solvers._Problem(sample_r + j * np.eye(8), 1e-6), None) for j in range(2)]
+        first = sb.solve_sc(problems[1], a_grid, a0)
+        again = sb.solve_sc(problems[1], a_grid, a0)
+    assert again.w.tobytes() == first.w.tobytes()
+    assert not np.shares_memory(again.w, first.w)
+    assert problems[0].study is None
