@@ -22,8 +22,8 @@ from .arrays import (ArrayGeometry, Scenario, _check_count, _check_direction, _r
                      interference_grid, steering_matrix, steering_vector)
 from .covariance import sample_covariance
 from .errors import ConfigError, DomainError, SolverError
-from .solvers import (BeamformerWeights, SolverOptions, _Problem, _Study, build_ellipsoid, mvdr, solve_rmvb,
-                      solve_rwsc, solve_sc, solve_wsc)
+from .solvers import (BeamformerWeights, SolverOptions, _Problem, _Study, _StudyRun, build_ellipsoid, mvdr,
+                      solve_rmvb, solve_rwsc, solve_sc, solve_wsc)
 from .weighting import build_q
 
 __all__ = [
@@ -338,22 +338,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     Run i re-seeds the scenario with rng_seed + i. A data pass draws each
     run's snapshots and keeps only its q and its covariance, checked and
-    loaded once into the run's private solver problem, and ties the runs
-    to one study. A solve pass then calls each method's solver once per
-    run, in ``config.methods`` order. The first call of a method solves
-    it for every run of the study in lockstep batches, and each call
-    returns its own run's result (``solvers._Study``): the bits of a
-    solve of its own. sc and wsc start from the run's mvdr solve and
-    rwsc from its rmvb solve: the unpenalized solve each would make
-    itself, so no bit moves. The report returns each method's solves, in
-    run order, as ``solves``; a SolverError leaves None in that
-    (run, method)'s place, drops it from all aggregates and counts as a
-    failure in the report and the metrics CSV. The summary phase then
-    scores every method's kept solves in one stacked pass, picks out each
-    method's rows, and takes each method's median pattern. It drops a run
-    whose beam pattern is identically zero the same way, and a method
-    whose median pattern collapses to zero loses all its runs; a method
-    with no run left gets NaN metrics and a header-only pattern file.
+    loaded once into the run's private solver problem; one study of all
+    the runs is built when it ends (``solvers._Study``). A solve pass then
+    calls each method's solver once per run, in ``config.methods`` order,
+    with the run's handle in the covariance slot. The first call of a
+    method solves it for every run of the study in lockstep batches, and
+    each call returns its own run's result: the bits of a solve of its
+    own. sc and wsc start from the run's mvdr solve and rwsc from its
+    rmvb solve: the unpenalized solve each would make itself, so no bit
+    moves. The report returns each method's solves, in run order, as
+    ``solves``; a SolverError leaves None in that (run, method)'s place,
+    drops it from all aggregates and counts as a failure in the report
+    and the metrics CSV. The summary phase then scores every method's
+    kept solves in one stacked pass, picks out each method's rows, and
+    takes each method's median pattern. It drops a run whose beam pattern
+    is identically zero the same way, and a method whose median pattern
+    collapses to zero loses all its runs; a method with no run left gets
+    NaN metrics and a header-only pattern file.
     Outputs are deterministic functions of the config.
     """
     geometry, scenario = config.geometry, config.scenario
@@ -371,26 +372,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     seeds = tuple(scenario.rng_seed + i for i in range(config.monte_carlo_runs))
     opts = config.solver_options
 
-    study = _Study()
-
     def draw(seed: int) -> tuple[_Problem, np.ndarray | None]:
         # Only the problem and q outlive the run's snapshots.
         snapshots = generate_snapshots(dataclasses.replace(scenario, rng_seed=seed), geometry)
         problem = _Problem(sample_covariance(snapshots), opts.diagonal_loading)
-        q = build_q(a_grid, snapshots) if needs_q else None
-        return study.add(problem, q), q
+        return problem, build_q(a_grid, snapshots) if needs_q else None
 
+    problems, qs = zip(*[draw(seed) for seed in seeds])
+    study = _Study(problems, qs)
     solves: dict[str, list[BeamformerWeights | None]] = {}
-    with study:
-        drawn = [draw(seed) for seed in seeds]
-        for method in config.methods:
-            solve = _SOLVES[method]
-            results = solves[method] = []
-            for problem, q in drawn:
-                try:
-                    results.append(solve(problem, a_grid, q, a0, ellipsoid, opts))
-                except SolverError:
-                    results.append(None)
+    for method in config.methods:
+        solve = _SOLVES[method]
+        results = solves[method] = []
+        for run, q in enumerate(qs):
+            try:
+                results.append(solve(_StudyRun(study, run), a_grid, q, a0, ellipsoid, opts))
+            except SolverError:
+                results.append(None)
 
     # Every method's kept solves are scored in one pass; each method's
     # rows are then picked out by the method that solved them.

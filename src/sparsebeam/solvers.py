@@ -35,13 +35,14 @@ diagonally loaded before factorization; a trace that is not finite
 raises DomainError. Each solve checks and loads R once, into a private
 problem (:class:`_Problem`) that also keeps its unpenalized solve under
 each constraint. ``run_experiment`` builds one problem per Monte-Carlo
-run, ties the runs to one study (:class:`_Study`) and passes each run's
-problem to every method in the covariance slot, so a run's R is checked
-once, and sc and wsc start from the run's mvdr solve and rwsc from its
-rmvb solve, with the bits of a solve of their own. A method's first
-call in a study solves it for every run, in lockstep batches
-(:func:`_solve_runs`): one IRLS loop (:func:`_run_irls`) steps a stack
-of runs at once, and a public solver is its one-run case. Each run keeps
+run, then one study of them (:class:`_Study`), and passes each run to
+every method as a handle (:class:`_StudyRun`) in the covariance slot,
+so a run's R is checked once, and sc and wsc start from the run's mvdr
+solve and rwsc from its rmvb solve, with the bits of a solve of their
+own. A method's first call in a study solves it for every run, in
+lockstep batches (:func:`_solve_runs`): one IRLS loop
+(:func:`_run_irls`) steps a stack of runs at once, and a public solver
+is its one-run case. Each run keeps
 the bits of its own solve. A batch holds as many runs as keep its
 stacked M x N arrays within 1 MiB (_BATCH_BYTES), and at least one.
 A matrix with a mean diagonal outside [2^-64, 2^64) is scaled by a
@@ -75,6 +76,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -669,21 +671,18 @@ class _Problem:
 
     R is ``diagonal_load(ensure_covariance(covariance), loading)``, a new
     array that no caller holds and no solve writes. ``run_experiment``
-    adds one problem per Monte-Carlo run to its study (:class:`_Study`)
-    and hands it to every method's solver in the covariance slot; a
-    public solver given a covariance builds its own, outside any study.
+    builds one problem per Monte-Carlo run, for its study
+    (:class:`_Study`); a public solver given a covariance builds its own.
     The methods of a run that share a constraint share its unpenalized
     solve (:meth:`start`), so sc and wsc start from mvdr's solve and
     rwsc from rmvb's.
     """
 
-    __slots__ = ("r", "_starts", "study", "run")
+    __slots__ = ("r", "_starts")
 
     def __init__(self, covariance, loading: float):
         self.r = _loaded(ensure_covariance(covariance), loading)
         self._starts: list[tuple[object, np.ndarray]] = []
-        self.study: _Study | None = None
-        self.run = 0
 
     def start(self, constraint, solve) -> np.ndarray:
         """``solve()`` at the first call for ``constraint``; a copy of it at every later one.
@@ -703,62 +702,38 @@ class _Problem:
 
 
 class _Study:
-    """The runs of one Monte-Carlo study, each method solved for all of them at once.
+    """The runs of one Monte-Carlo study: each run's problem and q, and each method's results.
 
-    ``run_experiment`` adds each run's problem and q (:meth:`add`) inside
-    a ``with`` block, which unties them at its end, and calls every method's public solver once per run, with the run's
-    problem in the covariance slot. The first such call of a method
-    solves it for every run of the study in lockstep batches
-    (:func:`_solve_runs`) and keeps each run's result or SolverError;
-    each later call takes its own run's. This is the study-level
-    counterpart of :meth:`_Problem.start`. A call with other inputs than
-    the first one's (another A, constraint or options, matched by
-    identity, options by value) solves for every run again, and a call
-    whose q is not its run's, or whose run's result was already taken,
-    is solved alone.
+    ``run_experiment`` builds it once its data pass ends, and calls every
+    method's public solver once per run with the run's handle
+    (:class:`_StudyRun`) in the covariance slot. A method's first call
+    solves it for every run in lockstep batches (:func:`_solve_runs`) and
+    keeps each run's result or SolverError; every call returns its own
+    run's. A study's calls pass one A, constraint and options per method,
+    and each run's own q or none, so the first call's inputs serve them all.
+    Nothing a study holds refers to a handle, so it leaves no reference
+    cycle: it is freed when its last handle goes.
     """
 
-    __slots__ = ("problems", "qs", "_solved")
+    __slots__ = ("problems", "qs", "_results")
 
-    def __init__(self):
-        self.problems: list[_Problem] = []
-        self.qs: list[np.ndarray | None] = []
-        self._solved: list[tuple[tuple, list]] = []
+    def __init__(self, problems, qs):
+        self.problems, self.qs = problems, qs
+        self._results: dict[str, list] = {}
 
-    def __enter__(self) -> _Study:
-        return self
+    def solve(self, run: int, method, a, q, constraint, opts):
+        """Run ``run``'s BeamformerWeights or SolverError for ``method``."""
+        if method not in self._results:
+            qs = None if q is None else self.qs
+            self._results[method] = _solve_runs(method, self.problems, a, qs, constraint, opts)
+        return self._results[method][run]
 
-    def __exit__(self, *exc_info) -> None:
-        # Untie the runs: a problem and its study refer to each other, and
-        # a cycle would keep every run's arrays until a garbage collection.
-        for problem in self.problems:
-            problem.study = None
-        self.problems, self.qs, self._solved = [], [], []
 
-    def add(self, problem: _Problem, q) -> _Problem:
-        """``problem``, tied to this study as its next run, whose q is ``q``."""
-        problem.study, problem.run = self, len(self.problems)
-        self.problems.append(problem)
-        self.qs.append(q)
-        return problem
+class _StudyRun(NamedTuple):
+    """One run of a study, passed to a public solver in the covariance slot."""
 
-    def solve(self, method, problem: _Problem, a, q, constraint, opts):
-        """The run of ``problem``'s BeamformerWeights or SolverError."""
-        run = problem.run
-        qs = None if q is None else self.qs
-        if qs is not None and q is not qs[run]:
-            return _solve_runs(method, [problem], a, [q], constraint, opts)[0]
-        for (kept_method, kept_a, kept_qs, kept_constraint, kept_opts), results in self._solved:
-            if (kept_method == method and kept_a is a and kept_qs is qs and kept_constraint is constraint
-                    and kept_opts == opts):
-                break
-        else:
-            results = _solve_runs(method, self.problems, a, qs, constraint, opts)
-            self._solved.append(((method, a, qs, constraint, opts), results))
-        result, results[run] = results[run], None
-        if result is None:
-            return _solve_runs(method, [problem], a, None if q is None else [q], constraint, opts)[0]
-        return result
+    study: _Study
+    run: int
 
 
 def _solve_runs(method, problems, a, qs, constraint, opts) -> list:
@@ -826,16 +801,16 @@ def _solve_runs(method, problems, a, qs, constraint, opts) -> list:
 def _solve(method, covariance, a, q, constraint, opts) -> BeamformerWeights:
     """The one solve behind every public solver: :func:`_solve_runs` on one run.
 
-    ``covariance`` is R or a :class:`_Problem` loaded with
-    ``opts.diagonal_loading``; a problem of a study takes its run's
-    result from the study's solve of every run (:meth:`_Study.solve`).
-    A run's SolverError is raised here.
+    ``covariance`` is R, checked and loaded with ``opts.diagonal_loading``
+    into a problem of its own, or a :class:`_StudyRun`, which takes its
+    run's result from the study's solve of every run
+    (:meth:`_Study.solve`). A run's SolverError is raised here.
     """
     opts = opts or SolverOptions()
-    if isinstance(covariance, _Problem) and covariance.study is not None:
-        result = covariance.study.solve(method, covariance, a, q, constraint, opts)
+    if isinstance(covariance, _StudyRun):
+        result = covariance.study.solve(covariance.run, method, a, q, constraint, opts)
     else:
-        problem = covariance if isinstance(covariance, _Problem) else _Problem(covariance, opts.diagonal_loading)
+        problem = _Problem(covariance, opts.diagonal_loading)
         [result] = _solve_runs(method, [problem], a, None if q is None else [q], constraint, opts)
     if isinstance(result, SolverError):
         raise result

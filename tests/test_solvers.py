@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 from pathlib import Path
 
@@ -648,7 +649,8 @@ def test_another_loading_loads_again(a0, covariance_checks, first, second):
     expected = sb.diagonal_load(sb.ensure_covariance(r), second)
     problem = solvers._Problem(r, second)
     assert problem.r.tobytes() == expected.tobytes()
-    assert sb.mvdr(problem, a0, opts).w.tobytes() == result.w.tobytes()
+    [solved] = solvers._solve_runs("mvdr", [problem], None, None, a0, opts)
+    assert solved.w.tobytes() == result.w.tobytes()
 
 
 def test_a_non_hermitian_covariance_after_a_good_one_is_rejected(sample_r, a0, covariance_checks):
@@ -725,11 +727,12 @@ def test_a_shared_start_is_returned_as_a_copy(tmp_path, monkeypatch, methods):
 
 def test_a_shared_start_kept_by_a_failed_first_step_is_a_copy(sample_r, a_grid, a0, monkeypatch):
     # sc's first step is NaN, so sc keeps its start: mvdr's weights.
-    problem = solvers._Problem(sample_r, SolverOptions().diagonal_loading)
-    first = sb.mvdr(problem, a0)
+    opts = SolverOptions()
+    problem = solvers._Problem(sample_r, opts.diagonal_loading)
+    [first] = solvers._solve_runs("mvdr", [problem], None, None, a0, opts)
     monkeypatch.setattr(solvers, "_mvdr_direction", lambda *args: np.full(8, np.nan + 0j))
     with np.errstate(all="ignore"):
-        kept = sb.solve_sc(problem, a_grid, a0)
+        [kept] = solvers._solve_runs("sc", [problem], a_grid, None, a0, opts)
     assert kept.diagnostics.iterations == 0
     assert kept.w.tobytes() == first.w.tobytes()
     assert not np.shares_memory(kept.w, first.w)
@@ -845,12 +848,36 @@ def test_a_study_checks_each_shared_input_once(tmp_path, monkeypatch):
     assert len(exponents) == 1 + 20
 
 
-def test_a_study_result_is_taken_once(sample_r, a_grid, a0):
-    # A later call for the same run solves alone: the same bits, its own weights.
-    with solvers._Study() as study:
-        problems = [study.add(solvers._Problem(sample_r + j * np.eye(8), 1e-6), None) for j in range(2)]
-        first = sb.solve_sc(problems[1], a_grid, a0)
-        again = sb.solve_sc(problems[1], a_grid, a0)
-    assert again.w.tobytes() == first.w.tobytes()
-    assert not np.shares_memory(again.w, first.w)
-    assert problems[0].study is None
+def test_a_study_leaves_nothing_for_the_garbage_collector(tmp_path):
+    # A cycle between a study and its runs would keep every run's arrays
+    # until a collection; none is left to collect.
+    for name, config in (("fig1", FIG1), ("fig2", FIG2)):
+        sb.run_experiment(dataclasses.replace(
+            sb.parse_config(config), monte_carlo_runs=1, output_dir=str(tmp_path / f"warm-{name}")))
+    gc.collect()
+    gc.disable()
+    try:
+        for name, config in (("fig1", FIG1), ("fig2", FIG2)):
+            report = sb.run_experiment(dataclasses.replace(
+                sb.parse_config(config), monte_carlo_runs=3, output_dir=str(tmp_path / name)))
+            assert report.total_failures == 0
+        del report
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("zero_run", [0, 1])
+def test_an_unpenalized_run_before_a_penalized_one_leaves_the_stack(
+        geometry, sample_r, a_grid, q_weights, a0, zero_run):
+    # A run whose q is all zero is solved by its start alone; the penalized
+    # runs after it move up the stack of per-run A Q copies.
+    covariances = [sample_r + j * np.eye(8) for j in range(3)]
+    qs = [q_weights * (1.0 + j / 8) for j in range(3)]
+    qs[zero_run] = np.zeros_like(q_weights)
+    batched, solo = _batch("wsc", covariances, a_grid, qs, geometry, a0)
+    for result, r, q in zip(batched, covariances, qs):
+        _assert_solo_bits(result, solo(r, q))
+    assert batched[zero_run].diagnostics.iterations == 1
+    assert batched[zero_run].w.tobytes() == sb.mvdr(covariances[zero_run], a0).w.tobytes()
+    assert all(batched[run].diagnostics.iterations > 1 for run in range(3) if run != zero_run)
