@@ -32,18 +32,15 @@ Every solver takes a covariance R and nothing else: anything but a
 finite Hermitian matrix, raw snapshots included, raises DomainError
 (:func:`sparsebeam.covariance.ensure_covariance`). R is symmetrized and
 diagonally loaded before factorization; a trace that is not finite
-raises DomainError. Each solve checks and loads R once, into a private
-problem (:class:`_Problem`) that also keeps its unpenalized solve under
-each constraint. ``run_experiment`` builds one problem per Monte-Carlo
-run, then one study of them (:class:`_Study`), and passes each run to
-every method as a handle (:class:`_StudyRun`) in the covariance slot,
-so a run's R is checked once, and sc and wsc start from the run's mvdr
-solve and rwsc from its rmvb solve, with the bits of a solve of their
-own. A method's first call in a study solves it for every run, in
-lockstep batches (:func:`_solve_runs`): one IRLS loop
-(:func:`_run_irls`) steps a stack of runs at once, and a public solver
-is its one-run case. Each run keeps
-the bits of its own solve. A batch holds as many runs as keep its
+raises DomainError. R is checked and loaded once per run, in a study
+(:class:`_Study`): ``run_experiment`` builds one of all its Monte-Carlo
+runs and passes each run to every method as a handle
+(:class:`_StudyRun`) in the covariance slot, and a public solver given
+a covariance builds a one-run study of its own. A method's first call
+in a study solves it for every run, in lockstep batches
+(:func:`_solve_runs`): one IRLS loop (:func:`_run_irls`) steps a stack
+of runs at once, each from its own unpenalized solve, and each run
+keeps the bits of its own solve. A batch holds as many runs as keep its
 stacked M x N arrays within 1 MiB (_BATCH_BYTES), and at least one.
 A matrix with a mean diagonal outside [2^-64, 2^64) is scaled by a
 power of four before an inner solve, so a covariance of any scale whose
@@ -112,8 +109,6 @@ def _load_flapack():
     solvers use numpy's linear algebra, this loader goes away.
     """
     name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
     spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], "linalg")])
     if spec is None:
         raise ImportError(f"{name} not found in scipy {scipy.__version__}")
@@ -255,12 +250,6 @@ def _mvdr_direction(r: np.ndarray, a0: np.ndarray, a0_h: np.ndarray) -> np.ndarr
     return x / denom
 
 
-def _aq_exponents(aq: np.ndarray) -> tuple[int, int]:
-    """The least and the greatest frexp exponent of A Q's real and imaginary parts."""
-    exponents = np.frexp(aq.view(float))[1]
-    return int(exponents.min()), int(exponents.max())
-
-
 class _Run:
     """One run's row of an IRLS stack, with the bookkeeping that stays per run."""
 
@@ -274,21 +263,22 @@ class _Run:
         return self.best_w, len(self.history), self.best_obj, self.converged, tuple(self.history)
 
 
-def _run_irls(problems, constraint, aq, opts: SolverOptions, inner) -> list:
+def _run_irls(rs, aq, opts: SolverOptions, inner) -> list:
     """The one IRLS loop, over a stack of runs. ``inner(R_eff) -> w`` solves a reweighted subproblem.
 
-    The runs share a penalty grid, ``constraint``, ``opts`` and ``inner``;
-    each has its own problem. ``aq`` is one M x N A Q that every run
+    The runs share a penalty grid, ``opts`` and ``inner``; each has its
+    own loaded R in ``rs``. ``aq`` is one M x N A Q that every run
     shares, or a k x M x N stack of each run's own, which the loop owns
-    and scales in place. Each run starts from the unpenalized solve
-    ``inner`` gives under ``constraint`` on its problem's R, made once
-    per problem and constraint (:meth:`_Problem.start`).
+    and reorders in place. Each run starts from its own unpenalized
+    solve, ``inner`` on its R, as the reference loop does.
 
     Returns, for each run in order, (w, iterations, final_objective,
     converged, history), or the SolverError its inner solve raised: a
-    run that fails leaves the stack and the others go on. The recorded
-    objective is the epsilon-smoothed one, which the majorize-minimize
-    update never increases; annealing epsilon only lowers it further.
+    run that fails leaves the stack and the others go on. The error is
+    kept without its traceback, whose frames would hold the results and
+    so form a reference cycle. The recorded objective is the
+    epsilon-smoothed one, which the majorize-minimize update never
+    increases; annealing epsilon only lowers it further.
     With gamma = 0 or an all-zero penalty matrix (an M x 0 one included)
     the unpenalized solve is the answer: one iteration, objective
     w^H R w and an empty history. A step whose weights are not finite
@@ -308,14 +298,12 @@ def _run_irls(problems, constraint, aq, opts: SolverOptions, inner) -> list:
     transpose is added, so a finite R cannot overflow it: R/2 once per
     stack, and the penalty term's 1/2 in d_scale, together with D's p/2
     and with gamma when gamma is a power of two; any other gamma
-    multiplies the M x N product once a step. A power-of-two d_scale
-    rides on a copy of a run's A Q, made once, so a step only raises d
-    to its power, if every nonzero part of that copy is a normal float
-    (tested once per distinct A Q); the rows whose copy does not take it
-    multiply d by d_scale, the others by 1.0, which is exact. Every
-    buffer a step fills is allocated once per stack; a step allocates
-    only the inner solves' arrays and k-entry sums. |u|^2 + eps of a step serves both its
-    penalty and the next reweighting, unless eps was just annealed.
+    multiplies the M x N product once a step. Every step raises d to its
+    power and multiplies it by d_scale, one call each for the whole
+    stack. Every buffer a step fills is allocated once per stack; a step
+    allocates only the inner solves' arrays and k-entry sums. |u|^2 + eps
+    of a step serves both its penalty and the next reweighting, unless
+    eps was just annealed.
 
     This loop, not the inner solve, decides scaling
     (:func:`_unit_scaled`), once per run. The unpenalized start is
@@ -333,20 +321,19 @@ def _run_irls(problems, constraint, aq, opts: SolverOptions, inner) -> list:
     the plain expressions, so each run has the bits of its own solve
     (tests/_oracles.py keeps the plain loop as the reference).
     """
-    results: list = [None] * len(problems)
+    results: list = [None] * len(rs)
     gamma = opts.gamma
     shared = aq.ndim == 2
     if shared:
-        unpenalized = [gamma == 0 or not aq.any()] * len(problems)
+        unpenalized = [gamma == 0 or not aq.any()] * len(rs)
     else:
         unpenalized = [gamma == 0 or not x.any() for x in aq]
     runs: list[_Run] = []
-    for index, problem in enumerate(problems):
-        r = problem.r
+    for index, r in enumerate(rs):
         try:
-            w = problem.start(constraint, lambda: inner(_unit_scaled(r)))
+            w = inner(_unit_scaled(r))
         except SolverError as error:
-            results[index] = error
+            results[index] = error.with_traceback(None)
             continue
         if unpenalized[index]:
             results[index] = (w, 1, float((w.conj() @ r @ w).real), True, ())
@@ -367,17 +354,6 @@ def _run_irls(problems, constraint, aq, opts: SolverOptions, inner) -> list:
     # M x N product is scaled in a second pass only for any other gamma.
     fold_gamma = math.frexp(gamma)[0] == 0.5
     d_scale = half_p * 0.5 * gamma if fold_gamma else half_p * 0.5
-    mantissa, exponent = math.frexp(d_scale)
-
-    def rides(x: np.ndarray) -> bool:
-        # A power-of-two d_scale = 2^j rides on a copy of A Q only if every
-        # nonzero real or imaginary part of the copy is a normal float,
-        # whose frexp exponent lies in [-1021, 1024]: a part with exponent
-        # e has e + j there. A zero part's exponent, 0, can only refuse.
-        if mantissa != 0.5:
-            return False
-        low, high = _aq_exponents(x)
-        return -1021 <= low + exponent - 1 and high + exponent - 1 <= 1024
 
     def norm2(x: np.ndarray) -> float:
         # ||A Q||_F^2, plus what squares that underflow (each < 2^-1074) lose.
@@ -385,28 +361,19 @@ def _run_irls(problems, constraint, aq, opts: SolverOptions, inner) -> list:
 
     # A view, not a copy: a contiguous copy changes the matvec's last bits.
     if shared:
-        aq_h = aq.conj().T
-        ride, norms = [rides(aq)] * k, [norm2(aq)] * k
-        aq_scaled = aq * d_scale if ride[0] else aq
+        aq_h, norms = aq.conj().T, [norm2(aq)] * k
     else:
-        aq_h = aq.conj().transpose(0, 2, 1)
-        ride, norms = [rides(x) for x in aq], [norm2(x) for x in aq]
-        for x, scaled in zip(aq, ride):
-            if scaled:
-                x *= d_scale
-        aq_scaled = aq
-    # Each row of d takes the scale its A Q copy does not.
-    factor = None if all(ride) else np.array([[1.0 if scaled else d_scale] for scaled in ride])
+        aq_h, norms = aq.conj().transpose(0, 2, 1), [norm2(x) for x in aq]
     # gamma p/2 d_max ||A Q||_F^2 / M < (2^63 - mean(R)) / 2, with d_max's
     # reciprocal on the right, where it cannot overflow.
     d_max_reciprocal = min(opts.irls_epsilon, _IRLS_EPS_FLOOR) ** -power
     for run, norm in zip(runs, norms):
-        r_mean = _mean_diagonal(problems[run.index].r)
+        r_mean = _mean_diagonal(rs[run.index])
         run.scale_each_step = not (math.frexp(r_mean)[1] >= -63
                                    and gamma * opts.p * norm / m < (2.0**63 - r_mean) * d_max_reciprocal)
     # numpy computes x**0.5 as np.sqrt(x), which np.power need not match.
     penalty_power = np.sqrt if half_p == 0.5 else lambda x, out: np.power(x, half_p, out=out)
-    r_stack = np.array([problems[run.index].r for run in runs])
+    r_stack = np.array([rs[run.index] for run in runs])
     r_half = r_stack * 0.5
     eps = opts.irls_epsilon
     # Filled in place by every step; inner solves copy what they factor.
@@ -421,24 +388,17 @@ def _run_irls(problems, constraint, aq, opts: SolverOptions, inner) -> list:
     smoothed, powered = u2 + eps, np.empty_like(u2)
     r_eff_rows = list(r_eff)
     # What a run carries from step to step; its rows swap when it leaves.
-    carried = [r_stack, r_half, ws, u2, smoothed] + ([] if shared else [aq_scaled, aq_h])
-    carried += [] if factor is None else [factor]
+    carried = [r_stack, r_half, ws, u2, smoothed] + ([] if shared else [aq, aq_h])
 
     def views():
-        """The stack's first k rows, in the shapes the step's calls take.
-
-        Element-wise calls on k x N rows get them as one flat array, which
-        numpy iterates with less overhead than two strided dimensions.
-        """
+        """The stack's first k rows, in the shapes the step's calls take."""
         rows = slice(0, k)
         return (
-            aq_scaled if shared else aq_scaled[rows], aq_h if shared else aq_h[rows],
-            d[rows].reshape(-1).real, d.real[rows], None if factor is None else factor[rows], d[rows, None, :],
+            aq if shared else aq[rows], aq_h if shared else aq_h[rows], d.real[rows], d[rows, None, :],
             weighted[rows], r_eff[rows], r_half[rows], r_conj[rows], r_conj[rows].transpose(0, 2, 1),
-            ws[rows], ws[rows, :, None], response[rows].reshape(-1), response[rows, :, None],
-            u2[rows].reshape(-1), smoothed[rows].reshape(-1), powered[rows].reshape(-1), powered[rows],
-            w_h[rows], w_h[rows, None, :], r_stack[rows], w_h_r[rows, None, :], quad[rows, None, None],
-            quad.real[rows],
+            ws[rows], ws[rows, :, None], response[rows], response[rows, :, None], u2[rows], smoothed[rows],
+            powered[rows], w_h[rows], w_h[rows, None, :], r_stack[rows], w_h_r[rows, None, :],
+            quad[rows, None, None], quad.real[rows],
         )
 
     def leave(rows: list[int]) -> None:
@@ -454,17 +414,16 @@ def _run_irls(problems, constraint, aq, opts: SolverOptions, inner) -> list:
     sliced = 0
     for step in range(opts.max_iterations):
         if sliced != k:
-            (aq_k, aq_h_k, d_real_flat, d_real_k, factor_k, d_k, weighted_k, r_eff_k, r_half_k, r_conj_k,
-             r_conj_h_k, w_k, w_col_k, response_flat, response_col_k, u2_flat, smoothed_flat, powered_flat,
-             powered_k, w_h_k, w_h_row_k, r_k, w_h_r_row_k, quad_k, quad_real_k) = views()
+            (aq_k, aq_h_k, d_real_k, d_k, weighted_k, r_eff_k, r_half_k, r_conj_k, r_conj_h_k, w_k, w_col_k,
+             response_k, response_col_k, u2_k, smoothed_k, powered_k, w_h_k, w_h_row_k, r_k, w_h_r_row_k,
+             quad_k, quad_real_k) = views()
             sliced = k
         if step > 0 and step % 10 == 0:
             eps = max(eps * 0.1, _IRLS_EPS_FLOOR)
-            np.add(u2_flat, eps, out=smoothed_flat)
+            np.add(u2_k, eps, out=smoothed_k)
         # power lies in (-1, -1/2], where ``**`` takes no scalar fast path.
-        np.power(smoothed_flat, power, out=d_real_flat)
-        if factor is not None:
-            d_real_k *= factor_k
+        np.power(smoothed_k, power, out=d_real_k)
+        d_real_k *= d_scale
         np.multiply(aq_k, d_k, out=weighted_k)
         if not fold_gamma:
             weighted_k *= gamma
@@ -479,17 +438,17 @@ def _run_irls(problems, constraint, aq, opts: SolverOptions, inner) -> list:
             except SolverError as error:
                 # The run leaves with this step's others; its stale row is
                 # computed on below and never read.
-                results[run.index], run.w = error, None
+                results[run.index], run.w = error.with_traceback(None), None
             else:
                 w_k[row] = run.w
         np.matmul(aq_h_k, w_col_k, out=response_col_k)
-        np.square(np.abs(response_flat, out=u2_flat), out=u2_flat)
+        np.square(np.abs(response_k, out=u2_k), out=u2_k)
         np.conjugate(w_k, out=w_h_k)
         np.matmul(w_h_row_k, r_k, out=w_h_r_row_k)
         np.matmul(w_h_r_row_k, w_col_k, out=quad_k)
         # u2 + eps serves both this penalty and the next reweighting.
-        np.add(u2_flat, eps, out=smoothed_flat)
-        penalty_power(smoothed_flat, out=powered_flat)
+        np.add(u2_k, eps, out=smoothed_k)
+        penalty_power(smoothed_k, out=powered_k)
         penalties = np.add.reduce(powered_k, axis=1).tolist()
         leaving = []
         for row, quad_value in enumerate(quad_real_k.tolist()):
@@ -666,47 +625,15 @@ def _cone_solve(r, center, shape):
     return w / margin
 
 
-class _Problem:
-    """One covariance, checked and loaded once, and its unpenalized solves.
-
-    R is ``diagonal_load(ensure_covariance(covariance), loading)``, a new
-    array that no caller holds and no solve writes. ``run_experiment``
-    builds one problem per Monte-Carlo run, for its study
-    (:class:`_Study`); a public solver given a covariance builds its own.
-    The methods of a run that share a constraint share its unpenalized
-    solve (:meth:`start`), so sc and wsc start from mvdr's solve and
-    rwsc from rmvb's.
-    """
-
-    __slots__ = ("r", "_starts")
-
-    def __init__(self, covariance, loading: float):
-        self.r = _loaded(ensure_covariance(covariance), loading)
-        self._starts: list[tuple[object, np.ndarray]] = []
-
-    def start(self, constraint, solve) -> np.ndarray:
-        """``solve()`` at the first call for ``constraint``; a copy of it at every later one.
-
-        A constraint is the same one when it is the same object: the a0
-        or Ellipsoid a study passes to every method. The copies keep the
-        method that made the solve and every later one from sharing a
-        weight vector. A solve that raises keeps nothing, so each method
-        that asks raises again.
-        """
-        for kept, w in self._starts:
-            if kept is constraint:
-                return w.copy()
-        w = solve()
-        self._starts.append((constraint, w))
-        return w
-
-
 class _Study:
-    """The runs of one Monte-Carlo study: each run's problem and q, and each method's results.
+    """The runs of one Monte-Carlo study: each run's loaded R and q, and each method's results.
 
-    ``run_experiment`` builds it once its data pass ends, and calls every
-    method's public solver once per run with the run's handle
-    (:class:`_StudyRun`) in the covariance slot. A method's first call
+    Each run's R is ``diagonal_load(ensure_covariance(covariance),
+    loading)``, a new array that no caller holds and no solve writes.
+    ``run_experiment`` builds one study once its data pass ends, and
+    calls every method's public solver once per run with the run's
+    handle (:class:`_StudyRun`) in the covariance slot; a public solver
+    given a covariance builds a one-run study. A method's first call
     solves it for every run in lockstep batches (:func:`_solve_runs`) and
     keeps each run's result or SolverError; every call returns its own
     run's. A study's calls pass one A, constraint and options per method,
@@ -715,17 +642,18 @@ class _Study:
     cycle: it is freed when its last handle goes.
     """
 
-    __slots__ = ("problems", "qs", "_results")
+    __slots__ = ("rs", "qs", "_results")
 
-    def __init__(self, problems, qs):
-        self.problems, self.qs = problems, qs
+    def __init__(self, covariances, qs, loading: float):
+        self.rs = [_loaded(ensure_covariance(covariance), loading) for covariance in covariances]
+        self.qs = qs
         self._results: dict[str, list] = {}
 
     def solve(self, run: int, method, a, q, constraint, opts):
         """Run ``run``'s BeamformerWeights or SolverError for ``method``."""
         if method not in self._results:
             qs = None if q is None else self.qs
-            self._results[method] = _solve_runs(method, self.problems, a, qs, constraint, opts)
+            self._results[method] = _solve_runs(method, self.rs, a, qs, constraint, opts)
         return self._results[method][run]
 
 
@@ -736,11 +664,11 @@ class _StudyRun(NamedTuple):
     run: int
 
 
-def _solve_runs(method, problems, a, qs, constraint, opts) -> list:
+def _solve_runs(method, rs, a, qs, constraint, opts) -> list:
     """Each run's BeamformerWeights, or the SolverError its solve raised, in run order.
 
     Minimizes w^H R w + gamma ||w^H A Q||_p^p under ``constraint`` for
-    every problem's R. ``constraint`` is the steering vector a0 of
+    every loaded R of ``rs``. ``constraint`` is the steering vector a0 of
     w^H a0 = 1, or, for rmvb and rwsc, the Ellipsoid of the worst-case
     gain floor. a = None drops the penalty: an M x 0 penalty matrix makes
     _run_irls return the unpenalized solve. qs = None means unit
@@ -751,11 +679,11 @@ def _solve_runs(method, problems, a, qs, constraint, opts) -> list:
     The runs are solved in lockstep batches (:func:`_run_irls`). A batch
     holds as many runs as keep its stacked M x N arrays within
     _BATCH_BYTES, and at least one: with a q per run those are each
-    run's A Q, scaled in place, its conjugate and the weighted product;
-    with unit weights every run shares A's copies, and only the weighted
-    product is stacked.
+    run's A Q, its conjugate and the weighted product; with unit weights
+    every run shares A and its conjugate, and only the weighted product
+    is stacked.
     """
-    m = problems[0].r.shape[0]
+    m = rs[0].shape[0]
     if a is None:
         a = np.zeros((m, 0), dtype=complex)
     else:
@@ -778,12 +706,11 @@ def _solve_runs(method, problems, a, qs, constraint, opts) -> list:
         inner = lambda r_eff: _mvdr_direction(r_eff, a0, a0_h)
         residual = lambda w: float(abs(w.conj() @ a0 - 1.0))
     run_bytes = (1 if qs is None else 3) * a.nbytes
-    size = max(1, _BATCH_BYTES // run_bytes) if run_bytes else len(problems)
+    size = max(1, _BATCH_BYTES // run_bytes) if run_bytes else len(rs)
     results = []
-    for first in range(0, len(problems), size):
-        batch = problems[first:first + size]
+    for first in range(0, len(rs), size):
         aq = a if qs is None else a * np.array(qs[first:first + size])[:, None, :]
-        for solved in _run_irls(batch, constraint, aq, opts, inner):
+        for solved in _run_irls(rs[first:first + size], aq, opts, inner):
             if isinstance(solved, SolverError):
                 results.append(solved)
                 continue
@@ -799,21 +726,20 @@ def _solve_runs(method, problems, a, qs, constraint, opts) -> list:
 
 
 def _solve(method, covariance, a, q, constraint, opts) -> BeamformerWeights:
-    """The one solve behind every public solver: :func:`_solve_runs` on one run.
+    """The one solve behind every public solver: a study's solve of one run.
 
-    ``covariance`` is R, checked and loaded with ``opts.diagonal_loading``
-    into a problem of its own, or a :class:`_StudyRun`, which takes its
-    run's result from the study's solve of every run
-    (:meth:`_Study.solve`). A run's SolverError is raised here.
+    ``covariance`` is a :class:`_StudyRun`, which takes its run's result
+    from the study's solve of every run (:meth:`_Study.solve`), or R,
+    which is solved as a one-run study, loaded with
+    ``opts.diagonal_loading``. A run's SolverError is raised here as a
+    new one, so the error the study keeps gains no traceback.
     """
     opts = opts or SolverOptions()
-    if isinstance(covariance, _StudyRun):
-        result = covariance.study.solve(covariance.run, method, a, q, constraint, opts)
-    else:
-        problem = _Problem(covariance, opts.diagonal_loading)
-        [result] = _solve_runs(method, [problem], a, None if q is None else [q], constraint, opts)
+    if not isinstance(covariance, _StudyRun):
+        covariance = _StudyRun(_Study([covariance], [q], opts.diagonal_loading), 0)
+    result = covariance.study.solve(covariance.run, method, a, q, constraint, opts)
     if isinstance(result, SolverError):
-        raise result
+        raise SolverError(*result.args)
     return result
 
 

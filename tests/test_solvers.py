@@ -306,7 +306,7 @@ def test_irls_stops_at_the_first_non_finite_step(geometry, a_grid, a0, method, m
     n=st.integers(1, 200),
     # p/2 = 1/2 takes the square-root penalty; 1/4, 1/8 and 1/20 do not.
     p=st.sampled_from([1.0, 0.5, 0.25, 0.1]),
-    # Powers of two (0.25, 2, 64) ride on d; 1e-3 and 50 scale the product.
+    # Powers of two (0.25, 2, 64) fold into d's scale; 1e-3 and 50 scale the product.
     gamma=st.sampled_from([0.0, 1e-3, 0.25, 2.0, 50.0, 64.0]),
     zero_fraction=st.sampled_from([0.0, 0.5, 1.0]),
     max_iterations=st.integers(1, 100),
@@ -410,8 +410,8 @@ def _assert_always_scaled_reference_bits(result, method, r, a, q, a0, opts):
 
 
 # Powers of four near the bottom of the float range, where d's scale
-# would turn parts of the scaled A Q copy subnormal: at 2^-1020 the copy
-# once lost bits and moved sc's and wsc's weights.
+# (gamma p/4) is near the smallest normal float: at 2^-1020 a scaled copy
+# of A Q once lost bits to subnormals and moved sc's and wsc's weights.
 FLOAT_FLOOR = {"2^-1018": -509, "2^-1020": -510}
 
 
@@ -433,8 +433,8 @@ def test_skipped_scaling_keeps_the_bits_at_the_window_edges(geometry, a_grid, sa
 
 
 # The bound must refuse the first two, so every step's matrix is tested.
-# Subnormal A Q columns lose bits in the scaled copy of A Q that a
-# power-of-two d scale rides on; they must still give the reference bits.
+# Subnormal A Q columns, times d, lose bits as the reference's do; they
+# must still give the reference bits.
 BOUND_CASES = {
     "gamma_2^200": (None, SolverOptions(gamma=2.0**200)),
     "irls_epsilon_1e-300": (None, SolverOptions(irls_epsilon=1e-300)),
@@ -584,7 +584,7 @@ def test_irls_iterations_count_the_history(geometry, sample_r, a_grid, q_weights
     assert diagnostics.iterations == len(diagnostics.objective_history) > 0
 
 
-# --- One checked problem per run ----------------------------------------
+# --- One checked covariance per run -------------------------------------
 
 
 FIG2 = FIG1.with_name("fig2.cfg")
@@ -647,9 +647,9 @@ def test_another_loading_loads_again(a0, covariance_checks, first, second):
     result = sb.mvdr(r, a0, opts)
     assert len(covariance_checks) == 2
     expected = sb.diagonal_load(sb.ensure_covariance(r), second)
-    problem = solvers._Problem(r, second)
-    assert problem.r.tobytes() == expected.tobytes()
-    [solved] = solvers._solve_runs("mvdr", [problem], None, None, a0, opts)
+    [loaded] = solvers._Study([r], [None], second).rs
+    assert loaded.tobytes() == expected.tobytes()
+    [solved] = solvers._solve_runs("mvdr", [loaded], None, None, a0, opts)
     assert solved.w.tobytes() == result.w.tobytes()
 
 
@@ -663,19 +663,19 @@ def test_a_non_hermitian_covariance_after_a_good_one_is_rejected(sample_r, a0, c
 
 @pytest.mark.parametrize("method", ["mvdr", "sc", "wsc", "rmvb", "rwsc"])
 def test_the_problem_covariance_is_never_shared(geometry, sample_r, a_grid, a0, method, monkeypatch):
-    problems = []
+    rs = []
     run_irls = solvers._run_irls
 
     def recorded(stack, *args):
-        problems.extend(stack)
+        rs.extend(stack)
         return run_irls(stack, *args)
 
     monkeypatch.setattr(solvers, "_run_irls", recorded)
     r = sample_r.copy()
     result = _every_solver(geometry, a_grid, a0)[method](r)
-    [problem] = problems
-    assert not np.shares_memory(problem.r, r)
-    assert not np.shares_memory(problem.r, result.w)
+    [loaded] = rs
+    assert not np.shares_memory(loaded, r)
+    assert not np.shares_memory(loaded, result.w)
     assert all(not isinstance(value, np.ndarray) for value in vars(result.diagnostics).values())
 
 
@@ -698,41 +698,52 @@ def _assert_no_shared_weights(report):
     (FIG1, "_mvdr_direction", ("mvdr", "sc", "wsc")),
     (FIG2, "_cone_solve", ("rmvb", "rwsc")),
 ])
-def test_a_study_solves_each_unpenalized_problem_once_per_run(tmp_path, monkeypatch, config, seam, methods):
-    # sc and wsc start from the run's mvdr solve, and rwsc from its rmvb
-    # solve, where each once solved the unpenalized problem again: one
-    # inner solve per run, then one per IRLS step.
+def test_each_method_solves_its_own_start(tmp_path, monkeypatch, config, seam, methods):
+    # Every method of a run makes its own unpenalized solve, as the
+    # reference loop does, where sc and wsc once took the run's mvdr solve
+    # and rwsc its rmvb solve: one inner solve per run and method, then
+    # one per IRLS step.
     calls = _counted(monkeypatch, seam)
     report = sb.run_experiment(dataclasses.replace(
         sb.parse_config(config), methods=methods, monte_carlo_runs=2, output_dir=str(tmp_path)))
     assert report.total_failures == 0
     steps = sum(solve.diagnostics.iterations for method in methods[1:] for solve in report.solves[method])
-    assert len(calls) == 2 + steps
+    assert len(calls) == 2 * len(methods) + steps
     _assert_no_shared_weights(report)
 
 
 @pytest.mark.parametrize("methods", [("mvdr", "sc", "wsc"), ("sc", "wsc", "mvdr")])
-def test_a_shared_start_is_returned_as_a_copy(tmp_path, monkeypatch, methods):
-    # With gamma = 0 every method's weights are the run's one unpenalized
-    # solve: the method that solved it returns it, every other a copy.
+def test_with_gamma_zero_every_method_solves_the_same_start(tmp_path, monkeypatch, methods):
+    # With gamma = 0 every method's weights are the run's unpenalized
+    # solve, which each method makes itself: the same bits in weight
+    # vectors of their own, whatever the method order.
     calls = _counted(monkeypatch, "_mvdr_direction")
     config = dataclasses.replace(sb.parse_config(FIG1), methods=methods, monte_carlo_runs=2,
                                  solver_options=SolverOptions(gamma=0.0), output_dir=str(tmp_path))
     report = sb.run_experiment(config)
-    assert len(calls) == 2
+    assert len(calls) == 6
     _assert_no_shared_weights(report)
     for run in range(2):
         assert len({report.solves[method][run].w.tobytes() for method in methods}) == 1
 
 
-def test_a_shared_start_kept_by_a_failed_first_step_is_a_copy(sample_r, a_grid, a0, monkeypatch):
-    # sc's first step is NaN, so sc keeps its start: mvdr's weights.
+def test_a_failed_first_step_keeps_the_methods_own_start(sample_r, a_grid, a0, monkeypatch):
+    # sc's first step is NaN, so sc keeps the start it solved itself:
+    # mvdr's weights, bit for bit.
     opts = SolverOptions()
-    problem = solvers._Problem(sample_r, opts.diagonal_loading)
-    [first] = solvers._solve_runs("mvdr", [problem], None, None, a0, opts)
-    monkeypatch.setattr(solvers, "_mvdr_direction", lambda *args: np.full(8, np.nan + 0j))
+    [loaded] = solvers._Study([sample_r], [None], opts.diagonal_loading).rs
+    [first] = solvers._solve_runs("mvdr", [loaded], None, None, a0, opts)
+    direction = solvers._mvdr_direction
+    calls = []
+
+    def nan_after_the_start(*args):
+        calls.append(1)
+        return direction(*args) if len(calls) == 1 else np.full(8, np.nan + 0j)
+
+    monkeypatch.setattr(solvers, "_mvdr_direction", nan_after_the_start)
     with np.errstate(all="ignore"):
-        [kept] = solvers._solve_runs("sc", [problem], a_grid, None, a0, opts)
+        [kept] = solvers._solve_runs("sc", [loaded], a_grid, None, a0, opts)
+    assert len(calls) == 2
     assert kept.diagnostics.iterations == 0
     assert kept.w.tobytes() == first.w.tobytes()
     assert not np.shares_memory(kept.w, first.w)
@@ -742,11 +753,11 @@ def test_a_shared_start_kept_by_a_failed_first_step_is_a_copy(sample_r, a_grid, 
 
 
 def _batch(method, covariances, a, qs, geometry, a0, opts=None):
-    """``_solve_runs`` on one problem per covariance, in one call, and each run's public solve."""
+    """``_solve_runs`` on each covariance, loaded, in one call, and each run's public solve."""
     opts = opts or SolverOptions()
-    problems = [solvers._Problem(r, opts.diagonal_loading) for r in covariances]
+    rs = solvers._Study(covariances, qs, opts.diagonal_loading).rs
     constraint = sb.build_ellipsoid(geometry, 0.0, 3.0, 13) if method == "rwsc" else a0
-    batched = solvers._solve_runs(method, problems, a, None if method == "sc" else qs, constraint, opts)
+    batched = solvers._solve_runs(method, rs, a, None if method == "sc" else qs, constraint, opts)
     solo = {
         "sc": lambda r, q: sb.solve_sc(r, a, a0, opts),
         "wsc": lambda r, q: sb.solve_wsc(r, a, q, a0, opts),
@@ -762,12 +773,11 @@ def _assert_solo_bits(result, expected):
 
 @pytest.mark.parametrize("method", ["sc", "wsc", "rwsc"])
 def test_a_batch_keeps_each_runs_own_scale_decisions(geometry, sample_r, a_grid, q_weights, a0, method, monkeypatch):
-    # gamma = 2^-1019 puts d's scale at 2^-1021. It rides on the first
-    # run's A Q copy, with q times 2^100, and not on the others': as at
-    # FLOAT_FLOOR, it would turn parts of the second run's copy subnormal,
-    # and the last run's subnormal q entries refuse it too. R times
-    # 2^-1020 and 2^200 refuse the bound, so those runs' steps are tested
-    # for scaling and the first run's are not.
+    # gamma = 2^-1019 puts d's scale at 2^-1021, near the smallest normal
+    # float. The runs' A Q differ in size (q times 2^100, unit q, and q
+    # with subnormal entries), and R times 2^-1020 and 2^200 refuse the
+    # bound, so those runs' steps are tested for scaling and the first
+    # run's are not. One stack must keep each run's solo bits.
     opts = SolverOptions(gamma=2.0**-1019)
     tiny = q_weights.copy()
     tiny[::3] = 1e-310
@@ -830,27 +840,24 @@ def test_batches_follow_the_byte_bound(tmp_path, monkeypatch):
 
 
 def test_a_study_checks_each_shared_input_once(tmp_path, monkeypatch):
-    # Every solve of a study once checked A, a0 and q, and tested the
-    # exponents of its A Q: 20 times per method on fig1, and for sc on the
-    # study-wide A each time.
+    # Every solve of a study once checked A, a0 and q: 20 times per
+    # method on fig1.
     names = []
-    exponents = []
 
     def counted(name, *args, **kwargs):
         names.append(name)
         return _checked(name, *args, **kwargs)
 
-    aq_exponents = solvers._aq_exponents
     monkeypatch.setattr(solvers, "_checked", counted)
-    monkeypatch.setattr(solvers, "_aq_exponents", lambda aq: exponents.append(1) or aq_exponents(aq))
     sb.run_experiment(dataclasses.replace(sb.parse_config(FIG1), output_dir=str(tmp_path)))
     assert {name: names.count(name) for name in names} == {"steering vector a0": 3, "steering matrix A": 2, "q": 20}
-    assert len(exponents) == 1 + 20
 
 
-def test_a_study_leaves_nothing_for_the_garbage_collector(tmp_path):
+def test_a_study_leaves_nothing_for_the_garbage_collector(tmp_path, monkeypatch):
     # A cycle between a study and its runs would keep every run's arrays
-    # until a collection; none is left to collect.
+    # until a collection; none is left to collect. Nor may a failed run:
+    # a kept SolverError's traceback once held the results list that
+    # holds it (184 objects at a 3-run fig1 study).
     for name, config in (("fig1", FIG1), ("fig2", FIG2)):
         sb.run_experiment(dataclasses.replace(
             sb.parse_config(config), monte_carlo_runs=1, output_dir=str(tmp_path / f"warm-{name}")))
@@ -863,6 +870,24 @@ def test_a_study_leaves_nothing_for_the_garbage_collector(tmp_path):
             assert report.total_failures == 0
         del report
         assert gc.collect() == 0
+        # fig1's mvdr makes 3 inner solves and sc 3 starts before its
+        # steps: the 5th call fails a start, the 7th a step.
+        direction = solvers._mvdr_direction
+        for failing_call in (5, 7):
+            calls = []
+
+            def failing(*args):
+                calls.append(1)
+                if len(calls) == failing_call:
+                    raise SolverError("injected")
+                return direction(*args)
+
+            monkeypatch.setattr(solvers, "_mvdr_direction", failing)
+            report = sb.run_experiment(dataclasses.replace(
+                sb.parse_config(FIG1), monte_carlo_runs=3, output_dir=str(tmp_path / f"failing-{failing_call}")))
+            assert report.failures == {"mvdr": 0, "sc": 1, "wsc": 0}
+            del report
+            assert gc.collect() == 0
     finally:
         gc.enable()
 
