@@ -96,17 +96,9 @@ def _per_row(values: np.ndarray, gains: np.ndarray):
 
 
 @lru_cache(maxsize=16)
-def _pattern_angles(resolution_deg: float) -> np.ndarray:
-    """The pattern grid, built once per resolution and read-only."""
-    angles = _angle_grid(resolution_deg)
-    angles.flags.writeable = False
-    return angles
-
-
-@lru_cache(maxsize=16)
 def _pattern_steering(geometry: ArrayGeometry, resolution_deg: float) -> np.ndarray:
     """Steering matrix of the pattern grid, built once per key and read-only."""
-    matrix = steering_matrix(geometry, _pattern_angles(resolution_deg))
+    matrix = steering_matrix(geometry, _angle_grid(resolution_deg))
     matrix.flags.writeable = False
     return matrix
 
@@ -155,7 +147,7 @@ def beam_pattern(weights, geometry: ArrayGeometry, resolution_deg: float = 0.1) 
     gain_db = _to_db(raw, peak)
     if w.ndim == 1:
         gain_db, raw = gain_db[0], raw[0]
-    return BeamPattern(_pattern_angles(resolution_deg).copy(), gain_db, raw)
+    return BeamPattern(_angle_grid(resolution_deg), gain_db, raw)
 
 
 def _median_pattern(weights: list[np.ndarray], geometry: ArrayGeometry, resolution_deg: float) -> BeamPattern:
@@ -168,7 +160,7 @@ def _median_pattern(weights: list[np.ndarray], geometry: ArrayGeometry, resoluti
     peak = float(median_raw.max())
     if peak <= 0:
         raise SolverError("median pattern collapsed to zero")
-    return BeamPattern(_pattern_angles(resolution_deg).copy(), _to_db(median_raw, peak), median_raw / peak)
+    return BeamPattern(_angle_grid(resolution_deg), _to_db(median_raw, peak), median_raw / peak)
 
 
 def null_depth(pattern: BeamPattern, theta_deg: float, window_deg: float = 1.0):

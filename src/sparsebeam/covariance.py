@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .arrays import ArrayGeometry, Scenario, _checked, _real, _source_steering
@@ -59,7 +61,7 @@ def diagonal_load(covariance, epsilon: float) -> np.ndarray:
     nonnegative; epsilon = 0 leaves R unchanged. Loading shifts every
     eigenvalue up by the same amount and leaves eigenvectors untouched.
     A trace that is not finite, such as one whose sum overflows, raises
-    DomainError.
+    DomainError, as does a loading or a loaded diagonal that overflows.
     """
     epsilon = _real("epsilon", epsilon, "[0, inf)")
     r = _checked("covariance", covariance, (None, None))
@@ -69,13 +71,20 @@ def diagonal_load(covariance, epsilon: float) -> np.ndarray:
 
 
 def _loaded(r: np.ndarray, epsilon: float) -> np.ndarray:
-    """:func:`diagonal_load` of an already checked square R, with its trace test only."""
+    """:func:`diagonal_load` of an already checked square R, with its finiteness tests only."""
     m = r.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         trace = np.trace(r).real
-    if not np.isfinite(trace):
-        raise DomainError(f"covariance trace must be finite, got {trace}")
-    return r + epsilon * trace / m * np.eye(m)
+        if not np.isfinite(trace):
+            raise DomainError(f"covariance trace must be finite, got {trace}")
+        loading = epsilon * trace / m
+        # inf * I would put 0 * inf = NaN off the diagonal.
+        if not math.isfinite(loading):
+            raise DomainError(f"diagonal loading epsilon * tr(R)/M = {epsilon:g} * {trace:g} / {m} overflows")
+        loaded = r + loading * np.eye(m)
+    if not np.isfinite(loaded.diagonal()).all():
+        raise DomainError(f"diagonal loading {loading:g} overflows the covariance diagonal")
+    return loaded
 
 
 def ensure_covariance(data) -> np.ndarray:

@@ -255,8 +255,8 @@ class _Run:
 
     __slots__ = ("index", "w", "scale_each_step", "best_w", "best_obj", "history", "converged")
 
-    def __init__(self, index: int, w: np.ndarray):
-        self.index, self.w, self.scale_each_step = index, w, False
+    def __init__(self, index: int, w: np.ndarray, scale_each_step: bool):
+        self.index, self.w, self.scale_each_step = index, w, scale_each_step
         self.best_w, self.best_obj, self.history, self.converged = w, np.inf, [], False
 
     def result(self):
@@ -268,9 +268,9 @@ def _run_irls(rs, aq, opts: SolverOptions, inner) -> list:
 
     The runs share a penalty grid, ``opts`` and ``inner``; each has its
     own loaded R in ``rs``. ``aq`` is one M x N A Q that every run
-    shares, or a k x M x N stack of each run's own, which the loop owns
-    and reorders in place. Each run starts from its own unpenalized
-    solve, ``inner`` on its R, as the reference loop does.
+    shares, or a k x M x N stack of each run's own, which the loop only
+    reads. Each run starts from its own unpenalized solve, ``inner`` on
+    its R, as the reference loop does.
 
     Returns, for each run in order, (w, iterations, final_objective,
     converged, history), or the SolverError its inner solve raised: a
@@ -292,18 +292,21 @@ def _run_irls(rs, aq, opts: SolverOptions, inner) -> list:
     the penalty sums each make one numpy call for the whole stack, and
     a stacked ``np.matmul`` makes the per-matrix zgemm, zgemv or zdotu
     call that ``x.dot(y)`` makes for one run. Only the inner solve and
-    the objective bookkeeping run once per run. A run that converges,
-    stops non-finite or fails swaps its rows to the end of the stack,
-    which then shrinks by one. Both halves are taken before the
-    transpose is added, so a finite R cannot overflow it: R/2 once per
-    stack, and the penalty term's 1/2 in d_scale, together with D's p/2
+    the objective bookkeeping run once per run. The stack holds the
+    runs still going, in run order: a run leaves when its start is
+    unpenalized or fails, or when a step fails, stops non-finite or
+    converges, and the next step first rebuilds the stack, its buffers
+    and its views from the runs left, recomputing |u|^2 + eps with the
+    step's own calls. Both halves are taken before the transpose is
+    added, so a finite R cannot overflow it: R/2 when the stack is
+    built, and the penalty term's 1/2 in d_scale, together with D's p/2
     and with gamma when gamma is a power of two; any other gamma
     multiplies the M x N product once a step. Every step raises d to its
     power and multiplies it by d_scale, one call each for the whole
-    stack. Every buffer a step fills is allocated once per stack; a step
-    allocates only the inner solves' arrays and k-entry sums. |u|^2 + eps
-    of a step serves both its penalty and the next reweighting, unless
-    eps was just annealed.
+    stack. A step fills the stack's buffers in place and allocates only
+    the inner solves' arrays and k-entry sums. |u|^2 + eps of a step
+    serves both its penalty and the next reweighting, unless eps was
+    just annealed.
 
     This loop, not the inner solve, decides scaling
     (:func:`_unit_scaled`), once per run. The unpenalized start is
@@ -322,12 +325,12 @@ def _run_irls(rs, aq, opts: SolverOptions, inner) -> list:
     (tests/_oracles.py keeps the plain loop as the reference).
     """
     results: list = [None] * len(rs)
-    gamma = opts.gamma
-    shared = aq.ndim == 2
-    if shared:
-        unpenalized = [gamma == 0 or not aq.any()] * len(rs)
-    else:
-        unpenalized = [gamma == 0 or not x.any() for x in aq]
+    gamma, shared = opts.gamma, aq.ndim == 2
+    m, n = aq.shape[-2:]
+    power, half_p = (opts.p - 2.0) / 2.0, opts.p / 2.0
+    # gamma p/2 d_max ||A Q||_F^2 / M < (2^63 - mean(R)) / 2, with d_max's
+    # reciprocal on the right, where it cannot overflow.
+    d_max_reciprocal = min(opts.irls_epsilon, _IRLS_EPS_FLOOR) ** -power
     runs: list[_Run] = []
     for index, r in enumerate(rs):
         try:
@@ -335,104 +338,65 @@ def _run_irls(rs, aq, opts: SolverOptions, inner) -> list:
         except SolverError as error:
             results[index] = error.with_traceback(None)
             continue
-        if unpenalized[index]:
+        run_aq = aq if shared else aq[index]
+        if gamma == 0 or not run_aq.any():
             results[index] = (w, 1, float((w.conj() @ r @ w).real), True, ())
-        else:
-            runs.append(_Run(index, w))
-    k = len(runs)
-    if not k:
-        return results
-    if not shared:
-        # The penalized runs' rows move up, in order, so the stack is aq[:k].
-        for row, run in enumerate(runs):
-            if row != run.index:
-                aq[row] = aq[run.index]
-        aq = aq[:k]
-    m, n = aq.shape[-2:]
-    power, half_p = (opts.p - 2.0) / 2.0, opts.p / 2.0
+            continue
+        # ||A Q||_F^2, plus what squares that underflow (each < 2^-1074) lose.
+        norm = float(np.vdot(run_aq, run_aq).real) + run_aq.size * 2.0**-1072
+        r_mean = _mean_diagonal(r)
+        runs.append(_Run(index, w, not (math.frexp(r_mean)[1] >= -63
+                                        and gamma * opts.p * norm / m < (2.0**63 - r_mean) * d_max_reciprocal)))
     # d_scale takes every power-of-two factor of gamma A Q D / 2, so the
     # M x N product is scaled in a second pass only for any other gamma.
     fold_gamma = math.frexp(gamma)[0] == 0.5
     d_scale = half_p * 0.5 * gamma if fold_gamma else half_p * 0.5
-
-    def norm2(x: np.ndarray) -> float:
-        # ||A Q||_F^2, plus what squares that underflow (each < 2^-1074) lose.
-        return float(np.vdot(x, x).real) + x.size * 2.0**-1072
-
-    # A view, not a copy: a contiguous copy changes the matvec's last bits.
-    if shared:
-        aq_h, norms = aq.conj().T, [norm2(aq)] * k
-    else:
-        aq_h, norms = aq.conj().transpose(0, 2, 1), [norm2(x) for x in aq]
-    # gamma p/2 d_max ||A Q||_F^2 / M < (2^63 - mean(R)) / 2, with d_max's
-    # reciprocal on the right, where it cannot overflow.
-    d_max_reciprocal = min(opts.irls_epsilon, _IRLS_EPS_FLOOR) ** -power
-    for run, norm in zip(runs, norms):
-        r_mean = _mean_diagonal(rs[run.index])
-        run.scale_each_step = not (math.frexp(r_mean)[1] >= -63
-                                   and gamma * opts.p * norm / m < (2.0**63 - r_mean) * d_max_reciprocal)
     # numpy computes x**0.5 as np.sqrt(x), which np.power need not match.
     penalty_power = np.sqrt if half_p == 0.5 else lambda x, out: np.power(x, half_p, out=out)
-    r_stack = np.array([rs[run.index] for run in runs])
-    r_half = r_stack * 0.5
     eps = opts.irls_epsilon
-    # Filled in place by every step; inner solves copy what they factor.
-    weighted, r_eff, r_conj = np.empty((k, m, n), dtype=complex), np.empty_like(r_stack), np.empty_like(r_stack)
-    # Complex with a zero imaginary part: the cast numpy's complex times
-    # real multiply makes.
-    d = np.zeros((k, n), dtype=complex)
-    ws = np.array([run.w for run in runs])
-    response, w_h, w_h_r, quad = np.empty_like(d), np.empty_like(ws), np.empty_like(ws), np.empty(k, dtype=complex)
-    np.matmul(aq_h, ws[:, :, None], out=response[:, :, None])
-    u2 = np.abs(response) ** 2
-    smoothed, powered = u2 + eps, np.empty_like(u2)
-    r_eff_rows = list(r_eff)
-    # What a run carries from step to step; its rows swap when it leaves.
-    carried = [r_stack, r_half, ws, u2, smoothed] + ([] if shared else [aq, aq_h])
-
-    def views():
-        """The stack's first k rows, in the shapes the step's calls take."""
-        rows = slice(0, k)
-        return (
-            aq if shared else aq[rows], aq_h if shared else aq_h[rows], d.real[rows], d[rows, None, :],
-            weighted[rows], r_eff[rows], r_half[rows], r_conj[rows], r_conj[rows].transpose(0, 2, 1),
-            ws[rows], ws[rows, :, None], response[rows], response[rows, :, None], u2[rows], smoothed[rows],
-            powered[rows], w_h[rows], w_h[rows, None, :], r_stack[rows], w_h_r[rows, None, :],
-            quad[rows, None, None], quad.real[rows],
-        )
-
-    def leave(rows: list[int]) -> None:
-        """Swap each of ``rows``, last first, to the end of the stack, which shrinks by one each time."""
-        nonlocal k
-        for row in reversed(rows):
-            k -= 1
-            if row != k:
-                for x in carried:
-                    x[[row, k]] = x[[k, row]]
-                runs[row], runs[k] = runs[k], runs[row]
-
-    sliced = 0
+    k = 0
     for step in range(opts.max_iterations):
-        if sliced != k:
-            (aq_k, aq_h_k, d_real_k, d_k, weighted_k, r_eff_k, r_half_k, r_conj_k, r_conj_h_k, w_k, w_col_k,
-             response_k, response_col_k, u2_k, smoothed_k, powered_k, w_h_k, w_h_row_k, r_k, w_h_r_row_k,
-             quad_k, quad_real_k) = views()
-            sliced = k
+        if not runs:
+            break
+        if len(runs) != k:
+            # The stack is built from the runs still going, in run order.
+            k = len(runs)
+            r_stack = np.array([rs[run.index] for run in runs])
+            r_half, ws = r_stack * 0.5, np.array([run.w for run in runs])
+            aq_k = aq if shared else aq[[run.index for run in runs]]
+            # A view, not a copy: a contiguous copy changes the matvec's last bits.
+            aq_h = aq_k.conj().swapaxes(-1, -2)
+            # Filled in place by every step; inner solves copy what they factor.
+            weighted, r_eff, r_conj = np.empty((k, m, n), dtype=complex), np.empty_like(r_stack), np.empty_like(r_stack)
+            # Complex with a zero imaginary part: the cast numpy's complex
+            # times real multiply makes.
+            d = np.zeros((k, n), dtype=complex)
+            response, quad = np.empty_like(d), np.empty(k, dtype=complex)
+            w_h, w_h_r = np.empty_like(ws), np.empty_like(ws)
+            u2 = np.empty((k, n))
+            smoothed, powered = np.empty_like(u2), np.empty_like(u2)
+            # The views the step's calls take, made once per stack.
+            r_eff_rows, r_conj_h, d_real, d_row = list(r_eff), r_conj.transpose(0, 2, 1), d.real, d[:, None, :]
+            w_col, response_col, w_h_row = ws[:, :, None], response[:, :, None], w_h[:, None, :]
+            w_h_r_row, quad_col, quad_real = w_h_r[:, None, :], quad[:, None, None], quad.real
+            # |u|^2 + eps by the step's own calls, so each row keeps its bits.
+            np.matmul(aq_h, w_col, out=response_col)
+            np.square(np.abs(response, out=u2), out=u2)
+            np.add(u2, eps, out=smoothed)
         if step > 0 and step % 10 == 0:
             eps = max(eps * 0.1, _IRLS_EPS_FLOOR)
-            np.add(u2_k, eps, out=smoothed_k)
+            np.add(u2, eps, out=smoothed)
         # power lies in (-1, -1/2], where ``**`` takes no scalar fast path.
-        np.power(smoothed_k, power, out=d_real_k)
-        d_real_k *= d_scale
-        np.multiply(aq_k, d_k, out=weighted_k)
+        np.power(smoothed, power, out=d_real)
+        d_real *= d_scale
+        np.multiply(aq_k, d_row, out=weighted)
         if not fold_gamma:
-            weighted_k *= gamma
-        np.matmul(weighted_k, aq_h_k, out=r_eff_k)
-        r_eff_k += r_half_k
-        np.conjugate(r_eff_k, out=r_conj_k)
-        r_eff_k += r_conj_h_k
-        for row in range(k):
-            run, matrix = runs[row], r_eff_rows[row]
+            weighted *= gamma
+        np.matmul(weighted, aq_h, out=r_eff)
+        r_eff += r_half
+        np.conjugate(r_eff, out=r_conj)
+        r_eff += r_conj_h
+        for row, (run, matrix) in enumerate(zip(runs, r_eff_rows)):
             try:
                 run.w = inner(_unit_scaled(matrix) if run.scale_each_step else matrix)
             except SolverError as error:
@@ -440,29 +404,26 @@ def _run_irls(rs, aq, opts: SolverOptions, inner) -> list:
                 # computed on below and never read.
                 results[run.index], run.w = error.with_traceback(None), None
             else:
-                w_k[row] = run.w
-        np.matmul(aq_h_k, w_col_k, out=response_col_k)
-        np.square(np.abs(response_k, out=u2_k), out=u2_k)
-        np.conjugate(w_k, out=w_h_k)
-        np.matmul(w_h_row_k, r_k, out=w_h_r_row_k)
-        np.matmul(w_h_r_row_k, w_col_k, out=quad_k)
+                ws[row] = run.w
+        np.matmul(aq_h, w_col, out=response_col)
+        np.square(np.abs(response, out=u2), out=u2)
+        np.conjugate(ws, out=w_h)
+        np.matmul(w_h_row, r_stack, out=w_h_r_row)
+        np.matmul(w_h_r_row, w_col, out=quad_col)
         # u2 + eps serves both this penalty and the next reweighting.
-        np.add(u2_k, eps, out=smoothed_k)
-        penalty_power(smoothed_k, out=powered_k)
-        penalties = np.add.reduce(powered_k, axis=1).tolist()
-        leaving = []
-        for row, quad_value in enumerate(quad_real_k.tolist()):
-            run = runs[row]
+        np.add(u2, eps, out=smoothed)
+        penalty_power(smoothed, out=powered)
+        penalties = np.add.reduce(powered, axis=1).tolist()
+        going = []
+        for run, quad_value, penalty in zip(runs, quad_real.tolist(), penalties):
             if run.w is None:
-                leaving.append(row)
                 continue
-            objective = quad_value + gamma * penalties[row]
+            objective = quad_value + gamma * penalty
             # Non-finite weights make every entry of u, and so the
             # objective, non-finite: the array test runs only when the
             # scalar one fails.
             if not math.isfinite(objective) and not np.isfinite(run.w).all():
                 results[run.index] = run.result()
-                leaving.append(row)
                 continue
             history = run.history
             history.append(objective)
@@ -473,12 +434,10 @@ def _run_irls(rs, aq, opts: SolverOptions, inner) -> list:
             ):
                 run.converged = True
                 results[run.index] = run.result()
-                leaving.append(row)
-        if leaving:
-            leave(leaving)
-            if not k:
-                break
-    for run in runs[:k]:
+            else:
+                going.append(run)
+        runs = going
+    for run in runs:
         results[run.index] = run.result()
     return results
 

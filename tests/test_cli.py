@@ -251,10 +251,20 @@ def test_a_source_power_beyond_the_float_range_is_a_config_error(tmp_path, capsy
     assert err.count("config error: ") == 2 and err.count("soi_snr_db") == 2 and err.count("\n") == 2
 
 
-def test_a_domain_error_in_the_study_is_a_study_error(tmp_path, capsys):
-    # Each source power is finite at 3080 dB, but X X^H overflows: the
-    # covariance's DomainError once escaped as a traceback.
-    path = _write(tmp_path, SMALL.replace("soi_snr_db = 10", "soi_snr_db = 3080"))
+@pytest.mark.parametrize(
+    "config",
+    [
+        # Each source power is finite at 3080 dB, but X X^H overflows: the
+        # covariance's DomainError once escaped as a traceback.
+        SMALL.replace("soi_snr_db = 10", "soi_snr_db = 3080"),
+        # The loading of each covariance overflows; every run once failed
+        # with a misleading SolverError.
+        SMALL + "solver.diagonal_loading = 1.7e308\n",
+    ],
+    ids=["covariance_overflows", "loading_overflows"],
+)
+def test_a_domain_error_in_the_study_is_a_study_error(tmp_path, capsys, config):
+    path = _write(tmp_path, config)
     assert main(["validate", path]) == 0
     capsys.readouterr()
     assert main(["run", path, "--out", str(tmp_path / "o")]) == 1

@@ -192,10 +192,21 @@ def test_analytic_covariance_near_the_float_limit_stays_finite(geometry):
     np.testing.assert_array_equal(r, r.conj().T)
 
 
-def test_diagonal_load_rejects_an_infinite_trace():
-    # The trace of 1e308 I overflows; it once loaded R by inf with a warning.
-    with pytest.raises(DomainError, match="trace"):
-        sb.diagonal_load(1e308 * np.eye(8), 1e-6)
+@pytest.mark.parametrize(
+    "r, epsilon, match",
+    [
+        # The trace of 1e308 I overflows; it once loaded R by inf with a warning.
+        (1e308 * np.eye(8), 1e-6, "trace"),
+        # The loading overflows: inf * I once put NaN off the diagonal.
+        (np.eye(8), 1.7e308, "loading .* overflows"),
+        # The loading is finite, but adding it overflows the diagonal.
+        (np.diag([1.7e308] + [0.0] * 7), 1.0, "loading .* overflows"),
+    ],
+    ids=["infinite_trace", "infinite_loading", "infinite_diagonal"],
+)
+def test_diagonal_load_rejects_an_infinite_trace(r, epsilon, match):
+    with pytest.raises(DomainError, match=match):
+        sb.diagonal_load(r, epsilon)
 
 
 _FLOAT_MAX = np.finfo(float).max

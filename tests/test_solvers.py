@@ -561,9 +561,19 @@ def test_finite_trace_covariance_solves_at_any_scale(geometry, a_grid, a0, metho
 
 
 @pytest.mark.parametrize("method", ["mvdr", "sc", "wsc", "rmvb", "rwsc"])
-def test_infinite_trace_is_a_domain_error(geometry, a_grid, a0, method):
-    with pytest.raises(DomainError, match="trace"):
-        _every_solver(geometry, a_grid, a0)[method](1e308 * np.eye(8))
+@pytest.mark.parametrize(
+    "r, opts, match",
+    [
+        (1e308 * np.eye(8), None, "trace"),
+        # Loading I by 1.7e308 * tr(I)/M overflows; every solver once
+        # raised a misleading SolverError on the NaN it left.
+        (np.eye(8), SolverOptions(diagonal_loading=1.7e308), "loading .* overflows"),
+    ],
+    ids=["infinite_trace", "infinite_loading"],
+)
+def test_infinite_trace_is_a_domain_error(geometry, a_grid, a0, method, r, opts, match):
+    with pytest.raises(DomainError, match=match):
+        _every_solver(geometry, a_grid, a0, opts=opts)[method](r)
 
 
 def test_tiny_steering_vector_is_annihilated():
@@ -796,8 +806,8 @@ def test_a_batch_keeps_each_runs_own_scale_decisions(geometry, sample_r, a_grid,
 
 @pytest.mark.parametrize("method", ["sc", "wsc"])
 def test_a_run_that_fails_mid_batch_fails_alone(sample_r, geometry, a_grid, q_weights, a0, method, monkeypatch):
-    # Run 1's inner solve raises at its third IRLS step; the runs after it
-    # move up the stack, and every other run keeps its solo bits.
+    # Run 1's inner solve raises at its third IRLS step; the stack is
+    # rebuilt from the runs left, and every other run keeps its solo bits.
     covariances = [sample_r + j * np.eye(8) for j in range(4)]
     qs = [q_weights * (1.0 + j / 8) for j in range(4)]
     inputs = []
@@ -895,8 +905,8 @@ def test_a_study_leaves_nothing_for_the_garbage_collector(tmp_path, monkeypatch)
 @pytest.mark.parametrize("zero_run", [0, 1])
 def test_an_unpenalized_run_before_a_penalized_one_leaves_the_stack(
         geometry, sample_r, a_grid, q_weights, a0, zero_run):
-    # A run whose q is all zero is solved by its start alone; the penalized
-    # runs after it move up the stack of per-run A Q copies.
+    # A run whose q is all zero is solved by its start alone; the stack
+    # gathers the A Q copies of the penalized runs around it.
     covariances = [sample_r + j * np.eye(8) for j in range(3)]
     qs = [q_weights * (1.0 + j / 8) for j in range(3)]
     qs[zero_run] = np.zeros_like(q_weights)
