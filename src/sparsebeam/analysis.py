@@ -119,12 +119,16 @@ def _raw_gains(rows: np.ndarray, geometry: ArrayGeometry, resolution_deg: float)
 
     Each row is its own vector-matrix product: one k x M matrix product
     rounds differently (by up to ~1e-14), and each row must keep the bits
-    of its vector's own pattern.
+    of its vector's own pattern. Finite weights whose gain overflows a
+    float raise DomainError.
     """
     steering = _pattern_steering(geometry, resolution_deg)
     raw = np.empty((rows.shape[0], steering.shape[1]))
-    for out, w in zip(raw, rows):
-        np.square(np.abs(w.conj() @ steering), out=out)
+    with np.errstate(over="ignore"):
+        for out, w in zip(raw, rows):
+            np.square(np.abs(w.conj() @ steering), out=out)
+    if not math.isfinite(raw.max()):
+        raise DomainError("beam pattern gain |w^H a|^2 overflows a float: the weights are too large")
     return raw
 
 
@@ -135,8 +139,9 @@ def beam_pattern(weights, geometry: ArrayGeometry, resolution_deg: float = 0.1) 
     or a k x M stack of weight vectors, one per row; a stack gives k x G
     gain_db and raw_gain, each row bit for bit the pattern of its vector
     alone. The grid includes both endpoints; gain_db peaks at exactly
-    0 dB in every row. An all-zero pattern, as zero weights give, raises
-    DomainError, in any row of a stack.
+    0 dB in every row. An all-zero pattern, as zero weights give, or a
+    gain that overflows a float raises DomainError, in any row of a
+    stack.
     """
     w = _weights(weights, geometry, stack_ok=True)
     resolution_deg = _real("resolution_deg", resolution_deg, "(0, 1]")

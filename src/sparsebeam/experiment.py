@@ -289,7 +289,7 @@ def _metric_names(scenario: Scenario) -> tuple[str, ...]:
 
 
 def _run_metrics(weights: list[np.ndarray], config: ExperimentConfig) -> tuple[list[int], np.ndarray]:
-    """The indices of the weights whose beam pattern is not identically zero, and their metrics.
+    """The indices of the weights whose beam pattern is finite and not identically zero, and their metrics.
 
     The metrics are one row per kept weight vector, in _metric_names
     order. All are scored through one stacked pattern, whose rows have
@@ -301,7 +301,7 @@ def _run_metrics(weights: list[np.ndarray], config: ExperimentConfig) -> tuple[l
     try:
         pattern = beam_pattern(weights, geometry) if weights else None
     except DomainError:
-        # Some run's pattern is identically zero: it fails, and the others are scored.
+        # Some run's pattern is identically zero or overflows: it fails, and the others are scored.
         for i, w in enumerate(weights):
             try:
                 beam_pattern(w, geometry)

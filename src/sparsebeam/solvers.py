@@ -40,8 +40,10 @@ a covariance builds a one-run study of its own. A method's first call
 in a study solves it for every run, in lockstep batches
 (:func:`_solve_runs`): one IRLS loop (:func:`_run_irls`) steps a stack
 of runs at once, each from its own unpenalized solve, and each run
-keeps the bits of its own solve. A batch holds as many runs as keep its
-stacked M x N arrays within 1 MiB (_BATCH_BYTES), and at least one.
+keeps the bits of its own solve. The loop takes A and each run's q,
+and each stack makes its own A Q after letting the old stack's go. A
+batch holds as many runs as keep its stacked M x N arrays within 1 MiB
+(_BATCH_BYTES), and at least one.
 A matrix with a mean diagonal outside [2^-64, 2^64) is scaled by a
 power of four before an inner solve, so a covariance of any scale whose
 trace is finite solves, with the weights of the unit-scale solve bit
@@ -134,7 +136,9 @@ class SolverOptions:
 
     gamma trades output power against the sparsity penalty; p in (0, 1]
     selects the penalty norm; irls_epsilon smooths |u|^(p-2) at the
-    origin and is annealed by 0.1 every 10 iterations down to 1e-12.
+    origin; every 10 iterations it becomes max(0.1 * epsilon, 1e-12),
+    so it is annealed down to 1e-12, and a value below 1e-12 is raised
+    to 1e-12 at iteration 10.
     diagonal_loading is the relative loading applied to R before any
     factorization. gamma and diagonal_loading lie in [0, inf),
     objective_tolerance and irls_epsilon in (0, inf), and max_iterations
@@ -263,14 +267,15 @@ class _Run:
         return self.best_w, len(self.history), self.best_obj, self.converged, tuple(self.history)
 
 
-def _run_irls(rs, aq, opts: SolverOptions, inner) -> list:
+def _run_irls(rs, a, qs, opts: SolverOptions, inner) -> list:
     """The one IRLS loop, over a stack of runs. ``inner(R_eff) -> w`` solves a reweighted subproblem.
 
-    The runs share a penalty grid, ``opts`` and ``inner``; each has its
-    own loaded R in ``rs``. ``aq`` is one M x N A Q that every run
-    shares, or a k x M x N stack of each run's own, which the loop only
-    reads. Each run starts from its own unpenalized solve, ``inner`` on
-    its R, as the reference loop does.
+    The runs share the M x N penalty grid ``a``, ``opts`` and ``inner``;
+    each has its own loaded R in ``rs`` and its own q in ``qs``, or unit
+    weights when ``qs`` is None, so that every run's A Q is A itself.
+    The loop only reads them, and makes each run's A Q as A times its q.
+    Each run starts from its own unpenalized solve, ``inner`` on its R,
+    as the reference loop does.
 
     Returns, for each run in order, (w, iterations, final_objective,
     converged, history), or the SolverError its inner solve raised: a
@@ -278,12 +283,17 @@ def _run_irls(rs, aq, opts: SolverOptions, inner) -> list:
     kept without its traceback, whose frames would hold the results and
     so form a reference cycle. The recorded objective is the
     epsilon-smoothed one, which the majorize-minimize update never
-    increases; annealing epsilon only lowers it further.
+    increases while epsilon holds. Every 10 steps epsilon becomes
+    max(0.1 epsilon, 1e-12): that lowers it down to 1e-12, but an
+    irls_epsilon below 1e-12 is raised to 1e-12 at step 10, where the
+    objective can rise.
     With gamma = 0 or an all-zero penalty matrix (an M x 0 one included)
     the unpenalized solve is the answer: one iteration, objective
-    w^H R w and an empty history. A step whose weights are not finite
-    ends that run, since every later step would be NaN too; its best
-    weights so far are returned, and iterations counts the finite steps.
+    w^H R w and an empty history. A step whose objective is not finite
+    ends that run: non-finite weights give one, and so does a response
+    whose |u|^2 overflows, and no later step would be finite. Its best
+    weights so far are returned, and iterations counts the steps with a
+    finite objective.
 
     Each step is R_eff = (R + gamma A Q D Q A^H + its conjugate
     transpose) / 2, with D = diag(p/2 (|u|^2 + eps)^((p-2)/2)), taken in
@@ -295,18 +305,21 @@ def _run_irls(rs, aq, opts: SolverOptions, inner) -> list:
     the objective bookkeeping run once per run. The stack holds the
     runs still going, in run order: a run leaves when its start is
     unpenalized or fails, or when a step fails, stops non-finite or
-    converges, and the next step first rebuilds the stack, its buffers
-    and its views from the runs left, recomputing |u|^2 + eps with the
-    step's own calls. Both halves are taken before the transpose is
-    added, so a finite R cannot overflow it: R/2 when the stack is
-    built, and the penalty term's 1/2 in d_scale, together with D's p/2
-    and with gamma when gamma is a power of two; any other gamma
-    multiplies the M x N product once a step. Every step raises d to its
-    power and multiplies it by d_scale, one call each for the whole
-    stack. A step fills the stack's buffers in place and allocates only
-    the inner solves' arrays and k-entry sums. |u|^2 + eps of a step
-    serves both its penalty and the next reweighting, unless eps was
-    just annealed.
+    converges, and the next step first rebuilds the stack from the runs
+    left. A build first lets the old stack's M x N arrays go (A Q, its
+    conjugate and the weighted product), then makes its A Q as A times
+    the going runs' q, or takes A itself for unit weights, so a batch
+    never holds two stacks' arrays. It then makes the stack's buffers
+    and views, recomputing |u|^2 + eps with the step's own calls. Both
+    halves are taken before the transpose is added, so a finite R cannot
+    overflow it: R/2 when the stack is built, and the penalty term's 1/2
+    in d_scale, together with D's p/2 and with gamma when gamma is a
+    power of two; any other gamma multiplies the M x N product once a
+    step. Every step raises d to its power and multiplies it by d_scale,
+    one call each for the whole stack. A step fills the stack's buffers
+    in place and allocates only the inner solves' arrays, k-entry sums
+    and numpy's iterator buffers. |u|^2 + eps of a step serves both its
+    penalty and the next reweighting, unless eps was just annealed.
 
     This loop, not the inner solve, decides scaling
     (:func:`_unit_scaled`), once per run. The unpenalized start is
@@ -325,8 +338,8 @@ def _run_irls(rs, aq, opts: SolverOptions, inner) -> list:
     (tests/_oracles.py keeps the plain loop as the reference).
     """
     results: list = [None] * len(rs)
-    gamma, shared = opts.gamma, aq.ndim == 2
-    m, n = aq.shape[-2:]
+    gamma = opts.gamma
+    m, n = a.shape
     power, half_p = (opts.p - 2.0) / 2.0, opts.p / 2.0
     # gamma p/2 d_max ||A Q||_F^2 / M < (2^63 - mean(R)) / 2, with d_max's
     # reciprocal on the right, where it cannot overflow.
@@ -338,12 +351,12 @@ def _run_irls(rs, aq, opts: SolverOptions, inner) -> list:
         except SolverError as error:
             results[index] = error.with_traceback(None)
             continue
-        run_aq = aq if shared else aq[index]
-        if gamma == 0 or not run_aq.any():
+        aq = a if qs is None else a * qs[index]
+        if gamma == 0 or not aq.any():
             results[index] = (w, 1, float((w.conj() @ r @ w).real), True, ())
             continue
         # ||A Q||_F^2, plus what squares that underflow (each < 2^-1074) lose.
-        norm = float(np.vdot(run_aq, run_aq).real) + run_aq.size * 2.0**-1072
+        norm = float(np.vdot(aq, aq).real) + aq.size * 2.0**-1072
         r_mean = _mean_diagonal(r)
         runs.append(_Run(index, w, not (math.frexp(r_mean)[1] >= -63
                                         and gamma * opts.p * norm / m < (2.0**63 - r_mean) * d_max_reciprocal)))
@@ -361,11 +374,13 @@ def _run_irls(rs, aq, opts: SolverOptions, inner) -> list:
         if len(runs) != k:
             # The stack is built from the runs still going, in run order.
             k = len(runs)
+            # The old stack's M x N arrays go before the new ones are made.
+            aq = aq_h = weighted = None
             r_stack = np.array([rs[run.index] for run in runs])
             r_half, ws = r_stack * 0.5, np.array([run.w for run in runs])
-            aq_k = aq if shared else aq[[run.index for run in runs]]
+            aq = a if qs is None else a * np.array([qs[run.index] for run in runs])[:, None, :]
             # A view, not a copy: a contiguous copy changes the matvec's last bits.
-            aq_h = aq_k.conj().swapaxes(-1, -2)
+            aq_h = aq.conj().swapaxes(-1, -2)
             # Filled in place by every step; inner solves copy what they factor.
             weighted, r_eff, r_conj = np.empty((k, m, n), dtype=complex), np.empty_like(r_stack), np.empty_like(r_stack)
             # Complex with a zero imaginary part: the cast numpy's complex
@@ -389,7 +404,7 @@ def _run_irls(rs, aq, opts: SolverOptions, inner) -> list:
         # power lies in (-1, -1/2], where ``**`` takes no scalar fast path.
         np.power(smoothed, power, out=d_real)
         d_real *= d_scale
-        np.multiply(aq_k, d_row, out=weighted)
+        np.multiply(aq, d_row, out=weighted)
         if not fold_gamma:
             weighted *= gamma
         np.matmul(weighted, aq_h, out=r_eff)
@@ -419,10 +434,7 @@ def _run_irls(rs, aq, opts: SolverOptions, inner) -> list:
             if run.w is None:
                 continue
             objective = quad_value + gamma * penalty
-            # Non-finite weights make every entry of u, and so the
-            # objective, non-finite: the array test runs only when the
-            # scalar one fails.
-            if not math.isfinite(objective) and not np.isfinite(run.w).all():
+            if not math.isfinite(objective):
                 results[run.index] = run.result()
                 continue
             history = run.history
@@ -635,12 +647,15 @@ def _solve_runs(method, rs, a, qs, constraint, opts) -> list:
     checked once, and each q once, against R's size before the first
     factorization; a bad one raises DomainError.
 
-    The runs are solved in lockstep batches (:func:`_run_irls`). A batch
-    holds as many runs as keep its stacked M x N arrays within
-    _BATCH_BYTES, and at least one: with a q per run those are each
-    run's A Q, its conjugate and the weighted product; with unit weights
-    every run shares A and its conjugate, and only the weighted product
-    is stacked.
+    The runs are solved in lockstep batches (:func:`_run_irls`), each
+    given A and its runs' q; no A Q is made here. A batch holds as many
+    runs as keep its stacked M x N arrays within _BATCH_BYTES, and at
+    least one: with a q per run those are each run's A Q, its conjugate
+    and the weighted product; with unit weights every run shares A and
+    its conjugate, and only the weighted product is stacked. Each stack
+    of a batch makes its A Q only after the old stack's arrays are gone,
+    so no two stacks' arrays are held at once. The budget does not count
+    the stack's k x N and k x M x M arrays or numpy's iterator buffers.
     """
     m = rs[0].shape[0]
     if a is None:
@@ -668,8 +683,7 @@ def _solve_runs(method, rs, a, qs, constraint, opts) -> list:
     size = max(1, _BATCH_BYTES // run_bytes) if run_bytes else len(rs)
     results = []
     for first in range(0, len(rs), size):
-        aq = a if qs is None else a * np.array(qs[first:first + size])[:, None, :]
-        for solved in _run_irls(rs[first:first + size], aq, opts, inner):
+        for solved in _run_irls(rs[first:first + size], a, None if qs is None else qs[first:first + size], opts, inner):
             if isinstance(solved, SolverError):
                 results.append(solved)
                 continue

@@ -10,9 +10,12 @@ little.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .arrays import _checked
+from .errors import DomainError
 
 __all__ = ["snm", "build_q"]
 
@@ -24,10 +27,25 @@ _MIN_BLOCK_ROWS = 8
 
 
 def _squared_normalized(means: np.ndarray) -> np.ndarray:
-    """|means|^2 divided by its maximum; all zeros stay all zeros."""
-    m = np.abs(means) ** 2
-    peak = m.max()
-    return m / peak if peak > 0 else m
+    """|means|^2 divided by its maximum; all zeros stay all zeros.
+
+    The ratio does not depend on the means' scale, so they are first
+    taken times the power of two that puts the largest |mean| in
+    [1/2, 1): exact, and no square overflows or underflows whatever
+    their size. A mean that is not finite raises DomainError.
+    """
+    if not np.isfinite(means).all():
+        raise DomainError("row means must be finite: the data overflow a float")
+    # |mean| itself overflows only above the largest float, below 2^1025.
+    with np.errstate(over="ignore"):
+        peak = float(np.abs(means).max())
+    if peak == 0:
+        return np.zeros(means.shape)
+    exponent = math.frexp(peak)[1] if peak < math.inf else 1025
+    # ldexp on the real and imaginary parts scales by any power of two
+    # exactly, where a product with 2^-exponent could overflow.
+    m = np.abs(np.ldexp(means.view(float), -exponent).view(complex)) ** 2
+    return m / m.max()
 
 
 def snm(rows) -> np.ndarray:
@@ -40,7 +58,10 @@ def snm(rows) -> np.ndarray:
     any positive rescaling.
     """
     c = _checked("input", rows, (None, None))
-    return _squared_normalized(c.mean(axis=1))
+    # A mean that overflows is rejected by _squared_normalized.
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = c.mean(axis=1)
+    return _squared_normalized(means)
 
 
 def build_q(steering_mat, snapshots) -> np.ndarray:
@@ -60,7 +81,9 @@ def build_q(steering_mat, snapshots) -> np.ndarray:
     a = _checked("steering matrix", steering_mat, (None, None))
     x = _checked("snapshots", snapshots, (a.shape[0], None))
     blocks = max(1, a.shape[1] // max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (16 * x.shape[1])))
-    q = _squared_normalized(np.concatenate([(rows @ x).mean(axis=1) for rows in np.array_split(a.conj().T, blocks)]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = np.concatenate([(rows @ x).mean(axis=1) for rows in np.array_split(a.conj().T, blocks)])
+    q = _squared_normalized(means)
     if q.max() == 0:
         return np.ones_like(q)
     return q

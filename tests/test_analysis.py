@@ -95,6 +95,16 @@ class TestBeamPattern:
         with pytest.raises(SolverError, match="collapsed"):
             _median_pattern([np.full(8, 1e-170 + 0j)], geometry, 1.0)
 
+    def test_overflowing_gains_are_rejected(self, geometry, a0):
+        # Finite weights whose |w^H a|^2 overflows once gave NaN gain_db,
+        # an inf raw peak and a RuntimeWarning.
+        with pytest.raises(DomainError, match="overflows"):
+            sb.beam_pattern(1e160 * a0, geometry)
+        with pytest.raises(DomainError, match="overflows"):
+            sb.beam_pattern(np.array([a0, 1e160 * a0]), geometry)
+        with pytest.raises(DomainError, match="overflows"):
+            _median_pattern([a0, 1e160 * a0], geometry, 1.0)
+
 
 def _pattern_on(geometry, w, angles):
     raw = np.abs(w.conj() @ sb.steering_matrix(geometry, angles)) ** 2

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -759,6 +760,18 @@ def test_a_failed_first_step_keeps_the_methods_own_start(sample_r, a_grid, a0, m
     assert not np.shares_memory(kept.w, first.w)
 
 
+def test_a_run_whose_objective_overflows_leaves_at_once(sample_r, a_grid, a0):
+    # 1e200 A overflows |u|^2 at the start and at every step, so no
+    # objective is finite. The run once took all 100 steps on an inf
+    # objective; it leaves at the first with its start, as a run whose
+    # step gives non-finite weights does.
+    with np.errstate(over="ignore"):
+        result = sb.solve_sc(sample_r, 1e200 * a_grid, a0)
+    assert result.diagnostics.iterations == 0
+    assert not result.diagnostics.converged
+    assert result.w.tobytes() == sb.mvdr(sample_r, a0).w.tobytes()
+
+
 # --- Lockstep batches ---------------------------------------------------
 
 
@@ -849,6 +862,43 @@ def test_batches_follow_the_byte_bound(tmp_path, monkeypatch):
     assert stacks == [2, 1, 1, 1, 1]
 
 
+def test_a_wsc_batch_keeps_to_its_byte_budget(tmp_path, monkeypatch):
+    # fig1's 20 loaded runs, as its study passes them to wsc.
+    calls = {}
+    solve_runs = solvers._solve_runs
+
+    def recorded(method, *args):
+        calls[method] = args
+        return solve_runs(method, *args)
+
+    monkeypatch.setattr(solvers, "_solve_runs", recorded)
+    sb.run_experiment(dataclasses.replace(sb.parse_config(FIG1), output_dir=str(tmp_path)))
+    rs, a, qs, a0, opts = calls["wsc"]
+    (m, n), k = a.shape, solvers._BATCH_BYTES // (3 * a.nbytes)
+    assert (len(rs), k) == (20, 15)
+    # The budget counts a stack's three M x N arrays per run: A Q, its
+    # conjugate and the weighted product, 1,036,800 bytes at k = 15. The
+    # allowance is what it leaves out. Per run: two complex N-vectors (d
+    # and the response) and three real ones (|u|^2, its smoothed and its
+    # powered values), four M x M matrices (R, R/2, R_eff and its
+    # conjugate), and the objective history, a float object and a list
+    # slot per step.
+    per_run = 2 * 16 * n + 3 * 8 * n + 4 * 16 * m * m + 32 * opts.max_iterations
+    # Then numpy's buffered iteration: the step's broadcast multiply of
+    # A Q by d holds at most one buffer of np.getbufsize() complex
+    # entries per operand, and it has three.
+    buffers = 3 * np.getbufsize() * 16
+    tracemalloc.start()
+    try:
+        solve_runs("wsc", rs, a, qs, a0, opts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A batch-wide A Q held beside the stack's own would add k M x N
+    # arrays, 345,600 bytes, and break the bound.
+    assert peak <= solvers._BATCH_BYTES + k * per_run + buffers
+
+
 def test_a_study_checks_each_shared_input_once(tmp_path, monkeypatch):
     # Every solve of a study once checked A, a0 and q: 20 times per
     # method on fig1.
@@ -906,7 +956,7 @@ def test_a_study_leaves_nothing_for_the_garbage_collector(tmp_path, monkeypatch)
 def test_an_unpenalized_run_before_a_penalized_one_leaves_the_stack(
         geometry, sample_r, a_grid, q_weights, a0, zero_run):
     # A run whose q is all zero is solved by its start alone; the stack
-    # gathers the A Q copies of the penalized runs around it.
+    # makes its A Q from the q of the penalized runs around it.
     covariances = [sample_r + j * np.eye(8) for j in range(3)]
     qs = [q_weights * (1.0 + j / 8) for j in range(3)]
     qs[zero_run] = np.zeros_like(q_weights)

@@ -38,6 +38,20 @@ def test_snm_positive_scaling_invariance():
     np.testing.assert_allclose(sb.snm(17.0 * c), sb.snm(c), atol=1e-12)
 
 
+@pytest.mark.parametrize("exponent", [-600, 600])
+def test_snm_is_scale_free_at_the_float_limits(exponent):
+    # |mean|^2 once underflowed to all zeros at 2^-600 and overflowed to
+    # NaN at 2^600. A power of two scales every mean exactly: the same bits.
+    rng = np.random.default_rng(7)
+    c = rng.standard_normal((6, 50)) + 1j * rng.standard_normal((6, 50))
+    assert sb.snm(2.0**exponent * c).tobytes() == sb.snm(c).tobytes()
+
+
+def test_snm_rejects_row_means_that_overflow():
+    with pytest.raises(DomainError, match="row means must be finite"):
+        sb.snm(np.full((2, 4), 1e308 + 0j))
+
+
 def test_snm_rejects_non_matrix():
     with pytest.raises(DomainError):
         sb.snm(np.ones(3))
@@ -62,6 +76,20 @@ def test_build_q_length_matches_grid(grid, q_weights):
 def test_build_q_zero_data_falls_back_to_ones(a_grid):
     q = sb.build_q(a_grid, np.zeros((8, 10), dtype=complex))
     np.testing.assert_array_equal(q, np.ones(a_grid.shape[1]))
+
+
+@pytest.mark.parametrize("factor", [1e-170, 1e160])
+def test_build_q_is_scale_free_at_the_float_limits(a_grid, snapshots, q_weights, factor):
+    # At 1e-170 every |mean|^2 underflowed and the no-energy fallback gave
+    # all ones; at 1e160 they overflowed and q was all NaN.
+    q = sb.build_q(a_grid, factor * snapshots)
+    np.testing.assert_allclose(q, q_weights, rtol=1e-12, atol=0)
+    assert q.max() == 1.0
+
+
+def test_build_q_rejects_data_whose_row_means_overflow(a_grid):
+    with pytest.raises(DomainError, match="row means must be finite"):
+        sb.build_q(a_grid, np.full((8, 4), 1e308 + 0j))
 
 
 def test_build_q_shape_mismatch(a_grid):
