@@ -276,8 +276,10 @@ def output_sinr(weights, scenario: Scenario, geometry: ArrayGeometry) -> float:
     w = _weights(weights, geometry)
     # The ratio does not depend on w's scale, so w is taken times the
     # power of two that puts max |w| in [1/2, 1): exact, and no square
-    # below underflows or overflows, whatever w's size.
-    w_h = w.conj() * math.ldexp(1.0, -math.frexp(float(np.abs(w).max()))[1])
+    # below underflows or overflows, whatever w's size. ldexp on the
+    # real and imaginary parts scales by any power of two, where a
+    # product with 2^-exponent could overflow.
+    w_h = np.ldexp(w.conj().view(float), -math.frexp(float(np.abs(w).max()))[1]).view(complex)
     # Each source's power through w, the SOI's first; the denominator adds
     # the interferers' to the noise's in listed order.
     signal, *interference = [power * abs(w_h @ _source_steering(geometry, doa)) ** 2

@@ -425,7 +425,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 # --- CSV emission ---------------------------------------------------------
 
 def emit_pattern_csv(pattern: BeamPattern, path) -> None:
-    """Write theta_deg,gain_db,raw_gain rows at fixed six decimals."""
+    """Write theta_deg,gain_db,raw_gain rows at fixed six decimals.
+
+    The pattern is one gain per angle: columns that are not 1-D of one
+    length, as a stacked pattern's k x G gains are, raise DomainError.
+    """
+    shapes = [np.shape(column) for column in pattern]
+    if len(shapes[0]) != 1 or len(set(shapes)) != 1:
+        raise DomainError(f"a pattern CSV takes one gain per angle, got columns of shapes {shapes}")
     values = np.column_stack(pattern).ravel().tolist()
     rows = ("%.6f,%.6f,%.6f\n" * (len(values) // 3)) % tuple(values)
     Path(path).write_text("theta_deg,gain_db,raw_gain\n" + rows, encoding="utf-8", newline="\n")

@@ -36,14 +36,22 @@ raises DomainError. R is checked and loaded once per run, in a study
 (:class:`_Study`): ``run_experiment`` builds one of all its Monte-Carlo
 runs and passes each run to every method as a handle
 (:class:`_StudyRun`) in the covariance slot, and a public solver given
-a covariance builds a one-run study of its own. A method's first call
-in a study solves it for every run, in lockstep batches
-(:func:`_solve_runs`): one IRLS loop (:func:`_run_irls`) steps a stack
-of runs at once, each from its own unpenalized solve, and each run
-keeps the bits of its own solve. The loop takes A and each run's q,
-and each stack makes its own A Q after letting the old stack's go. A
-batch holds as many runs as keep its stacked M x N arrays within 1 MiB
-(_BATCH_BYTES), and at least one.
+a covariance builds a one-run study of its own. A study only holds
+data; :func:`_solve` is the one code that reads or fills its results.
+A method's first call in a study solves it for every run, in lockstep
+batches (:func:`_solve_runs`): one IRLS loop (:func:`_run_irls`) steps
+a stack of runs at once, each from its own unpenalized solve, and each
+run keeps the bits of its own solve. The loop takes A and each run's
+q, and each stack makes its own A Q after letting the old stack's go.
+It hands each run's end point to the one ``finish`` that _solve_runs
+defines, so a batch returns finished solves: BeamformerWeights, or a
+SolverError. A batch holds as many runs as keep its stacked M x N
+arrays within 1 MiB (_BATCH_BYTES), and at least one.
+The cone solve is homogeneous in the ellipsoid, so an ellipsoid whose
+max |center| lies outside [2^-64, 2^64) is solved at the power-of-two
+scale that puts max |center| in [1/2, 1), and its weights are scaled
+back: the weights of the unit-size solve, bit for bit
+(:func:`_solve_runs`).
 A matrix with a mean diagonal outside [2^-64, 2^64) is scaled by a
 power of four before an inner solve, so a covariance of any scale whose
 trace is finite solves, with the weights of the unit-scale solve bit
@@ -263,11 +271,12 @@ class _Run:
         self.index, self.w, self.scale_each_step = index, w, scale_each_step
         self.best_w, self.best_obj, self.history, self.converged = w, np.inf, [], False
 
-    def result(self):
-        return self.best_w, len(self.history), self.best_obj, self.converged, tuple(self.history)
+    def result(self, finish):
+        """This run's end point, handed to ``finish``: its best weights and their bookkeeping."""
+        return finish(self.best_w, len(self.history), self.best_obj, self.converged, tuple(self.history))
 
 
-def _run_irls(rs, a, qs, opts: SolverOptions, inner) -> list:
+def _run_irls(rs, a, qs, opts: SolverOptions, inner, finish) -> list:
     """The one IRLS loop, over a stack of runs. ``inner(R_eff) -> w`` solves a reweighted subproblem.
 
     The runs share the M x N penalty grid ``a``, ``opts`` and ``inner``;
@@ -277,11 +286,14 @@ def _run_irls(rs, a, qs, opts: SolverOptions, inner) -> list:
     Each run starts from its own unpenalized solve, ``inner`` on its R,
     as the reference loop does.
 
-    Returns, for each run in order, (w, iterations, final_objective,
-    converged, history), or the SolverError its inner solve raised: a
-    run that fails leaves the stack and the others go on. The error is
-    kept without its traceback, whose frames would hold the results and
-    so form a reference cycle. The recorded objective is the
+    Each run's end point (the unpenalized shortcut, a non-finite stop,
+    convergence or the iteration cap) is handed to ``finish(w,
+    iterations, final_objective, converged, history)`` once, as it
+    leaves; what ``finish`` returns is the run's result. Returns each
+    run's result in run order, or the SolverError its inner solve
+    raised: a run that fails leaves the stack and the others go on. The
+    error is kept without its traceback, whose frames would hold the
+    results and so form a reference cycle. The recorded objective is the
     epsilon-smoothed one, which the majorize-minimize update never
     increases while epsilon holds. Every 10 steps epsilon becomes
     max(0.1 epsilon, 1e-12): that lowers it down to 1e-12, but an
@@ -353,7 +365,7 @@ def _run_irls(rs, a, qs, opts: SolverOptions, inner) -> list:
             continue
         aq = a if qs is None else a * qs[index]
         if gamma == 0 or not aq.any():
-            results[index] = (w, 1, float((w.conj() @ r @ w).real), True, ())
+            results[index] = finish(w, 1, float((w.conj() @ r @ w).real), True, ())
             continue
         # ||A Q||_F^2, plus what squares that underflow (each < 2^-1074) lose.
         norm = float(np.vdot(aq, aq).real) + aq.size * 2.0**-1072
@@ -434,23 +446,21 @@ def _run_irls(rs, a, qs, opts: SolverOptions, inner) -> list:
             if run.w is None:
                 continue
             objective = quad_value + gamma * penalty
-            if not math.isfinite(objective):
-                results[run.index] = run.result()
-                continue
-            history = run.history
-            history.append(objective)
-            if objective < run.best_obj:
-                run.best_w, run.best_obj = run.w, objective
-            if len(history) > 1 and abs(objective - history[-2]) <= (
-                opts.objective_tolerance * max(1.0, abs(history[-2]))
-            ):
-                run.converged = True
-                results[run.index] = run.result()
-            else:
-                going.append(run)
+            if math.isfinite(objective):
+                history = run.history
+                history.append(objective)
+                if objective < run.best_obj:
+                    run.best_w, run.best_obj = run.w, objective
+                run.converged = len(history) > 1 and abs(objective - history[-2]) <= (
+                    opts.objective_tolerance * max(1.0, abs(history[-2])))
+                if not run.converged:
+                    going.append(run)
+                    continue
+            # The run stops non-finite or converged, and is finished here.
+            results[run.index] = run.result(finish)
         runs = going
     for run in runs:
-        results[run.index] = run.result()
+        results[run.index] = run.result(finish)
     return results
 
 
@@ -514,8 +524,10 @@ def _cone_multiplier(sigma: np.ndarray, cbar: np.ndarray) -> float:
     """
     cbar2 = np.abs(cbar) ** 2
     s2 = sigma**2
-    if np.add.reduce(cbar2 / s2) <= 1.0:
-        return np.inf
+    # A ratio that overflows is inf > 1, which takes the right branch.
+    with np.errstate(over="ignore"):
+        if np.add.reduce(cbar2 / s2) <= 1.0:
+            return np.inf
     weight = s2 * cbar2
     terms = list(zip(s2.tolist(), weight.tolist()))
     lo, hi = 0.0, math.inf
@@ -604,28 +616,20 @@ class _Study:
     ``run_experiment`` builds one study once its data pass ends, and
     calls every method's public solver once per run with the run's
     handle (:class:`_StudyRun`) in the covariance slot; a public solver
-    given a covariance builds a one-run study. A method's first call
-    solves it for every run in lockstep batches (:func:`_solve_runs`) and
-    keeps each run's result or SolverError; every call returns its own
-    run's. A study's calls pass one A, constraint and options per method,
-    and each run's own q or none, so the first call's inputs serve them all.
-    Nothing a study holds refers to a handle, so it leaves no reference
-    cycle: it is freed when its last handle goes.
+    given a covariance builds a one-run study. A study only holds data:
+    ``results`` maps each method solved so far to its runs'
+    BeamformerWeights or SolverError, in run order, and :func:`_solve`
+    is the one code that reads or fills it. Nothing a study holds refers
+    to a handle, so it leaves no reference cycle: it is freed when its
+    last handle goes.
     """
 
-    __slots__ = ("rs", "qs", "_results")
+    __slots__ = ("rs", "qs", "results")
 
     def __init__(self, covariances, qs, loading: float):
         self.rs = [_loaded(ensure_covariance(covariance), loading) for covariance in covariances]
         self.qs = qs
-        self._results: dict[str, list] = {}
-
-    def solve(self, run: int, method, a, q, constraint, opts):
-        """Run ``run``'s BeamformerWeights or SolverError for ``method``."""
-        if method not in self._results:
-            qs = None if q is None else self.qs
-            self._results[method] = _solve_runs(method, self.rs, a, qs, constraint, opts)
-        return self._results[method][run]
+        self.results: dict[str, list] = {}
 
 
 class _StudyRun(NamedTuple):
@@ -647,15 +651,27 @@ def _solve_runs(method, rs, a, qs, constraint, opts) -> list:
     checked once, and each q once, against R's size before the first
     factorization; a bad one raises DomainError.
 
-    The runs are solved in lockstep batches (:func:`_run_irls`), each
-    given A and its runs' q; no A Q is made here. A batch holds as many
-    runs as keep its stacked M x N arrays within _BATCH_BYTES, and at
-    least one: with a q per run those are each run's A Q, its conjugate
-    and the weighted product; with unit weights every run shares A and
-    its conjugate, and only the weighted product is stacked. Each stack
-    of a batch makes its A Q only after the old stack's arrays are gone,
-    so no two stacks' arrays are held at once. The budget does not count
-    the stack's k x N and k x M x M arrays or numpy's iterator buffers.
+    The cone solve is homogeneous in the ellipsoid: scaling its center
+    and shape by t scales the weights by 1/t. So an ellipsoid whose
+    max |center| lies outside [2^-64, 2^64) is solved as the ellipsoid
+    times the power of two 2^k that puts max |center| in [1/2, 1), and
+    each cone solve's weights are taken times 2^k back, both by
+    ``np.ldexp``, which rounds once where 2^k itself is no float. Those
+    weights have the bits of the unit-size solve, scaled. Inside the
+    window the ellipsoid is solved as given.
+
+    Defines the one ``finish`` that _run_irls hands each run's end point
+    to: weights that are not finite give a SolverError, and any others
+    a BeamformerWeights with their constraint residual. The runs are
+    solved in lockstep batches (:func:`_run_irls`), each given A and its
+    runs' q; no A Q is made here. A batch holds as many runs as keep its
+    stacked M x N arrays within _BATCH_BYTES, and at least one: with a q
+    per run those are each run's A Q, its conjugate and the weighted
+    product; with unit weights every run shares A and its conjugate, and
+    only the weighted product is stacked. Each stack of a batch makes
+    its A Q only after the old stack's arrays are gone, so no two
+    stacks' arrays are held at once. The budget does not count the
+    stack's k x N and k x M x M arrays or numpy's iterator buffers.
     """
     m = rs[0].shape[0]
     if a is None:
@@ -670,6 +686,10 @@ def _solve_runs(method, rs, a, qs, constraint, opts) -> list:
         center = _checked("ellipsoid center", getattr(constraint, "center", None), (m,))
         shape = _checked("ellipsoid shape", getattr(constraint, "shape", None), (m, None), empty_ok=True)
         inner = lambda r_eff: _cone_solve(r_eff, center, shape)
+        k = -math.frexp(float(np.abs(center).max()))[1]
+        if not -64 <= k <= 63:
+            unit = [np.ldexp(x.view(float), k).view(complex) for x in (center, shape)]
+            inner = lambda r_eff: np.ldexp(_cone_solve(r_eff, *unit).view(float), k).view(complex)
         residual = lambda w: _margin(w, center, shape) - 1.0
     else:
         a0 = _checked("steering vector a0", constraint, (m,))
@@ -679,38 +699,39 @@ def _solve_runs(method, rs, a, qs, constraint, opts) -> list:
         # _mvdr_direction is looked up at call time, so it can be swapped.
         inner = lambda r_eff: _mvdr_direction(r_eff, a0, a0_h)
         residual = lambda w: float(abs(w.conj() @ a0 - 1.0))
+
+    def finish(w, iterations, objective, converged, history):
+        # _run_irls scales away R's size, but no solver may return NaN or
+        # inf weights, so they are checked once more.
+        if not np.isfinite(w).all():
+            return SolverError(f"{method} produced non-finite weights")
+        return BeamformerWeights(w, method, Diagnostics(iterations, objective, residual(w), converged, history))
+
     run_bytes = (1 if qs is None else 3) * a.nbytes
     size = max(1, _BATCH_BYTES // run_bytes) if run_bytes else len(rs)
-    results = []
-    for first in range(0, len(rs), size):
-        for solved in _run_irls(rs[first:first + size], a, None if qs is None else qs[first:first + size], opts, inner):
-            if isinstance(solved, SolverError):
-                results.append(solved)
-                continue
-            w, iterations, objective, converged, history = solved
-            # _run_irls scales away R's size, but no solver may return
-            # NaN or inf weights, so they are checked once more.
-            if not np.isfinite(w).all():
-                results.append(SolverError(f"{method} produced non-finite weights"))
-            else:
-                diagnostics = Diagnostics(iterations, objective, residual(w), converged, history)
-                results.append(BeamformerWeights(w, method, diagnostics))
-    return results
+    return [solved for first in range(0, len(rs), size) for solved in _run_irls(
+        rs[first:first + size], a, None if qs is None else qs[first:first + size], opts, inner, finish)]
 
 
 def _solve(method, covariance, a, q, constraint, opts) -> BeamformerWeights:
     """The one solve behind every public solver: a study's solve of one run.
 
-    ``covariance`` is a :class:`_StudyRun`, which takes its run's result
-    from the study's solve of every run (:meth:`_Study.solve`), or R,
-    which is solved as a one-run study, loaded with
-    ``opts.diagonal_loading``. A run's SolverError is raised here as a
-    new one, so the error the study keeps gains no traceback.
+    ``covariance`` is a :class:`_StudyRun`, which names its study and
+    run, or R, which is solved as a one-run study, loaded with
+    ``opts.diagonal_loading``. A method's first call in a study fills
+    ``study.results[method]`` with every run's result (:func:`_solve_runs`),
+    and every call returns its own run's. A study's calls pass one A,
+    constraint and options per method, and each run's own q or none, so
+    the first call's inputs serve them all. A run's SolverError is
+    raised here as a new one, so the error the study keeps gains no
+    traceback.
     """
     opts = opts or SolverOptions()
-    if not isinstance(covariance, _StudyRun):
-        covariance = _StudyRun(_Study([covariance], [q], opts.diagonal_loading), 0)
-    result = covariance.study.solve(covariance.run, method, a, q, constraint, opts)
+    study, run = covariance if isinstance(covariance, _StudyRun) else (
+        _Study([covariance], [q], opts.diagonal_loading), 0)
+    if method not in study.results:
+        study.results[method] = _solve_runs(method, study.rs, a, None if q is None else study.qs, constraint, opts)
+    result = study.results[method][run]
     if isinstance(result, SolverError):
         raise SolverError(*result.args)
     return result

@@ -437,6 +437,15 @@ class TestOutputSinr:
         for factor in (1e-300, 1e-170, 1e160, 1e300):
             assert sb.output_sinr(factor * w, scenario, geometry) == pytest.approx(base, abs=1e-9)
 
+    @pytest.mark.parametrize("k", [-1030, -1060])
+    def test_subnormal_weights_give_the_same_ratio(self, geometry, a0, k):
+        # a(0)/8 is 1/8 in every entry, so these weights are exact
+        # subnormals. Their scale factor, 2^1028 and up, once overflowed
+        # math.ldexp with a bare OverflowError.
+        scenario = sb.Scenario(0.0, 10.0, ((30.0, 20.0),))
+        w = a0 / 8.0
+        assert sb.output_sinr(2.0**k * w, scenario, geometry) == sb.output_sinr(w, scenario, geometry)
+
     def test_interference_lowers_sinr(self, scenario, geometry, a0):
         quiet = sb.Scenario(0.0, 10.0, ())
         assert sb.output_sinr(a0 / 8.0, scenario, geometry) < sb.output_sinr(

@@ -1,5 +1,7 @@
 """Ellipsoid construction and the cone-constrained solvers."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,6 +179,42 @@ def test_rmvb_holds_gain_floor_or_raises(m, half_width, offset, samples, snapsho
         return
     assert result.diagnostics.constraint_residual >= -1e-9
     assert _sample_gains(result.w, geometry, theta0, half_width, samples).min() >= 1.0 - 1e-6
+
+
+@pytest.fixture(scope="module")
+def normal_r():
+    rng = np.random.default_rng(0)
+    return sb.sample_covariance(rng.standard_normal((8, 40)) + 1j * rng.standard_normal((8, 40)))
+
+
+@pytest.mark.parametrize("k", [-500, -300, 300, 500])
+def test_robust_solves_are_scale_free_in_the_ellipsoid(normal_r, geometry, a_grid, q_weights, k):
+    # The cone program is homogeneous in the ellipsoid: its center and
+    # shape times t = 2^k give the weights divided by t. For t = 2^-300
+    # and 2^-500 rmvb once returned a feasible point with 2.5 times the
+    # optimal output power (|cbar|^2 sigma^2 underflowed, so Newton
+    # started at nu = inf), and for 2^300 and 2^500 both solvers raised
+    # a false "ellipsoid constraint is infeasible".
+    ellipsoid, t = sb.build_ellipsoid(geometry, 0.0, 3.0), 2.0**k
+    scaled = Ellipsoid(t * ellipsoid.center, t * ellipsoid.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        robust = sb.solve_rmvb(normal_r, scaled)
+        sparse = sb.solve_rwsc(normal_r, a_grid, q_weights, scaled)
+    assert (t * robust.w).tobytes() == sb.solve_rmvb(normal_r, ellipsoid).w.tobytes()
+    assert np.isfinite(sparse.w).all()
+    assert sparse.diagnostics.constraint_residual >= -1e-9
+
+
+def test_a_vanishing_shape_solves_without_warning(normal_r, geometry):
+    # sum |cbar|^2 / sigma^2, the apex test, overflows for a shape this
+    # small; inf > 1 is the right branch, and it once warned on the way.
+    ellipsoid = sb.build_ellipsoid(geometry, 0.0, 3.0)
+    point = sb.solve_rmvb(normal_r, Ellipsoid(ellipsoid.center, np.zeros((8, 0), dtype=complex)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tiny = sb.solve_rmvb(normal_r, Ellipsoid(ellipsoid.center, 1e-160 * ellipsoid.shape))
+    np.testing.assert_allclose(tiny.w, point.w, rtol=1e-12, atol=0)
 
 
 # sigma spans up to 12 decades, as the whitened axes of build_ellipsoid

@@ -544,6 +544,18 @@ def test_pattern_csv_matches_the_row_by_row_writer(rows):
         assert new.read_bytes() == old.read_bytes()
 
 
+@pytest.mark.parametrize("rows", [3, 181])
+def test_pattern_csv_refuses_a_stacked_pattern(tmp_path, geometry, a0, rows):
+    # A k x G stack of gains once raised numpy's concatenation error for
+    # k != G and, for k = G (181 vectors on the 1-degree grid), wrote
+    # k * G rows of interleaved columns.
+    pattern = sb.beam_pattern(np.tile(a0 / 8.0, (rows, 1)), geometry, 1.0)
+    path = tmp_path / "pattern.csv"
+    with pytest.raises(sb.DomainError, match=rf"\({rows}, 181\)"):
+        sb.emit_pattern_csv(pattern, path)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("emit, value", [
     (sb.emit_pattern_csv, sb.BeamPattern(*[np.empty(0)] * 3)),
     (sb.emit_metrics_csv, sb.ExperimentReport(("mvdr",), {}, (), (0,), {"mvdr": 0})),
