@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arrays import (ArrayGeometry, Scenario, _angle_grid, _check_direction, _checked, _numeric, _real,
-                     _source_steering, steering_matrix)
+from .arrays import (ArrayGeometry, Scenario, _angle_grid, _check_direction, _checked, _max_exponent, _numeric,
+                     _real, _source_steering, _times_power_of_two, steering_matrix)
 from .errors import DomainError, SolverError
 
 __all__ = [
@@ -274,12 +274,10 @@ def output_sinr(weights, scenario: Scenario, geometry: ArrayGeometry) -> float:
     zero vector is allowed and reads -200 dB.
     """
     w = _weights(weights, geometry)
-    # The ratio does not depend on w's scale, so w is taken times the
-    # power of two that puts max |w| in [1/2, 1): exact, and no square
-    # below underflows or overflows, whatever w's size. ldexp on the
-    # real and imaginary parts scales by any power of two, where a
-    # product with 2^-exponent could overflow.
-    w_h = np.ldexp(w.conj().view(float), -math.frexp(float(np.abs(w).max()))[1]).view(complex)
+    # The ratio does not depend on w's scale, so w is taken to max |w| in
+    # [1/2, 1) by the package's one power-of-two rule: exact, and no
+    # square below underflows or overflows, whatever w's size.
+    w_h = _times_power_of_two(w.conj(), -_max_exponent(w))
     # Each source's power through w, the SOI's first; the denominator adds
     # the interferers' to the noise's in listed order.
     signal, *interference = [power * abs(w_h @ _source_steering(geometry, doa)) ** 2

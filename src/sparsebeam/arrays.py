@@ -57,6 +57,29 @@ def _checked(name: str, value, shape: tuple, dtype=complex, empty_ok: bool = Fal
     return x
 
 
+def _max_exponent(x: np.ndarray) -> int:
+    """e with max |x| = f 2^e, f in [1/2, 1): frexp's exponent, 0 for an all-zero or empty x.
+
+    Where max |x| overflows a float, finite x as it is, it is 1025 with
+    no warning. The package's one scale rule takes x times 2^-e
+    (:func:`_times_power_of_two`), which puts max |x| in [1/2, 1) where
+    that modulus is a normal float.
+    """
+    with np.errstate(over="ignore"):
+        peak = float(np.abs(x).max(initial=0.0))
+    return math.frexp(peak)[1] if peak < math.inf else 1025
+
+
+def _times_power_of_two(x: np.ndarray, k: int) -> np.ndarray:
+    """The C-ordered complex array ``x`` times 2^k, a new array.
+
+    ``np.ldexp`` on the real and imaginary parts: exact while the result
+    is a normal float, and one rounding where 2^k itself is no float, as
+    a product with 2^k would overflow.
+    """
+    return np.ldexp(x.view(float), k).view(complex)
+
+
 def _check_count(name: str, value, minimum: int) -> None:
     """Raise DomainError unless ``value`` is an int or numpy integer >= ``minimum``, not a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:

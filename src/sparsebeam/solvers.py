@@ -47,11 +47,11 @@ It hands each run's end point to the one ``finish`` that _solve_runs
 defines, so a batch returns finished solves: BeamformerWeights, or a
 SolverError. A batch holds as many runs as keep its stacked M x N
 arrays within 1 MiB (_BATCH_BYTES), and at least one.
-The cone solve is homogeneous in the ellipsoid, so an ellipsoid whose
-max |center| lies outside [2^-64, 2^64) is solved at the power-of-two
-scale that puts max |center| in [1/2, 1), and its weights are scaled
-back: the weights of the unit-size solve, bit for bit
-(:func:`_solve_runs`).
+Sizes are kept out of the solves by the package's one exact rescale, a
+power of two (:func:`sparsebeam.arrays._times_power_of_two`). The cone
+solve is homogeneous in the ellipsoid, so every ellipsoid is solved at
+the scale that puts max |center| in [1/2, 1), and its weights are
+scaled back (:func:`_solve_runs`).
 A matrix with a mean diagonal outside [2^-64, 2^64) is scaled by a
 power of four before an inner solve, so a covariance of any scale whose
 trace is finite solves, with the weights of the unit-scale solve bit
@@ -88,8 +88,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy
 
-from .arrays import (ArrayGeometry, _check_count, _check_direction, _checked, _real, steering_matrix,
-                     steering_vector)
+from .arrays import (ArrayGeometry, _check_count, _check_direction, _checked, _max_exponent, _real,
+                     _times_power_of_two, steering_matrix, steering_vector)
 from .covariance import _loaded, ensure_covariance
 from .errors import DomainError, SolverError
 
@@ -231,17 +231,15 @@ def _unit_scaled(r: np.ndarray) -> np.ndarray:
     multiplier while every value stays a normal float. So scaling keeps
     the weights' bits. Inside the window ``r`` itself is returned: the
     scale would move no bit, and a matrix that size cannot overflow or
-    underflow a solve, so the two array passes are skipped. Outside it,
+    underflow a solve, so the array pass is skipped. Outside it,
     ``r`` times the power of four that puts its mean diagonal in
-    [1/4, 1) is returned, so R's overall size can no longer overflow or
-    underflow a solve. The factor is applied as two halves, each finite
-    even where 4^k is not.
+    [1/4, 1) is returned (:func:`sparsebeam.arrays._times_power_of_two`),
+    so R's overall size can no longer overflow or underflow a solve.
     """
     exponent = math.frexp(_mean_diagonal(r))[1]
     if -63 <= exponent <= 64:
         return r
-    half = math.ldexp(1.0, -((exponent + 1) // 2))
-    return r * half * half
+    return _times_power_of_two(r, -2 * ((exponent + 1) // 2))
 
 
 def _mvdr_direction(r: np.ndarray, a0: np.ndarray, a0_h: np.ndarray) -> np.ndarray:
@@ -325,12 +323,11 @@ def _run_irls(rs, a, qs, opts: SolverOptions, inner, finish) -> list:
     and views, recomputing |u|^2 + eps with the step's own calls. Both
     halves are taken before the transpose is added, so a finite R cannot
     overflow it: R/2 when the stack is built, and the penalty term's 1/2
-    in d_scale, together with D's p/2 and with gamma when gamma is a
-    power of two; any other gamma multiplies the M x N product once a
-    step. Every step raises d to its power and multiplies it by d_scale,
-    one call each for the whole stack. A step fills the stack's buffers
-    in place and allocates only the inner solves' arrays, k-entry sums
-    and numpy's iterator buffers. |u|^2 + eps of a step serves both its
+    in d_scale, together with D's p/2 and gamma, so the M x N product
+    takes no scalar pass. Every step raises d to its power and
+    multiplies it by d_scale, one call each for the whole stack. A step
+    fills the stack's buffers in place and allocates only the inner
+    solves' arrays, k-entry sums and numpy's iterator buffers. |u|^2 + eps of a step serves both its
     penalty and the next reweighting, unless eps was just annealed.
 
     This loop, not the inner solve, decides scaling
@@ -372,10 +369,8 @@ def _run_irls(rs, a, qs, opts: SolverOptions, inner, finish) -> list:
         r_mean = _mean_diagonal(r)
         runs.append(_Run(index, w, not (math.frexp(r_mean)[1] >= -63
                                         and gamma * opts.p * norm / m < (2.0**63 - r_mean) * d_max_reciprocal)))
-    # d_scale takes every power-of-two factor of gamma A Q D / 2, so the
-    # M x N product is scaled in a second pass only for any other gamma.
-    fold_gamma = math.frexp(gamma)[0] == 0.5
-    d_scale = half_p * 0.5 * gamma if fold_gamma else half_p * 0.5
+    # d_scale takes every factor of gamma A Q D / 2 but A Q's.
+    d_scale = half_p * 0.5 * gamma
     # numpy computes x**0.5 as np.sqrt(x), which np.power need not match.
     penalty_power = np.sqrt if half_p == 0.5 else lambda x, out: np.power(x, half_p, out=out)
     eps = opts.irls_epsilon
@@ -417,8 +412,6 @@ def _run_irls(rs, a, qs, opts: SolverOptions, inner, finish) -> list:
         np.power(smoothed, power, out=d_real)
         d_real *= d_scale
         np.multiply(aq, d_row, out=weighted)
-        if not fold_gamma:
-            weighted *= gamma
         np.matmul(weighted, aq_h, out=r_eff)
         r_eff += r_half
         np.conjugate(r_eff, out=r_conj)
@@ -652,13 +645,11 @@ def _solve_runs(method, rs, a, qs, constraint, opts) -> list:
     factorization; a bad one raises DomainError.
 
     The cone solve is homogeneous in the ellipsoid: scaling its center
-    and shape by t scales the weights by 1/t. So an ellipsoid whose
-    max |center| lies outside [2^-64, 2^64) is solved as the ellipsoid
-    times the power of two 2^k that puts max |center| in [1/2, 1), and
-    each cone solve's weights are taken times 2^k back, both by
-    ``np.ldexp``, which rounds once where 2^k itself is no float. Those
-    weights have the bits of the unit-size solve, scaled. Inside the
-    window the ellipsoid is solved as given.
+    and shape by t scales the weights by 1/t. So every ellipsoid is
+    solved as the ellipsoid times the power of two 2^k that puts
+    max |center| in [1/2, 1), and each cone solve's weights are taken
+    times 2^k back (:func:`sparsebeam.arrays._times_power_of_two`): the
+    bits of the unit-size solve, scaled, whatever the ellipsoid's size.
 
     Defines the one ``finish`` that _run_irls hands each run's end point
     to: weights that are not finite give a SolverError, and any others
@@ -685,11 +676,9 @@ def _solve_runs(method, rs, a, qs, constraint, opts) -> list:
     if method in ("rmvb", "rwsc"):
         center = _checked("ellipsoid center", getattr(constraint, "center", None), (m,))
         shape = _checked("ellipsoid shape", getattr(constraint, "shape", None), (m, None), empty_ok=True)
-        inner = lambda r_eff: _cone_solve(r_eff, center, shape)
-        k = -math.frexp(float(np.abs(center).max()))[1]
-        if not -64 <= k <= 63:
-            unit = [np.ldexp(x.view(float), k).view(complex) for x in (center, shape)]
-            inner = lambda r_eff: np.ldexp(_cone_solve(r_eff, *unit).view(float), k).view(complex)
+        k = -_max_exponent(center)
+        unit = [_times_power_of_two(x, k) for x in (center, shape)]
+        inner = lambda r_eff: _times_power_of_two(_cone_solve(r_eff, *unit), k)
         residual = lambda w: _margin(w, center, shape) - 1.0
     else:
         a0 = _checked("steering vector a0", constraint, (m,))

@@ -10,11 +10,9 @@ little.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .arrays import _checked
+from .arrays import _checked, _max_exponent, _times_power_of_two
 from .errors import DomainError
 
 __all__ = ["snm", "build_q"]
@@ -30,22 +28,15 @@ def _squared_normalized(means: np.ndarray) -> np.ndarray:
     """|means|^2 divided by its maximum; all zeros stay all zeros.
 
     The ratio does not depend on the means' scale, so they are first
-    taken times the power of two that puts the largest |mean| in
-    [1/2, 1): exact, and no square overflows or underflows whatever
-    their size. A mean that is not finite raises DomainError.
+    scaled by the package's one rule (:func:`sparsebeam.arrays._max_exponent`),
+    which puts the largest |mean| in [1/2, 1): exact, and no square
+    overflows or underflows whatever their size. A mean that is not
+    finite raises DomainError.
     """
     if not np.isfinite(means).all():
         raise DomainError("row means must be finite: the data overflow a float")
-    # |mean| itself overflows only above the largest float, below 2^1025.
-    with np.errstate(over="ignore"):
-        peak = float(np.abs(means).max())
-    if peak == 0:
-        return np.zeros(means.shape)
-    exponent = math.frexp(peak)[1] if peak < math.inf else 1025
-    # ldexp on the real and imaginary parts scales by any power of two
-    # exactly, where a product with 2^-exponent could overflow.
-    m = np.abs(np.ldexp(means.view(float), -exponent).view(complex)) ** 2
-    return m / m.max()
+    m = np.abs(_times_power_of_two(means, -_max_exponent(means))) ** 2
+    return m / m.max() if m.any() else m
 
 
 def snm(rows) -> np.ndarray:

@@ -230,8 +230,8 @@ def run_irls_reference(r, aq, opts, inner):
     for step in range(opts.max_iterations):
         if step > 0 and step % 10 == 0:
             eps = max(eps * 0.1, _IRLS_EPS_FLOOR)
-        d = (np.abs(u) ** 2 + eps) ** ((p - 2.0) / 2.0) * (p / 2.0)
-        r_eff = r + gamma * (aq * d[None, :]) @ aq_h
+        d = (np.abs(u) ** 2 + eps) ** ((p - 2.0) / 2.0) * (p / 2.0 * gamma)
+        r_eff = r + (aq * d[None, :]) @ aq_h
         r_eff = 0.5 * (r_eff + r_eff.conj().T)
         w = inner(r_eff)
         # The response of this step's w drives both its penalty and the

@@ -436,6 +436,11 @@ class TestOutputSinr:
             assert sb.output_sinr(2.0**k * w, scenario, geometry) == base
         for factor in (1e-300, 1e-170, 1e160, 1e300):
             assert sb.output_sinr(factor * w, scenario, geometry) == pytest.approx(base, abs=1e-9)
+        # Finite weights whose modulus overflows once went unscaled, and
+        # read NaN after overflow and invalid-value warnings.
+        ones = np.ones(8)
+        assert sb.output_sinr((1.5e308 + 1.5e308j) * ones, scenario, geometry) == pytest.approx(
+            sb.output_sinr((1.0 + 1.0j) * ones, scenario, geometry), rel=1e-15)
 
     @pytest.mark.parametrize("k", [-1030, -1060])
     def test_subnormal_weights_give_the_same_ratio(self, geometry, a0, k):

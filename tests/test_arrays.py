@@ -4,6 +4,7 @@ from _oracles import generate_snapshots_reference
 
 import sparsebeam as sb
 from sparsebeam import DomainError
+from sparsebeam.arrays import _max_exponent, _times_power_of_two
 
 
 class TestSteeringVector:
@@ -373,3 +374,37 @@ def test_steering_vector_is_its_steering_matrix_column_bit_for_bit(m):
     matrix = sb.steering_matrix(geometry, angles)
     for i, theta in enumerate(angles):
         assert sb.steering_vector(geometry, theta).tobytes() == matrix[:, i].tobytes()
+
+
+class TestPowerOfTwoScale:
+    def test_all_zero_has_exponent_zero_and_stays(self):
+        x = np.zeros((3, 4), dtype=complex)
+        assert _max_exponent(x) == 0
+        assert _times_power_of_two(x, -_max_exponent(x)).tobytes() == x.tobytes()
+
+    def test_modulus_that_overflows_has_exponent_1025_without_warning(self):
+        # |x| is above the largest float although both parts are finite;
+        # a RuntimeWarning fails the test (pyproject.toml).
+        x = np.array([1.0, 1.5e308 + 1.5e308j])
+        assert _max_exponent(x) == 1025
+        scaled = np.abs(_times_power_of_two(x, -1025)).max()
+        assert 0.5 <= scaled < 1.0
+
+    def test_empty_columns_pass_through(self):
+        x = np.zeros((4, 0), dtype=complex)
+        assert _max_exponent(x) == 0
+        scaled = _times_power_of_two(x, 7)
+        assert scaled.shape == (4, 0) and scaled.dtype == complex
+
+    @pytest.mark.parametrize("k", [-1000, -64, -1, 1, 63, 1000])
+    def test_scale_and_back_keeps_the_bytes(self, k):
+        # Every result here is a normal float, where a power of two is exact.
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        assert _times_power_of_two(_times_power_of_two(x, k), -k).tobytes() == x.tobytes()
+
+    def test_exponent_puts_the_largest_modulus_in_half_to_one(self):
+        # For normal floats: a subnormal |x| is itself rounded.
+        for peak in (2.0**-1000, 1e-300, 0.5, 1.0, 3.0, 1e300):
+            x = np.array([peak * (0.6 + 0.8j), 0.0, 0.25 * peak])
+            assert 0.5 <= np.abs(_times_power_of_two(x, -_max_exponent(x))).max() < 1.0

@@ -307,7 +307,8 @@ def test_irls_stops_at_the_first_non_finite_step(geometry, a_grid, a0, method, m
     n=st.integers(1, 200),
     # p/2 = 1/2 takes the square-root penalty; 1/4, 1/8 and 1/20 do not.
     p=st.sampled_from([1.0, 0.5, 0.25, 0.1]),
-    # Powers of two (0.25, 2, 64) fold into d's scale; 1e-3 and 50 scale the product.
+    # gamma folds whole into d's scale: exactly for powers of two (0.25, 2,
+    # 64), with one rounding for 1e-3 and 50.
     gamma=st.sampled_from([0.0, 1e-3, 0.25, 2.0, 50.0, 64.0]),
     zero_fraction=st.sampled_from([0.0, 0.5, 1.0]),
     max_iterations=st.integers(1, 100),
