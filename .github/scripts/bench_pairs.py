@@ -10,9 +10,11 @@ JSON object: for every metric of the chosen ``--trace`` level, each
 side's runs, median and quartiles, the pairs the change won (by the
 metric's direction in CHANGE_DIR's BENCHMARK.json, ties counting for
 neither) and the change of the median. Two verdicts follow:
-``claim_met`` is the rule for claiming a gain (the change won at least
-nine tenths of the pairs, and its median is better than the parent's by
-more than the parent's IQR, ``parent_iqr``), and ``outside_bound`` says
+``claim_met`` is the rule for claiming a gain (at least ten pairs ran,
+the change won at least nine tenths of them, and its median is better
+than the parent's by more than the parent's IQR, ``parent_iqr``); fewer
+than ten pairs claim nothing, since a few pairs' reading of a percent or
+two is within the noise of two runs of one checkout. ``outside_bound`` says
 whether the change's median is worse than the parent's by more than the
 metric's ``bound`` in BENCHMARK.json, a fraction of the parent's median
 (null for a metric with no bound). A run that fails stops the script
@@ -77,7 +79,7 @@ def compare(parent: list[float], change: list[float], better: str, bound: float 
         "change_better_pairs": f"{wins}/{len(parent)}",
         "median_change": move,
         "parent_iqr": iqr,
-        "claim_met": 10 * wins >= 9 * len(parent) and gain > iqr,
+        "claim_met": len(parent) >= 10 and 10 * wins >= 9 * len(parent) and gain > iqr,
         "outside_bound": None if bound is None else -gain > bound * abs(base),
     }
 

@@ -52,14 +52,14 @@ power of two (:func:`sparsebeam.arrays._times_power_of_two`). The cone
 solve is homogeneous in the ellipsoid, so every ellipsoid is solved at
 the scale that puts max |center| in [1/2, 1), and its weights are
 scaled back (:func:`_solve_runs`).
-A matrix with a mean diagonal outside [2^-64, 2^64) is scaled by a
-power of four before an inner solve, so a covariance of any scale whose
-trace is finite solves, with the weights of the unit-scale solve bit
-for bit; inside that window the scale would move no bit and is skipped
+An inner solve's matrix is scaled by the power of four that puts its
+max |entry| in [1/4, 1), so a covariance of any scale whose trace is
+finite solves, with the weights of the unit-scale solve bit for bit
 (:func:`_unit_scaled`). :func:`_run_irls` is the one place that decides
 it, for each run: the inner solves take the matrix they are given. It
-tests the unpenalized start, and tests each IRLS step's matrix only when
-one bound per run cannot prove that every step's lies in the window.
+scales the unpenalized start, and scales each IRLS step's matrix only
+when one bound per run cannot prove that every step's max |entry| lies
+in [2^-63, 2^62), where the scale would move no bit.
 The inner solves' products go through the array method ``x.dot(y)``,
 not ``@`` or ``np.dot``: for these operands all three make the same
 BLAS call (zgemm, zgemv or zdotu). ``np.dot`` skips ``matmul``'s ufunc
@@ -217,29 +217,17 @@ def _check_factorization(info: int) -> None:
         raise SolverError(f"covariance factorization failed: zpotrf info={info} ({reason})")
 
 
-def _mean_diagonal(r: np.ndarray) -> float:
-    # A Python sum over the diagonal costs a third of numpy's trace here.
-    return sum(r.real.diagonal().tolist()) / r.shape[0]
-
-
 def _unit_scaled(r: np.ndarray) -> np.ndarray:
-    """``r``, scaled by a power of four only if its mean diagonal is outside [2^-64, 2^64).
+    """``r`` times the power of four that puts max |r| in [1/4, 1), a new array.
 
     Both inner solves are invariant to R's scale, and a power of four
     commutes exactly with the Cholesky factor (its square root is a
     power of two), the triangular solves, the SVD and the cone
     multiplier while every value stays a normal float. So scaling keeps
-    the weights' bits. Inside the window ``r`` itself is returned: the
-    scale would move no bit, and a matrix that size cannot overflow or
-    underflow a solve, so the array pass is skipped. Outside it,
-    ``r`` times the power of four that puts its mean diagonal in
-    [1/4, 1) is returned (:func:`sparsebeam.arrays._times_power_of_two`),
-    so R's overall size can no longer overflow or underflow a solve.
+    the weights' bits, and R's overall size can no longer overflow or
+    underflow a solve (:func:`sparsebeam.arrays._times_power_of_two`).
     """
-    exponent = math.frexp(_mean_diagonal(r))[1]
-    if -63 <= exponent <= 64:
-        return r
-    return _times_power_of_two(r, -2 * ((exponent + 1) // 2))
+    return _times_power_of_two(r, -2 * ((_max_exponent(r) + 1) // 2))
 
 
 def _mvdr_direction(r: np.ndarray, a0: np.ndarray, a0_h: np.ndarray) -> np.ndarray:
@@ -247,9 +235,8 @@ def _mvdr_direction(r: np.ndarray, a0: np.ndarray, a0_h: np.ndarray) -> np.ndarr
 
     One LAPACK zposv call, which is zpotrf followed by zpotrs; a failed
     factorization reports zpotrf's info. R is factored as given:
-    :func:`_run_irls` has already put it in _unit_scaled's window.
-    a0_h x is ``a0_h.dot(x)``'s zdotu, the call ``@`` makes, with less
-    dispatch.
+    :func:`_run_irls` decides its scale. a0_h x is ``a0_h.dot(x)``'s
+    zdotu, the call ``@`` makes, with less dispatch.
     """
     _, x, info = zposv(r, a0, lower=1)
     _check_factorization(info)
@@ -332,14 +319,16 @@ def _run_irls(rs, a, qs, opts: SolverOptions, inner, finish) -> list:
 
     This loop, not the inner solve, decides scaling
     (:func:`_unit_scaled`), once per run. The unpenalized start is
-    always tested. A run's step matrices are not tested when one bound
-    proves them all inside the window: every R_eff's diagonal is at
+    always scaled. A run's steps are factored unscaled when one bound
+    proves every max |R_eff| in [2^-63, 2^62), where scaling would move
+    no bit: with e the exponent of max |R| (max |R| = f 2^e, f in
+    [1/2, 1)), it asks -62 <= e <= 61 and gamma p ||A Q||_F^2 <
+    2^62 / d_max, where d_max = min(irls_epsilon, 1e-12)^((p-2)/2)
+    bounds (|u|^2 + eps)^((p-2)/2). R_eff is Hermitian positive
+    semidefinite, so its largest entry is on the diagonal, which is at
     least R's, since the penalty's diagonal sums nonnegative products,
-    and at most R's plus gamma p/2 d_max ||A Q||_F^2 / M on average,
-    where d_max = min(irls_epsilon, 1e-12)^((p-2)/2) bounds
-    (|u|^2 + eps)^((p-2)/2). The bound is taken with a factor of two to
-    spare below 2^63. When it fails, every step's matrix is tested as
-    the start's is.
+    and at most max R_ii + gamma p/2 d_max ||A Q||_F^2. When the bound
+    fails, every step's matrix is scaled as the start's is.
 
     A power-of-two factor commutes with rounding for normal floats, and
     otherwise the floating-point operations and their order are those of
@@ -350,8 +339,8 @@ def _run_irls(rs, a, qs, opts: SolverOptions, inner, finish) -> list:
     gamma = opts.gamma
     m, n = a.shape
     power, half_p = (opts.p - 2.0) / 2.0, opts.p / 2.0
-    # gamma p/2 d_max ||A Q||_F^2 / M < (2^63 - mean(R)) / 2, with d_max's
-    # reciprocal on the right, where it cannot overflow.
+    # gamma p d_max ||A Q||_F^2 < 2^62, with d_max's reciprocal on the
+    # right, where it cannot overflow.
     d_max_reciprocal = min(opts.irls_epsilon, _IRLS_EPS_FLOOR) ** -power
     runs: list[_Run] = []
     for index, r in enumerate(rs):
@@ -366,9 +355,8 @@ def _run_irls(rs, a, qs, opts: SolverOptions, inner, finish) -> list:
             continue
         # ||A Q||_F^2, plus what squares that underflow (each < 2^-1074) lose.
         norm = float(np.vdot(aq, aq).real) + aq.size * 2.0**-1072
-        r_mean = _mean_diagonal(r)
-        runs.append(_Run(index, w, not (math.frexp(r_mean)[1] >= -63
-                                        and gamma * opts.p * norm / m < (2.0**63 - r_mean) * d_max_reciprocal)))
+        runs.append(_Run(index, w, not (-62 <= _max_exponent(r) <= 61
+                                        and gamma * opts.p * norm < 2.0**62 * d_max_reciprocal)))
     # d_scale takes every factor of gamma A Q D / 2 but A Q's.
     d_scale = half_p * 0.5 * gamma
     # numpy computes x**0.5 as np.sqrt(x), which np.power need not match.
@@ -571,9 +559,9 @@ def _cone_solve(r, center, shape):
     with sigma^2 > 0 enter, so a shape with zero columns solves, to
     rounding, as the same shape without them.
 
-    R is factored as given: :func:`_run_irls` has already put it in
-    _unit_scaled's window. The products with U go through the ``dot``
-    method, the zgemv ``@`` calls, with less dispatch.
+    R is factored as given: :func:`_run_irls` decides its scale. The
+    products with U go through the ``dot`` method, the zgemv ``@``
+    calls, with less dispatch.
     """
     # LAPACK's zpotrf and ztrtrs, the routines cho_factor and
     # solve_triangular wrap, called directly. R is finite (checked by

@@ -200,7 +200,12 @@ def mvdr_direction_reference(r, a0):
 
 
 def unit_scaled_reference(r):
-    """r times the power of four that puts its mean diagonal in [1/4, 1), always."""
+    """r times the power of four that puts its mean diagonal in [1/4, 1), always.
+
+    The package picks its power of four by max |r| instead. A reference
+    that picks another power of four and still matches bit for bit shows
+    that the choice moves no bit.
+    """
     mean = sum(r.real.diagonal().tolist()) / r.shape[0]
     half = math.ldexp(1.0, -((math.frexp(mean)[1] + 1) // 2))
     scaled = r * half

@@ -61,7 +61,8 @@ def test_pairs_alternate_the_first_side_and_share_each_seed(tmp_path, capsys):
     assert metrics["study_s"]["parent"]["runs"] == pytest.approx([0.207, 0.208, 0.209])
     assert metrics["study_s"]["change_better_pairs"] == "3/3"
     assert metrics["study_s"]["parent_iqr"] == pytest.approx(0.001)
-    assert metrics["study_s"]["claim_met"] is True
+    # Three pairs won of three claim nothing: a claim needs ten pairs.
+    assert metrics["study_s"]["claim_met"] is False
     assert metrics["study_s"]["outside_bound"] is False
     # Equal values are ties, which count for neither side.
     assert metrics["solved_frac"]["change_better_pairs"] == "0/3"
@@ -91,9 +92,11 @@ PARENT = [1.0, 1.0, 1.0, 1.0, 1.05, 1.05, 1.1, 1.1, 1.1, 1.1]
     ([x - 0.2 for x in PARENT[:9]] + [2.0], True),  # 9/10 pairs, median 0.2 better
     ([x - 0.2 for x in PARENT[:8]] + [2.0, 2.0], False),  # 8/10 pairs
     ([x - 0.05 for x in PARENT], False),  # 10/10 pairs, median moved less than the IQR
+    ([x - 0.2 for x in PARENT[:9]], False),  # 9/9 pairs: fewer than ten claim nothing
 ])
-def test_claim_needs_nine_tenths_of_the_pairs_and_a_move_past_the_parent_iqr(change, met):
-    result = bench_pairs.compare(PARENT, change, "lower", 0.25)
+def test_claim_needs_ten_pairs_nine_tenths_of_them_and_a_move_past_the_parent_iqr(change, met):
+    # The parent's first len(change) runs; its first nine have the same quartiles.
+    result = bench_pairs.compare(PARENT[:len(change)], change, "lower", 0.25)
     assert result["parent_iqr"] == pytest.approx(0.1)
     assert result["claim_met"] is met
 

@@ -379,12 +379,17 @@ def test_power_of_four_scale_keeps_the_weight_bits(geometry, a_grid, sample_r, a
     assert solve(4.0**power * sample_r).w.tobytes() == solve(sample_r).w.tobytes()
 
 
+def _loaded_exponent(r):
+    """e with max |R| = f 2^e, f in [1/2, 1), for R loaded as the solvers load ``r``."""
+    loaded = sb.diagonal_load(r, SolverOptions().diagonal_loading)
+    return math.frexp(float(np.abs(loaded).max()))[1]
+
+
 def _window_power(sample_r, edge):
-    """j for which 4^j times the loaded R's mean diagonal sits at ``edge`` of [2^-64, 2^64)."""
-    loaded = sb.diagonal_load(sample_r, SolverOptions().diagonal_loading)
-    exponent = math.frexp(float(np.trace(loaded).real) / 8)[1]  # mean = f 2^exponent, f in [1/2, 1)
-    lowest_inside = -((exponent + 63) // 2)  # exponent + 2j is -63 or -62
-    highest_inside = (64 - exponent) // 2  # exponent + 2j is 63 or 64
+    """j for which 4^j times the loaded R's max exponent sits at ``edge`` of [-62, 61]."""
+    exponent = _loaded_exponent(sample_r)
+    lowest_inside = -((exponent + 62) // 2)  # exponent + 2j is -62 or -61
+    highest_inside = (61 - exponent) // 2  # exponent + 2j is 60 or 61
     return {
         "below_low": lowest_inside - 1,
         "low": lowest_inside,
@@ -420,11 +425,12 @@ FLOAT_FLOOR = {"2^-1018": -509, "2^-1020": -510}
 @pytest.mark.parametrize("method", ["mvdr", "sc", "wsc", "rmvb", "rwsc"])
 @pytest.mark.parametrize("edge", ["below_low", "low", "high", "above_high", *FLOAT_FLOOR])
 def test_skipped_scaling_keeps_the_bits_at_the_window_edges(geometry, a_grid, sample_r, q_weights, a0, method, edge):
-    # Inside [2^-64, 2^64) the IRLS steps factor R_eff unscaled. They
-    # must give the bits of the reference loop, whose every inner solve
-    # scales its matrix into [1/4, 1), and for the scale-free mvdr and
-    # rmvb, what R itself gives. gamma is scaled with R, so every IRLS
-    # step's R_eff is 4^j times the unit-scale one.
+    # Where max |R| = f 2^e has -62 <= e <= 61 and the bound holds, the
+    # IRLS steps factor R_eff unscaled. They must give the bits of the
+    # reference loop, whose every inner solve scales its matrix by a
+    # power of four, and for the scale-free mvdr and rmvb, what R itself
+    # gives. gamma is scaled with R, so every IRLS step's R_eff is 4^j
+    # times the unit-scale one.
     power = FLOAT_FLOOR[edge] if edge in FLOAT_FLOOR else _window_power(sample_r, edge)
     opts = SolverOptions(gamma=4.0**power * SolverOptions().gamma)
     scaled_r = 4.0**power * sample_r
@@ -459,19 +465,32 @@ def test_refused_bounds_and_subnormal_weights_keep_the_reference_bits(
     _assert_always_scaled_reference_bits(result, method, sample_r, a_grid, q, a0, opts)
 
 
-@pytest.mark.parametrize("case", ["in_window", "gamma_2^200", "irls_epsilon_1e-300"])
+# The exponent e of the loaded R's max |entry| = f 2^e, f in [1/2, 1),
+# that R is scaled to by a power of two, and whether the bound refuses it.
+EXPONENT_CASES = {"e_61": (61, False), "e_-62": (-62, False), "e_62": (62, True), "e_-63": (-63, True)}
+
+
+@pytest.mark.parametrize("case", ["in_window", "gamma_2^200", "irls_epsilon_1e-300", *EXPONENT_CASES])
 def test_scaling_is_tested_each_step_only_where_the_bound_refuses(sample_r, a_grid, a0, monkeypatch, case):
     # fig1's sc solve: its steps' matrices provably stay inside the
-    # window, so only the unpenalized start is tested, where every step
-    # once tested its own. gamma = 2^200 and irls_epsilon = 1e-300 admit
-    # an R_eff outside it, so there every step is tested again.
+    # window, so only the unpenalized start is scaled, where every step
+    # once scaled its own. gamma = 2^200 and irls_epsilon = 1e-300 admit
+    # an R_eff outside it, so there every step is scaled again. At the
+    # default gamma the bound holds for -62 <= e <= 61 and refuses just
+    # past either edge, where the old mean-diagonal bound held.
     calls = []
     unit_scaled = solvers._unit_scaled
     monkeypatch.setattr(solvers, "_unit_scaled", lambda r: calls.append(1) or unit_scaled(r))
-    opts = SolverOptions() if case == "in_window" else BOUND_CASES[case][1]
-    iterations = sb.solve_sc(sample_r, a_grid, a0, opts).diagnostics.iterations
+    r, opts, refused = sample_r, SolverOptions(), case in BOUND_CASES
+    if case in EXPONENT_CASES:
+        exponent, refused = EXPONENT_CASES[case]
+        r = 2.0 ** (exponent - _loaded_exponent(sample_r)) * sample_r
+        assert _loaded_exponent(r) == exponent
+    elif refused:
+        opts = BOUND_CASES[case][1]
+    iterations = sb.solve_sc(r, a_grid, a0, opts).diagnostics.iterations
     assert iterations > 1
-    assert len(calls) == (1 if case == "in_window" else 1 + iterations)
+    assert len(calls) == (1 + iterations if refused else 1)
 
 
 def _layouts(x):
