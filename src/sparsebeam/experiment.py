@@ -311,11 +311,15 @@ def _run_metrics(weights: list[np.ndarray], config: ExperimentConfig) -> tuple[l
         pattern = beam_pattern(weights, geometry) if weights else None
     if pattern is None:
         return [], np.empty(0)
-    columns = [null_depth(pattern, doa) for doa, _ in scenario.interferers]
     # Centering on each run's observed peak keeps the mainlobe search valid
     # for mis-steered patterns whose peak drifts away from the nominal DOA.
-    columns.append(sidelobe_level(pattern, pattern.peak_angle_deg).level_db)
-    columns.append(pointing_error(pattern, scenario.soi_doa_deg))
+    peaks, pointing = pattern.peak_angle_deg, pointing_error(pattern, scenario.soi_doa_deg)
+    # The raw gains go before the passes over gain_db, so those hold one
+    # k x G float array beside their masks.
+    pattern = pattern._replace(raw_gain=None)
+    columns = [null_depth(pattern, doa) for doa, _ in scenario.interferers]
+    columns.append(sidelobe_level(pattern, peaks).level_db)
+    columns.append(pointing)
     columns.append([output_sinr(w, scenario, geometry) for w in weights])
     return kept, np.column_stack(columns)
 

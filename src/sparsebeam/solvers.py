@@ -41,8 +41,12 @@ data; :func:`_solve` is the one code that reads or fills its results.
 A method's first call in a study solves it for every run, in lockstep
 batches (:func:`_solve_runs`): one IRLS loop (:func:`_run_irls`) steps
 a stack of runs at once, each from its own unpenalized solve, and each
-run keeps the bits of its own solve. The loop takes A and each run's
-q, and each stack makes its own A Q after letting the old stack's go.
+run keeps the bits of its own solve. Each step factors each run's
+matrix once; a distortionless stack of _STACK_MIN runs or more is then
+normalized as one stack (:func:`_mvdr_directions`), and a smaller one
+run by run, which costs less for one to three runs. The loop takes A
+and each run's q, and each stack makes its own A Q after letting the
+old stack's go.
 It hands each run's end point to the one ``finish`` that _solve_runs
 defines, so a batch returns finished solves: BeamformerWeights, or a
 SolverError. A batch holds as many runs as keep its stacked M x N
@@ -66,7 +70,8 @@ BLAS call (zgemm, zgemv or zdotu). ``np.dot`` skips ``matmul``'s ufunc
 dispatch, about 1 us a call, and the method also skips ``np.dot``'s
 ``__array_function__`` dispatch, about 0.4 us more. The IRLS step's
 products are stacked ``np.matmul`` calls, which make the same BLAS call
-once per matrix of the stack. The
+once per matrix of the stack, and so is a large stack's a0_h x; the
+Gram of a stack that shares A is one zgemm for the whole stack. The
 bit-identity claims here hold for normal floats: a power of two
 commutes with rounding only while no value is subnormal or overflows.
 A, q, a0 or an ellipsoid that is not numeric, does not match R's size,
@@ -136,6 +141,10 @@ zposv, zpotrf, ztrtrs = _flapack.zposv, _flapack.zpotrf, _flapack.ztrtrs
 _IRLS_EPS_FLOOR = 1e-12
 # A lockstep batch keeps its stacked M x N arrays within this many bytes.
 _BATCH_BYTES = 1 << 20
+# A distortionless IRLS step normalizes its runs as one stack from this
+# many runs on, and one run at a time below (see _run_irls).
+_STACK_MIN = 4
+_ANNIHILATED = "steering vector annihilated by the covariance inverse"
 
 
 @dataclass(frozen=True)
@@ -230,21 +239,84 @@ def _unit_scaled(r: np.ndarray) -> np.ndarray:
     return _times_power_of_two(r, -2 * ((_max_exponent(r) + 1) // 2))
 
 
-def _mvdr_direction(r: np.ndarray, a0: np.ndarray, a0_h: np.ndarray) -> np.ndarray:
-    """R^-1 a0 / (a0_h R^-1 a0), where a0_h is a0.conj().
+def _output_power(w: np.ndarray, r: np.ndarray) -> float:
+    """w^H R w, the objective of an unpenalized solve: +inf, with no warning, where it overflows.
 
-    One LAPACK zposv call, which is zpotrf followed by zpotrs; a failed
-    factorization reports zpotrf's info. R is factored as given:
-    :func:`_run_irls` decides its scale. a0_h x is ``a0_h.dot(x)``'s
-    zdotu, the call ``@`` makes, with less dispatch.
+    The plain product where it is finite. Elsewhere w and R are taken to
+    max |entry| in [1/2, 1) by the package's power-of-two rule, where
+    the product cannot overflow, and its exponents are added back.
     """
-    _, x, info = zposv(r, a0, lower=1)
-    _check_factorization(info)
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = float((w.conj() @ r @ w).real)
+        if math.isfinite(power):
+            return power
+        e_w, e_r = _max_exponent(w), _max_exponent(r)
+        w_unit = _times_power_of_two(w, -e_w)
+        unit = (w_unit.conj() @ _times_power_of_two(r, -e_r) @ w_unit).real
+        return float(np.ldexp(unit, 2 * e_w + e_r))
+
+
+def _cholesky_solve(r: np.ndarray, b: np.ndarray) -> None:
+    """Overwrite b with R^-1 b by one LAPACK zposv call, which is zpotrf followed by zpotrs.
+
+    b is a contiguous complex vector, which zposv solves in place. A
+    failed factorization raises SolverError with zpotrf's info and
+    leaves b as it was. R is factored as given: :func:`_run_irls`
+    decides its scale.
+    """
+    _check_factorization(zposv(r, b, lower=1, overwrite_b=1)[2])
+
+
+def _mvdr_direction(r: np.ndarray, a0: np.ndarray, a0_h: np.ndarray) -> np.ndarray:
+    """R^-1 a0 / (a0_h R^-1 a0), where a0_h is a0.conj(): one run's distortionless solve.
+
+    x = R^-1 a0 is :func:`_cholesky_solve`'s, looked up at call time, on
+    a copy of a0. a0_h x is ``a0_h.dot(x)``'s zdotu, the call ``@``
+    makes, with less dispatch. This is the start of every run and the
+    step of a stack below _STACK_MIN runs; a larger stack normalizes its
+    runs at once (:func:`_mvdr_directions`), with the same bits.
+    """
+    x = a0.copy()
+    _cholesky_solve(r, x)
     denom = a0_h.dot(x)
     if abs(denom) < 1e-300:
-        raise SolverError("steering vector annihilated by the covariance inverse")
+        raise SolverError(_ANNIHILATED)
     # Dividing by the complex scalar makes w^H a0 = 1 exact in floating point.
     return x / denom
+
+
+def _mvdr_directions(matrices: list, a0: np.ndarray, a0_h: np.ndarray, ws: np.ndarray) -> list:
+    """:func:`_mvdr_direction` of each of k matrices, into its row of the k x M ``ws``, normalized as one stack.
+
+    Every row is set to a0, and each is solved in place by its own
+    :func:`_cholesky_solve`, looked up at call time. The rows then share
+    one stacked a0_h x, ``np.matmul`` of a0_h as 1 x M with each row as
+    M x 1, which makes the zdotu of ``a0_h.dot(x)``, one annihilation
+    test and one division in place, each row by its own denominator:
+    every row has the bits of its own _mvdr_direction. Returns one
+    entry per row: None, or the SolverError of a row whose
+    factorization failed or whose a0_h x is annihilated. A row that
+    failed is not to be read: a failed factorization leaves a0 in it,
+    and an annihilated row is divided by 1, so no division warns.
+    """
+    ws[...] = a0
+    errors = []
+    for matrix, x in zip(matrices, ws):
+        try:
+            _cholesky_solve(matrix, x)
+        except SolverError as error:
+            errors.append(error)
+        else:
+            errors.append(None)
+    denom = np.matmul(a0_h, ws[:, :, None])
+    # Python's complex abs is numpy's, libm's hypot, at less cost for a few rows.
+    annihilated = [row for row, value in enumerate(denom.ravel().tolist()) if abs(value) < 1e-300]
+    if annihilated:
+        for row in annihilated:
+            errors[row] = errors[row] or SolverError(_ANNIHILATED)
+        denom[annihilated] = 1.0
+    np.divide(ws, denom, out=ws)
+    return errors
 
 
 class _Run:
@@ -261,10 +333,14 @@ class _Run:
         return finish(self.best_w, len(self.history), self.best_obj, self.converged, tuple(self.history))
 
 
-def _run_irls(rs, a, qs, opts: SolverOptions, inner, finish) -> list:
+def _run_irls(rs, a, qs, opts: SolverOptions, inner, finish, stack_inner) -> list:
     """The one IRLS loop, over a stack of runs. ``inner(R_eff) -> w`` solves a reweighted subproblem.
 
-    The runs share the M x N penalty grid ``a``, ``opts`` and ``inner``;
+    ``stack_inner(matrices, ws) -> errors`` solves a stack's subproblems
+    at once, into the rows of the k x M ``ws``, and gives each row's
+    SolverError or None (:func:`_mvdr_directions`); it is None where the
+    inner solve has no stacked form (the cone solve).
+    The runs share the M x N penalty grid ``a``, ``opts``, ``inner`` and ``stack_inner``;
     each has its own loaded R in ``rs`` and its own q in ``qs``, or unit
     weights when ``qs`` is None, so that every run's A Q is A itself.
     The loop only reads them, and makes each run's A Q as A times its q.
@@ -286,7 +362,8 @@ def _run_irls(rs, a, qs, opts: SolverOptions, inner, finish) -> list:
     objective can rise.
     With gamma = 0 or an all-zero penalty matrix (an M x 0 one included)
     the unpenalized solve is the answer: one iteration, objective
-    w^H R w and an empty history. A step whose objective is not finite
+    w^H R w (+inf where it overflows, :func:`_output_power`) and an
+    empty history. A step whose objective is not finite
     ends that run: non-finite weights give one, and so does a response
     whose |u|^2 overflows, and no later step would be finite. Its best
     weights so far are returned, and iterations counts the steps with a
@@ -298,8 +375,15 @@ def _run_irls(rs, a, qs, opts: SolverOptions, inner, finish) -> list:
     assembly, the response u = (A Q)^H w, |u|^2, the quadratic forms and
     the penalty sums each make one numpy call for the whole stack, and
     a stacked ``np.matmul`` makes the per-matrix zgemm, zgemv or zdotu
-    call that ``x.dot(y)`` makes for one run. Only the inner solve and
-    the objective bookkeeping run once per run. The stack holds the
+    call that ``x.dot(y)`` makes for one run. With unit weights every
+    run shares A, and the Gram is one kM x N by N x M zgemm, whose rows
+    have the bits of each run's own product. The inner solve runs once
+    per run: from _STACK_MIN runs on, a stack with a ``stack_inner``
+    factors each run with one zposv and normalizes the whole stack at
+    once; below it, each run takes ``inner``, whose scalar a0_h x and
+    division cost less than the stacked calls for one or a few runs
+    (timeit: the stacked step is no faster below 4 runs at M = 8 and
+    M = 32). The objective bookkeeping runs per run. The stack holds the
     runs still going, in run order: a run leaves when its start is
     unpenalized or fails, or when a step fails, stops non-finite or
     converges, and the next step first rebuilds the stack from the runs
@@ -307,15 +391,18 @@ def _run_irls(rs, a, qs, opts: SolverOptions, inner, finish) -> list:
     conjugate and the weighted product), then makes its A Q as A times
     the going runs' q, or takes A itself for unit weights, so a batch
     never holds two stacks' arrays. It then makes the stack's buffers
-    and views, recomputing |u|^2 + eps with the step's own calls. Both
+    and views. The first stack computes |u|^2 of the starts with the
+    step's own calls; a rebuilt one takes its runs' rows of the old
+    |u|^2, computed from the same weights by the same calls. Both
     halves are taken before the transpose is added, so a finite R cannot
     overflow it: R/2 when the stack is built, and the penalty term's 1/2
     in d_scale, together with D's p/2 and gamma, so the M x N product
     takes no scalar pass. Every step raises d to its power and
     multiplies it by d_scale, one call each for the whole stack. A step
     fills the stack's buffers in place and allocates only the inner
-    solves' arrays, k-entry sums and numpy's iterator buffers. |u|^2 + eps of a step serves both its
-    penalty and the next reweighting, unless eps was just annealed.
+    solves' arrays, k-entry sums and numpy's iterator buffers. |u|^2 +
+    eps of a step serves both its penalty and the next reweighting,
+    unless eps was just annealed.
 
     This loop, not the inner solve, decides scaling
     (:func:`_unit_scaled`), once per run. The unpenalized start is
@@ -351,7 +438,7 @@ def _run_irls(rs, a, qs, opts: SolverOptions, inner, finish) -> list:
             continue
         aq = a if qs is None else a * qs[index]
         if gamma == 0 or not aq.any():
-            results[index] = finish(w, 1, float((w.conj() @ r @ w).real), True, ())
+            results[index] = finish(w, 1, _output_power(w, r), True, ())
             continue
         # ||A Q||_F^2, plus what squares that underflow (each < 2^-1074) lose.
         norm = float(np.vdot(aq, aq).real) + aq.size * 2.0**-1072
@@ -370,7 +457,7 @@ def _run_irls(rs, a, qs, opts: SolverOptions, inner, finish) -> list:
             # The stack is built from the runs still going, in run order.
             k = len(runs)
             # The old stack's M x N arrays go before the new ones are made.
-            aq = aq_h = weighted = None
+            aq = aq_h = weighted = gram_in = None
             r_stack = np.array([rs[run.index] for run in runs])
             r_half, ws = r_stack * 0.5, np.array([run.w for run in runs])
             aq = a if qs is None else a * np.array([qs[run.index] for run in runs])[:, None, :]
@@ -383,15 +470,17 @@ def _run_irls(rs, a, qs, opts: SolverOptions, inner, finish) -> list:
             d = np.zeros((k, n), dtype=complex)
             response, quad = np.empty_like(d), np.empty(k, dtype=complex)
             w_h, w_h_r = np.empty_like(ws), np.empty_like(ws)
-            u2 = np.empty((k, n))
+            # |u|^2 of the starts by the step's own calls; a rebuilt stack
+            # takes its runs' rows of the old one, made from the same weights.
+            u2 = u2[kept] if step else np.square(np.abs(np.matmul(aq_h, ws[:, :, None])[:, :, 0]))
             smoothed, powered = np.empty_like(u2), np.empty_like(u2)
-            # The views the step's calls take, made once per stack.
+            # The views the step's calls take, made once per stack. With a
+            # shared A the Gram is one kM x N by N x M product.
+            gram_in, gram_out = (weighted, r_eff) if qs is not None else (
+                weighted.reshape(k * m, n), r_eff.reshape(k * m, m))
             r_eff_rows, r_conj_h, d_real, d_row = list(r_eff), r_conj.transpose(0, 2, 1), d.real, d[:, None, :]
             w_col, response_col, w_h_row = ws[:, :, None], response[:, :, None], w_h[:, None, :]
             w_h_r_row, quad_col, quad_real = w_h_r[:, None, :], quad[:, None, None], quad.real
-            # |u|^2 + eps by the step's own calls, so each row keeps its bits.
-            np.matmul(aq_h, w_col, out=response_col)
-            np.square(np.abs(response, out=u2), out=u2)
             np.add(u2, eps, out=smoothed)
         if step > 0 and step % 10 == 0:
             eps = max(eps * 0.1, _IRLS_EPS_FLOOR)
@@ -400,19 +489,28 @@ def _run_irls(rs, a, qs, opts: SolverOptions, inner, finish) -> list:
         np.power(smoothed, power, out=d_real)
         d_real *= d_scale
         np.multiply(aq, d_row, out=weighted)
-        np.matmul(weighted, aq_h, out=r_eff)
+        np.matmul(gram_in, aq_h, out=gram_out)
         r_eff += r_half
         np.conjugate(r_eff, out=r_conj)
         r_eff += r_conj_h
-        for row, (run, matrix) in enumerate(zip(runs, r_eff_rows)):
-            try:
-                run.w = inner(_unit_scaled(matrix) if run.scale_each_step else matrix)
-            except SolverError as error:
-                # The run leaves with this step's others; its stale row is
-                # computed on below and never read.
-                results[run.index], run.w = error.with_traceback(None), None
-            else:
-                ws[row] = run.w
+        if stack_inner is None or k < _STACK_MIN:
+            for row, (run, matrix) in enumerate(zip(runs, r_eff_rows)):
+                try:
+                    run.w = inner(_unit_scaled(matrix) if run.scale_each_step else matrix)
+                except SolverError as error:
+                    # The run leaves with this step's others; its stale row is
+                    # computed on below and never read.
+                    results[run.index], run.w = error.with_traceback(None), None
+                else:
+                    ws[row] = run.w
+        else:
+            errors = stack_inner([_unit_scaled(matrix) if run.scale_each_step else matrix
+                                  for run, matrix in zip(runs, r_eff_rows)], ws)
+            for run, w, error in zip(runs, ws, errors):
+                if error is None:
+                    run.w = w.copy()
+                else:
+                    results[run.index], run.w = error.with_traceback(None), None
         np.matmul(aq_h, w_col, out=response_col)
         np.square(np.abs(response, out=u2), out=u2)
         np.conjugate(ws, out=w_h)
@@ -422,8 +520,8 @@ def _run_irls(rs, a, qs, opts: SolverOptions, inner, finish) -> list:
         np.add(u2, eps, out=smoothed)
         penalty_power(smoothed, out=powered)
         penalties = np.add.reduce(powered, axis=1).tolist()
-        going = []
-        for run, quad_value, penalty in zip(runs, quad_real.tolist(), penalties):
+        going, kept = [], []
+        for row, (run, quad_value, penalty) in enumerate(zip(runs, quad_real.tolist(), penalties)):
             if run.w is None:
                 continue
             objective = quad_value + gamma * penalty
@@ -436,6 +534,7 @@ def _run_irls(rs, a, qs, opts: SolverOptions, inner, finish) -> list:
                     opts.objective_tolerance * max(1.0, abs(history[-2])))
                 if not run.converged:
                     going.append(run)
+                    kept.append(row)
                     continue
             # The run stops non-finite or converged, and is finished here.
             results[run.index] = run.result(finish)
@@ -666,15 +765,16 @@ def _solve_runs(method, rs, a, qs, constraint, opts) -> list:
         shape = _checked("ellipsoid shape", getattr(constraint, "shape", None), (m, None), empty_ok=True)
         k = -_max_exponent(center)
         unit = [_times_power_of_two(x, k) for x in (center, shape)]
-        inner = lambda r_eff: _times_power_of_two(_cone_solve(r_eff, *unit), k)
+        inner, stack_inner = lambda r_eff: _times_power_of_two(_cone_solve(r_eff, *unit), k), None
         residual = lambda w: _margin(w, center, shape) - 1.0
     else:
         a0 = _checked("steering vector a0", constraint, (m,))
         if not a0.any():
             raise DomainError("steering vector a0 must be nonzero")
         a0_h = a0.conj()
-        # _mvdr_direction is looked up at call time, so it can be swapped.
+        # The solves are looked up at call time, so they can be swapped.
         inner = lambda r_eff: _mvdr_direction(r_eff, a0, a0_h)
+        stack_inner = lambda matrices, ws: _mvdr_directions(matrices, a0, a0_h, ws)
         residual = lambda w: float(abs(w.conj() @ a0 - 1.0))
 
     def finish(w, iterations, objective, converged, history):
@@ -687,7 +787,7 @@ def _solve_runs(method, rs, a, qs, constraint, opts) -> list:
     run_bytes = (1 if qs is None else 3) * a.nbytes
     size = max(1, _BATCH_BYTES // run_bytes) if run_bytes else len(rs)
     return [solved for first in range(0, len(rs), size) for solved in _run_irls(
-        rs[first:first + size], a, None if qs is None else qs[first:first + size], opts, inner, finish)]
+        rs[first:first + size], a, None if qs is None else qs[first:first + size], opts, inner, finish, stack_inner)]
 
 
 def _solve(method, covariance, a, q, constraint, opts) -> BeamformerWeights:

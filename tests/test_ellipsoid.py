@@ -206,6 +206,20 @@ def test_robust_solves_are_scale_free_in_the_ellipsoid(normal_r, geometry, a_gri
     assert sparse.diagnostics.constraint_residual >= -1e-9
 
 
+@pytest.mark.parametrize("factor", [2.0**-600, 1e-160])
+def test_an_overflowing_output_power_reads_inf(normal_r, geometry, factor):
+    # The ellipsoid times 2^-600 or 1e-160 gives weights near 1e180 and
+    # 1e160, whose output power w^H R w overflows a float. rmvb's
+    # objective once read NaN, after "overflow" and "invalid value"
+    # warnings from the product.
+    ellipsoid = sb.build_ellipsoid(geometry, 0.0, 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = sb.solve_rmvb(normal_r, Ellipsoid(factor * ellipsoid.center, factor * ellipsoid.shape))
+    assert result.diagnostics.final_objective == np.inf
+    assert np.isfinite(result.w).all()
+
+
 def test_a_vanishing_shape_solves_without_warning(normal_r, geometry):
     # sum |cbar|^2 / sigma^2, the apex test, overflows for a shape this
     # small; inf > 1 is the right branch, and it once warned on the way.

@@ -841,25 +841,94 @@ def test_a_batch_keeps_each_runs_own_scale_decisions(geometry, sample_r, a_grid,
 def test_a_run_that_fails_mid_batch_fails_alone(sample_r, geometry, a_grid, q_weights, a0, method, monkeypatch):
     # Run 1's inner solve raises at its third IRLS step; the stack is
     # rebuilt from the runs left, and every other run keeps its solo bits.
+    # Four runs make a stack of _STACK_MIN, whose steps factor each run
+    # through _cholesky_solve and normalize them at once.
     covariances = [sample_r + j * np.eye(8) for j in range(4)]
     qs = [q_weights * (1.0 + j / 8) for j in range(4)]
+    assert len(covariances) >= solvers._STACK_MIN
     inputs = []
-    direction = solvers._mvdr_direction
-    monkeypatch.setattr(solvers, "_mvdr_direction", lambda r, *args: inputs.append(r.tobytes()) or direction(r, *args))
+    factor = solvers._cholesky_solve
+    monkeypatch.setattr(solvers, "_cholesky_solve", lambda r, b: inputs.append(r.tobytes()) or factor(r, b))
     solo = _batch(method, covariances[1:2], a_grid, qs[1:2], geometry, a0)[0][0]
     assert solo.diagnostics.iterations > 3
     third_step = inputs[3]  # after the unpenalized start and two steps
 
-    def failing(r, *args):
+    def failing(r, b):
         if r.tobytes() == third_step:
             raise SolverError("injected")
-        return direction(r, *args)
+        return factor(r, b)
 
-    monkeypatch.setattr(solvers, "_mvdr_direction", failing)
+    monkeypatch.setattr(solvers, "_cholesky_solve", failing)
     batched, solve = _batch(method, covariances, a_grid, qs, geometry, a0)
-    monkeypatch.setattr(solvers, "_mvdr_direction", direction)
+    monkeypatch.setattr(solvers, "_cholesky_solve", factor)
     assert isinstance(batched[1], SolverError)
     for run in (0, 2, 3):
+        _assert_solo_bits(batched[run], solve(covariances[run], qs[run]))
+
+
+@pytest.mark.parametrize("m", [8, 32])
+def test_a_stack_normalized_at_once_keeps_each_runs_bits(m):
+    # One stacked a0^H x, one annihilation test and one division give each
+    # row the bits of its own _mvdr_direction, for every stack size up to
+    # 20, with matrices from 2^-40 to 2^40 in size.
+    rng = np.random.default_rng(m)
+    a0 = sb.steering_vector(sb.ArrayGeometry(m), 10.0)
+    a0_h = a0.conj()
+    for k in range(1, 21):
+        x = rng.standard_normal((k, m, 2 * m)) + 1j * rng.standard_normal((k, m, 2 * m))
+        matrices = list(x @ x.conj().swapaxes(1, 2) * np.exp2(rng.integers(-40, 41, (k, 1, 1))))
+        ws = np.empty((k, m), dtype=complex)
+        assert solvers._mvdr_directions(matrices, a0, a0_h, ws) == [None] * k
+        for w, r in zip(ws, matrices):
+            assert w.tobytes() == solvers._mvdr_direction(r, a0, a0_h).tobytes()
+
+
+@pytest.mark.parametrize("method", ["sc", "wsc"])
+def test_a_stack_normalized_at_once_fails_each_run_alone(sample_r, geometry, a_grid, q_weights, a0, method,
+                                                         monkeypatch):
+    # Six runs make a stack of at least _STACK_MIN. At the third step, run
+    # 1's matrix is made indefinite, run 2's R^-1 a0 annihilated (all
+    # zero) and run 3's NaN. Each ends as it does in a stack of its own:
+    # runs 1 and 2 fail with the same message, run 3 stops with its best
+    # weights so far, and runs 0, 4 and 5 keep their solo bits.
+    covariances = [sample_r + j * np.eye(8) for j in range(6)]
+    qs = [q_weights * (1.0 + j / 8) for j in range(6)]
+    factor = solvers._cholesky_solve
+    third_steps = {}
+    for run in (1, 2, 3):
+        inputs = []
+        monkeypatch.setattr(solvers, "_cholesky_solve", lambda r, b: inputs.append(r.tobytes()) or factor(r, b))
+        _batch(method, covariances[run:run + 1], a_grid, qs[run:run + 1], geometry, a0)
+        third_steps[inputs[3]] = run  # after the unpenalized start and two steps
+    faults = {
+        1: lambda r, b: factor(-r, b),
+        2: lambda r, b: b.fill(0),
+        3: lambda r, b: b.fill(np.nan),
+    }
+
+    def faulty(r, b):
+        run = third_steps.get(r.tobytes())
+        return factor(r, b) if run is None else faults[run](r, b)
+
+    monkeypatch.setattr(solvers, "_cholesky_solve", faulty)
+    sizes = []
+    directions = solvers._mvdr_directions
+    monkeypatch.setattr(solvers, "_mvdr_directions",
+                        lambda matrices, *args: sizes.append(len(matrices)) or directions(matrices, *args))
+    # A NaN row's division warns, in a stack as alone.
+    with np.errstate(invalid="ignore"):
+        batched, solve = _batch(method, covariances, a_grid, qs, geometry, a0)
+        assert sizes[:3] == [6, 6, 6]
+        alone = [_batch(method, [r], a_grid, [q], geometry, a0)[0][0] for r, q in zip(covariances, qs)]
+    assert "not positive definite" in str(batched[1])
+    assert "annihilated" in str(batched[2])
+    assert batched[3].diagnostics.iterations == 2
+    for result, expected in zip(batched, alone):
+        if isinstance(expected, SolverError):
+            assert type(result) is SolverError and result.args == expected.args
+        else:
+            _assert_solo_bits(result, expected)
+    for run in (0, 4, 5):
         _assert_solo_bits(batched[run], solve(covariances[run], qs[run]))
 
 
@@ -950,21 +1019,23 @@ def test_a_study_leaves_nothing_for_the_garbage_collector(tmp_path, monkeypatch)
             assert report.total_failures == 0
         del report
         assert gc.collect() == 0
-        # fig1's mvdr makes 3 inner solves and sc 3 starts before its
-        # steps: the 5th call fails a start, the 7th a step.
-        direction = solvers._mvdr_direction
-        for failing_call in (5, 7):
+        # In 5 runs of fig1, mvdr makes 5 factorizations and sc 5 starts
+        # before its steps: the 7th call fails a start, and the 11th a
+        # step of sc's 5-run stack, which is normalized at once.
+        assert solvers._STACK_MIN <= 5
+        factor = solvers._cholesky_solve
+        for failing_call in (7, 11):
             calls = []
 
             def failing(*args):
                 calls.append(1)
                 if len(calls) == failing_call:
                     raise SolverError("injected")
-                return direction(*args)
+                return factor(*args)
 
-            monkeypatch.setattr(solvers, "_mvdr_direction", failing)
+            monkeypatch.setattr(solvers, "_cholesky_solve", failing)
             report = sb.run_experiment(dataclasses.replace(
-                sb.parse_config(FIG1), monte_carlo_runs=3, output_dir=str(tmp_path / f"failing-{failing_call}")))
+                sb.parse_config(FIG1), monte_carlo_runs=5, output_dir=str(tmp_path / f"failing-{failing_call}")))
             assert report.failures == {"mvdr": 0, "sc": 1, "wsc": 0}
             del report
             assert gc.collect() == 0
